@@ -65,8 +65,10 @@ pub fn commit_serialization(scale: &ExperimentScale) -> Ablation {
     let x = gen::dense_vector(a.cols(), 1);
     let mut raw = Vec::new();
     for (label, serialized) in [("at-commit (paper)", true), ("speculative", false)] {
-        let mut via = ViaConfig::default();
-        via.commit_serialized = serialized;
+        let via = ViaConfig {
+            commit_serialized: serialized,
+            ..Default::default()
+        };
         let ctx = SimContext::with_via(via);
         let csb = Csb::from_csr(&a, via.csb_block_size()).expect("block");
         let spmv_c = spmv::via_csb(&csb, &x, &ctx).cycles();
@@ -144,8 +146,10 @@ pub fn sspm_port_width(scale: &ExperimentScale) -> Ablation {
     let x = gen::dense_vector(a.cols(), 4);
     let mut raw = Vec::new();
     for width in [2u32, 1, 4] {
-        let mut via = ViaConfig::default();
-        via.port_width = width;
+        let via = ViaConfig {
+            port_width: width,
+            ..Default::default()
+        };
         let ctx = SimContext::with_via(via);
         let csb = Csb::from_csr(&a, via.csb_block_size()).expect("block");
         raw.push((

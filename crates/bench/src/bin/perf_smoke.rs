@@ -1,19 +1,13 @@
 //! Simulator-throughput smoke benchmark.
 //!
-//! Two measurements, one JSON artifact (`BENCH_sim_throughput.json`):
+//! Three measurements; the first two write `BENCH_sim_throughput.json`,
+//! the third `BENCH_autotune.json`:
 //!
 //! 1. **Legacy hot-path workloads** — re-runs two fixed workloads that were
-//!    timed with the same harness *before* the engine hot-path overhaul
+//!    timed with a best-of-N loop *before* the engine hot-path overhaul
 //!    (allocation-free instruction streams, flat predictor, cache fast
 //!    path, lock-free sweep) and reports wall-clock against the recorded
 //!    pre-overhaul baselines.
-//! Plus a third measurement with its own artifact (`BENCH_autotune.json`):
-//! the quick-tune pass — the per-matrix auto-tuner over the quick corpus,
-//! reporting the default-vs-tuned cycle geomean per kernel, the static
-//! bound's prune rate, and the tune wall time. A second tune through the
-//! same memo must reproduce the winners bit-identically, and the overall
-//! geomean must clear the 1.10x acceptance floor.
-//!
 //! 2. **Compiled sweep** — runs the Figure-9 DSE sweep `SWEEP_REPS` times
 //!    through one [`SweepMemo`]: repetition 1 compiles every point
 //!    (records + verifies the streams), repetition 2 replays the cached
@@ -24,6 +18,11 @@
 //!    decode-once / sweep-many win ROADMAP item 1 targets (≥10× over the
 //!    11.7 MIPS interpreted single-thread baseline). Every repetition is
 //!    asserted bit-identical to the first.
+//! 3. **Quick tune** — the per-matrix auto-tuner over the quick corpus,
+//!    reporting the default-vs-tuned cycle geomean per kernel, the static
+//!    bound's prune rate, and the tune wall time. A second tune through
+//!    the same memo must reproduce the winners bit-identically, and the
+//!    overall geomean must clear the 1.10x acceptance floor.
 //!
 //! ```sh
 //! cargo run --release -p via-bench --bin perf_smoke [-- --out path.json]
@@ -35,10 +34,10 @@ use via_bench::{
     SweepMemo, TuneConfig,
 };
 
-/// Pre-overhaul wall-clock per iteration (ms), measured with
-/// `cargo bench -p via-bench` on the same workloads at the commit that
-/// introduced the golden cycle-count snapshots (the last point where the
-/// timing model and today's are bit-identical by test).
+/// Pre-overhaul wall-clock per iteration (ms), measured with a best-of-3
+/// timing loop on the same workloads at the commit that introduced the
+/// golden cycle-count snapshots (the last point where the timing model and
+/// today's are bit-identical by test).
 const BASELINE_SPMV_TINY_MS: f64 = 7.472;
 const BASELINE_HISTOGRAM_MS: f64 = 16.257;
 
@@ -52,8 +51,8 @@ const BASELINE_SWEEP_MIPS: f64 = 11.73;
 /// keeps revisiting the same (config × matrix) grid while iterating.
 const SWEEP_REPS: usize = 40;
 
-/// The exact workloads the baselines were recorded on (see
-/// `benches/spmv.rs` and `benches/histogram.rs`).
+/// The exact SpMV workload the baseline was recorded on; the histogram
+/// baseline is `fig12a_histogram(1500, 5)`.
 fn spmv_tiny_scale() -> ExperimentScale {
     ExperimentScale {
         matrices: 3,

@@ -1,22 +1,18 @@
 //! Incremental aggregate reports: Fig-10/11 geomeans rebuilt row-by-row
 //! as results land, instead of re-reading the whole store per render.
 //!
-//! [`ReportBuilder`] is the accumulator behind three front ends:
-//!
-//! * `campaign --report-only` / [`super::aggregate_report`] — one store,
-//!   loaded once, rendered once (the PR-5 behavior, now routed through
-//!   the builder);
-//! * [`aggregate_report_dirs`] — a **live fleet view**: any subset of
-//!   shard stores, deduplicated by manifest key, so a partial distributed
-//!   run always has a consistent report without materializing the merge;
-//! * `campaign serve` — the server ingests each completed job into a
-//!   long-lived builder and answers `{"op":"report"}` from memory.
+//! [`ReportBuilder`] is the accumulator behind [`aggregate_report_dirs`],
+//! the report `campaign report <store>...` prints: any subset of shard
+//! stores, result rows deduplicated by manifest key and quarantine rows by
+//! job key, so a partial distributed run always has a consistent report
+//! without materializing the merge. [`super::aggregate_report`] is the
+//! one-store case.
 //!
 //! Ingest is O(1) amortized (a duplicate-filtered push per row); render
 //! re-buckets the retained `(key, speedup)` points, so the expensive part
 //! is paid only when a report is actually requested.
 
-use super::store::{load_quarantine, load_results, ResultRow};
+use super::store::{load_quarantine, load_results, QuarantineRow, ResultRow};
 use crate::report::{render_table, speedup};
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
@@ -37,7 +33,7 @@ struct KernelAccum {
 pub struct ReportBuilder {
     kernels: BTreeMap<String, KernelAccum>,
     seen: HashSet<(u64, String, String)>,
-    quarantined: usize,
+    quarantined: HashSet<(String, String, String)>,
 }
 
 impl ReportBuilder {
@@ -62,9 +58,12 @@ impl ReportBuilder {
         true
     }
 
-    /// Counts quarantined jobs for the footer line.
-    pub fn ingest_quarantined(&mut self, n: usize) {
-        self.quarantined += n;
+    /// Counts one quarantined job for the footer line. Returns `false`
+    /// (and changes nothing) if a row with the same job key was already
+    /// ingested, so a job quarantined in two overlapping stores counts
+    /// once.
+    pub fn ingest_quarantined(&mut self, row: &QuarantineRow) -> bool {
+        self.quarantined.insert(row.job_key())
     }
 
     /// Distinct result rows ingested so far.
@@ -140,16 +139,16 @@ impl ReportBuilder {
         out.push_str(&format!(
             "store: {} result rows, {} quarantined\n",
             self.rows(),
-            self.quarantined
+            self.quarantined.len()
         ));
         out
     }
 }
 
 /// Builds the live fleet report over any number of (possibly partial,
-/// possibly overlapping) shard store directories: rows deduplicated by
-/// manifest key, rendered exactly like a single-store report, plus a
-/// provenance line when more than one store contributed.
+/// possibly overlapping) shard store directories: result and quarantine
+/// rows deduplicated by key, rendered exactly like a single-store report,
+/// plus a provenance line when more than one store contributed.
 ///
 /// # Errors
 ///
@@ -163,7 +162,11 @@ pub fn aggregate_report_dirs(dirs: &[PathBuf]) -> std::io::Result<String> {
                 duplicates += 1;
             }
         }
-        builder.ingest_quarantined(load_quarantine(dir)?.len());
+        for row in load_quarantine(dir)? {
+            if !builder.ingest_quarantined(&row) {
+                duplicates += 1;
+            }
+        }
     }
     let mut out = builder.render();
     if dirs.len() > 1 {
@@ -209,10 +212,23 @@ mod tests {
         assert!(text.contains("2.83"), "render: {text}");
     }
 
+    fn quarantined(matrix: &str) -> QuarantineRow {
+        QuarantineRow {
+            matrix: matrix.into(),
+            kernel: "spma".into(),
+            config: "16_2p".into(),
+            kind: "parse".into(),
+            chain: vec!["bad header".into()],
+        }
+    }
+
     #[test]
     fn render_matches_store_footer_shape() {
         let mut b = ReportBuilder::new();
-        b.ingest_quarantined(3);
+        for m in ["a", "b", "c"] {
+            assert!(b.ingest_quarantined(&quarantined(m)));
+        }
+        assert!(!b.ingest_quarantined(&quarantined("b")), "duplicate key");
         let text = b.render();
         assert!(text.starts_with("no results in store"));
         assert!(text.contains("store: 0 result rows, 3 quarantined"));

@@ -35,10 +35,6 @@
 //!   timing configuration rebuilds its result row from the memo and skips
 //!   the simulator entirely — level two of the compile/replay pipeline's
 //!   memoization (level one is the in-process [`via_sim::StreamCache`]).
-//! * **Service mode** — [`serve`] wraps the same store and memo layers in
-//!   a long-running batching job server over a local socket: the
-//!   "millions of users" front door that answers duplicate simulation
-//!   requests from the memo without touching the engine.
 //! * **Work-stealing queue** — workers claim job indices from a shared
 //!   atomic counter (the same contention-free scheme as
 //!   [`parallel_map`](crate::suite::parallel_map)) with per-worker progress
@@ -56,15 +52,10 @@
 //! partial fleet run always has a consistent report.
 
 pub mod live;
-pub mod serve;
 pub mod shard;
 pub mod store;
 
 pub use live::{aggregate_report_dirs, ReportBuilder};
-pub use serve::{
-    run_client, ClientConfig, ClientOutcome, Request, Response, ServeConfig, ServeStats,
-    ServerHandle, SimTarget,
-};
 pub use shard::{
     canonical_sort, canonical_sort_cycles, canonical_sort_quarantine, merge_stores, shard_key,
     MergeSummary, ShardSpec,
@@ -401,14 +392,14 @@ fn run_meta<T>(run: &via_kernels::KernelRun<T>) -> (u64, u64, u64) {
 /// Executes one job end to end: materialize the matrix, run the
 /// baseline/VIA kernel pair under stream recording (the compile phase),
 /// verify functional agreement, build the result row and its cycle-memo
-/// row. Pure function of its inputs — the determinism the resume, shard,
-/// and serve contracts all lean on.
+/// row. Pure function of its inputs — the determinism the resume and
+/// shard contracts lean on.
 ///
 /// With `backends`, the SSR rival kernel runs as a third leg where one
 /// exists (SpMV streams the CSR regardless of the baseline's format; SpMM
 /// streams Gustavson) and its cycles land in the rows' optional SSR
 /// fields; SpMA has no SSR variant and records nothing extra.
-pub(crate) fn execute_job(
+fn execute_job(
     source: JobSource,
     kernel: KernelKind,
     via: ViaConfig,
@@ -791,10 +782,8 @@ pub fn run_campaign(
     };
     let cycle_memo: std::collections::HashMap<(u64, String, String), &CycleRow> =
         old_cycles.iter().map(|r| (r.memo_key(), r)).collect();
-    let quarantined_keys: HashSet<(String, String, String)> = old_quarantine
-        .iter()
-        .map(|q| (q.matrix.clone(), q.kernel.clone(), q.config.clone()))
-        .collect();
+    let quarantined_keys: HashSet<(String, String, String)> =
+        old_quarantine.iter().map(QuarantineRow::job_key).collect();
 
     let all_jobs = corpus.jobs(&cfg.kernels);
     let config_name = cfg.via.name();

@@ -440,6 +440,15 @@ pub struct QuarantineRow {
 }
 
 impl QuarantineRow {
+    /// The job identity `(matrix, kernel, config)` this row quarantines.
+    pub fn job_key(&self) -> (String, String, String) {
+        (
+            self.matrix.clone(),
+            self.kernel.clone(),
+            self.config.clone(),
+        )
+    }
+
     /// Serializes the row as one JSONL line (content-hashed, no newline).
     pub fn to_jsonl(&self) -> String {
         let chain = self

@@ -39,7 +39,8 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// A quick smoke-test scale (used by the wall-clock benches and CI).
+    /// A quick smoke-test scale (used by the quick tune, `multicore`,
+    /// `perf_smoke` and CI).
     pub fn quick() -> Self {
         ExperimentScale {
             matrices: 8,

@@ -1,11 +1,12 @@
 //! Integration tests for the campaign orchestrator: the resume-determinism
-//! and quarantine contracts from the durable-store design.
+//! and quarantine contracts from the durable-store design, and the
+//! multi-store report over them.
 
 use std::path::PathBuf;
 use via_bench::campaign::{
-    canonical_sort, cycles_path, load_cycles, load_meta, load_quarantine, load_results,
-    merge_stores, quarantine_path, results_path, run_campaign, CampaignConfig, CampaignError,
-    Corpus, KernelKind, Mode, ShardSpec,
+    aggregate_report, aggregate_report_dirs, canonical_sort, cycles_path, load_cycles, load_meta,
+    load_quarantine, load_results, merge_stores, quarantine_path, results_path, run_campaign,
+    CampaignConfig, CampaignError, Corpus, KernelKind, Mode, ShardSpec,
 };
 use via_formats::gen::StratifiedConfig;
 
@@ -312,7 +313,7 @@ fn corrupt_corpus_is_quarantined_and_retried_exactly() {
     let files = Scratch::new("corrupt_files");
     let store = Scratch::new("corrupt_store");
     let corrupt = corrupt_files(&files);
-    let good = vec![
+    let good = [
         good_file(&files, "good_a.mtx"),
         good_file(&files, "good_b.mtx"),
     ];
@@ -369,6 +370,17 @@ fn corrupt_corpus_is_quarantined_and_retried_exactly() {
     assert!(rows.iter().all(|r| !r.matrix.ends_with("empty.mtx")));
     let results = load_results(store.path()).expect("reload results");
     assert_eq!(results.len(), 3);
+
+    // A store listed twice reports each quarantined job once, like each
+    // result row: the same tables and footer, plus the live-view line.
+    let once = aggregate_report(store.path()).expect("report");
+    assert!(once.contains(", 4 quarantined\n"), "{once}");
+    let dir = store.path().to_path_buf();
+    let twice = aggregate_report_dirs(&[dir.clone(), dir]).expect("live report");
+    let live = twice
+        .strip_prefix(once.as_str())
+        .unwrap_or_else(|| panic!("listing the store twice changed the report:\n{twice}"));
+    assert!(live.starts_with("live view: 2 shard stores"), "{live}");
 }
 
 #[test]
@@ -553,6 +565,22 @@ fn three_shard_kill_resume_merge_is_byte_identical_to_solo() {
     // The merged store is a normal solo store.
     let meta = load_meta(solo_canon.path()).unwrap().expect("manifest");
     assert!(meta.shard.is_solo());
+
+    // The live view over the three shards plus the solo store reports what
+    // the merged store does: every solo row overlaps a shard row.
+    let merged = Scratch::new("m_report");
+    merge_stores(merged.path(), &dirs).expect("merge");
+    let solo_rows =
+        load_results(solo.path()).unwrap().len() + load_quarantine(solo.path()).unwrap().len();
+    let mut live = dirs;
+    live.push(solo.path().to_path_buf());
+    assert_eq!(
+        aggregate_report_dirs(&live).expect("live report"),
+        format!(
+            "{}live view: 4 shard stores, {solo_rows} overlapping rows deduplicated\n",
+            aggregate_report(merged.path()).expect("merged report"),
+        ),
+    );
 }
 
 #[test]

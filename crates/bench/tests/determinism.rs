@@ -20,7 +20,6 @@ fn sweep(threads: usize) -> Vec<(RunStats, RunStats)> {
         density_range: (0.002, 0.03),
         seed: 0xD3,
         threads,
-        ..ExperimentScale::quick()
     };
     let suite = Suite::generate(&scale);
     parallel_map(&suite.matrices, threads, |m| {

@@ -774,7 +774,7 @@ mod tests {
     fn deps_are_respected_in_timing() {
         let (mut e, mut v) = setup();
         // A cold load produces the data the VIA op consumes.
-        let data = e.load(0xaaa0_000, 8);
+        let data = e.load(0xaaa0000, 8);
         let done_dep = v.vldx_load_d(&mut e, &[0], &[1.0], &[data]);
         let _ = done_dep;
         let stats = e.finish();

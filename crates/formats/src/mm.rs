@@ -2,9 +2,9 @@
 //!
 //! Supports the `matrix coordinate real/integer/pattern general/symmetric`
 //! subset, which covers the SuiteSparse matrices the paper selects (real,
-//! square). This lets real SuiteSparse files be dropped into the benches in
-//! place of the synthetic suite (see the campaign corpus manifest in
-//! `via-bench`).
+//! square). This lets real SuiteSparse files be dropped into the
+//! experiments in place of the synthetic suite (see the campaign corpus
+//! manifest in `via-bench`).
 //!
 //! Every parse failure is a structured [`FormatError::Parse`] carrying the
 //! 1-based line and, where a single token is at fault, the 1-based column —

@@ -24,6 +24,9 @@ fn xvec(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i % 13) as f64) * 0.25 - 1.5).collect()
 }
 
+/// One golden kernel run: (name, traced cycles + report, untraced cycles).
+type GoldenRun = (&'static str, (u64, Option<StallReport>), u64);
+
 fn assert_conserved(name: &str, report: &StallReport, cycles: u64) {
     assert_eq!(
         report.attributed(),
@@ -47,8 +50,7 @@ fn conservation_holds_for_every_golden_kernel() {
     let mut rng = StdRng::seed_from_u64(0xC0);
     let keys: Vec<u32> = (0..4000).map(|_| rng.random_range(0u32..256)).collect();
 
-    // (name, traced cycles + report, untraced cycles)
-    let runs: Vec<(&str, (u64, Option<StallReport>), u64)> = vec![
+    let runs: Vec<GoldenRun> = vec![
         (
             "spmv::scalar_csr",
             {

@@ -30,7 +30,6 @@ use crate::config::{CoreConfig, MemConfig};
 use crate::mem::Hierarchy;
 use crate::prog::{AluKind, Inst, Op, Reg, VecOpKind};
 use crate::stats::RunStats;
-use crate::timeline::{Timeline, TimelineEntry};
 use crate::trace::{
     self, EventRing, MemLevel, OpClass, RegionStalls, StallCause, StallReport, TraceEvent,
     TraceState,
@@ -103,7 +102,6 @@ pub struct Engine {
     /// the table grows lazily to the highest site seen.
     predictor: Vec<u8>,
     pushes_since_prune: u32,
-    timeline: Option<Timeline>,
     /// Stall-cause accounting and event-trace state (`via-trace`). Always
     /// present; disabled it costs one branch per push and never perturbs
     /// timing, so golden cycle counts are identical with tracing on or off.
@@ -172,7 +170,6 @@ impl Engine {
             custom_units: vec![0; core.custom_units as usize],
             predictor: Vec::new(),
             pushes_since_prune: 0,
-            timeline: None,
             trace: TraceState::default(),
             verifier,
             verify_capture,
@@ -485,16 +482,6 @@ impl Engine {
         if self.rob_filled < self.core.rob_size {
             self.rob_filled += 1;
         }
-        if let Some(timeline) = &mut self.timeline {
-            timeline.record(TimelineEntry {
-                index: self.stats.instructions,
-                kind: inst.op.tag(),
-                fetch: fetch_t,
-                ready: ready_t,
-                complete,
-                commit: commit_t,
-            });
-        }
         if tracing {
             self.record_trace(
                 &inst.op,
@@ -641,18 +628,6 @@ impl Engine {
             let _ = elem_bytes;
         }
         done + self.core.gather_overhead as u64
-    }
-
-    /// Starts recording the most recent `capacity` instructions' lifecycle
-    /// timestamps (fetch/ready/complete/commit). Off by default — the
-    /// sweeps retire millions of instructions; use a bounded window.
-    pub fn enable_timeline(&mut self, capacity: usize) {
-        self.timeline = Some(Timeline::new(capacity));
-    }
-
-    /// The recorded timeline, if [`Engine::enable_timeline`] was called.
-    pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_ref()
     }
 
     // ---- via-trace: stall accounting and event traces ------------------
@@ -958,8 +933,7 @@ impl Engine {
     /// Returns the engine to its just-constructed state while keeping its
     /// internal allocations (register-ready table, ROB window, cache set
     /// storage), so a sweep can reuse one engine across many runs instead
-    /// of reconstructing per run. Timeline and stream recording are turned
-    /// off.
+    /// of reconstructing per run. Stream recording is turned off.
     pub fn reset(&mut self) {
         crate::telemetry::record_instructions(self.stats.instructions);
         self.flush_verifier();
@@ -984,7 +958,6 @@ impl Engine {
         self.custom_units.iter_mut().for_each(|t| *t = 0);
         self.predictor.clear();
         self.pushes_since_prune = 0;
-        self.timeline = None;
         self.recording = None;
         self.analysis = None;
         self.emit_only = false;
@@ -1240,7 +1213,7 @@ mod tests {
     fn at_commit_waits_for_older_noncustom() {
         let mut e = engine_with_custom();
         // A slow cold load...
-        e.load(0xdead_000, 8);
+        e.load(0xdead000, 8);
         // ...blocks the commit-serialized custom op even without a register
         // dependence.
         let done = e.push(Inst::custom(1, 1, true, &[], None));
@@ -1266,7 +1239,7 @@ mod tests {
     fn non_commit_custom_issues_early() {
         // A non-at_commit custom op should not wait for an older slow load.
         let mut e = engine_with_custom();
-        e.load(0xbeef_000, 8);
+        e.load(0xbeef000, 8);
         let done = e.push(Inst::custom(1, 1, false, &[], None));
         assert!(done < MemConfig::default().dram_latency as u64);
     }
@@ -1274,7 +1247,7 @@ mod tests {
     #[test]
     fn fence_serializes() {
         let mut e = engine();
-        e.load(0x8000_000, 8); // cold: slow
+        e.load(0x8000000, 8); // cold: slow
         e.fence();
         let r = e.scalar_op(AluKind::Int, &[]);
         let _ = r;
@@ -1396,25 +1369,6 @@ mod tests {
         let d = e.delay(50, &[r]);
         let done = e.push(Inst::scalar(AluKind::Int, &[d], None));
         assert!(done >= 51, "dependent completed at {done}");
-    }
-
-    #[test]
-    fn timeline_records_lifecycles() {
-        let mut e = engine();
-        e.enable_timeline(4);
-        for i in 0..10u64 {
-            let r = e.load(0x1000 + i * 64, 8);
-            e.scalar_op(AluKind::FpAdd, &[r]);
-        }
-        let timeline = e.timeline().expect("enabled");
-        assert_eq!(timeline.len(), 4); // bounded window
-        for entry in timeline.entries() {
-            assert!(entry.fetch <= entry.ready);
-            assert!(entry.ready <= entry.complete);
-            assert!(entry.complete <= entry.commit);
-        }
-        let rendered = timeline.render();
-        assert!(rendered.contains("load") || rendered.contains("scalar"));
     }
 
     #[test]

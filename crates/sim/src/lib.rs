@@ -51,7 +51,6 @@ pub mod mem;
 pub mod prog;
 pub mod stats;
 pub mod telemetry;
-pub mod timeline;
 pub mod trace;
 pub mod verify;
 
@@ -64,6 +63,5 @@ pub use mem::SharedLlc;
 pub use prog::{AluKind, Inst, Op, Reg, VecOpKind};
 pub use stats::{CacheStats, RunStats};
 pub use telemetry::{simulated_instructions, TelemetrySnapshot, ThroughputProbe};
-pub use timeline::{Timeline, TimelineEntry};
 pub use trace::{MemLevel, OpClass, RegionStalls, StallCause, StallReport, TraceEvent};
 pub use verify::{Verifier, VerifyConfig};

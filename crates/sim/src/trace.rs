@@ -795,8 +795,10 @@ mod tests {
 
     #[test]
     fn top_stalls_sorts_and_excludes_active() {
-        let mut r = StallReport::default();
-        r.total_cycles = 100;
+        let mut r = StallReport {
+            total_cycles: 100,
+            ..Default::default()
+        };
         r.by_class[OpClass::Gather as usize][StallCause::LoadPort as usize] = 50;
         r.by_class[OpClass::Load as usize][StallCause::DramBandwidth as usize] = 30;
         r.by_class[OpClass::Scalar as usize][StallCause::Active as usize] = 20;

@@ -91,7 +91,7 @@ fn random_streams_bound_holds_and_findings_validate() {
     // (which panics debug runs); capture mode collects reports instead,
     // and keeps the overlapping traffic that exercises the alias oracle.
     let _guard = via_sim::verify::capture_guard();
-    via_rng::cases(30, 0xA11A_5E7, |i, rng| {
+    via_rng::cases(30, 0xA11A5E7, |i, rng| {
         let with_custom = i % 2 == 1;
         let core = if with_custom {
             CoreConfig::default().with_custom_unit()

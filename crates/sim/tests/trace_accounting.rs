@@ -2,7 +2,6 @@
 //! transparency (bit-identical cycles), Chrome-trace export validity, and
 //! the `Engine::reset` trace-state regression.
 
-use via_sim::prog::Inst;
 use via_sim::trace::CAUSE_COUNT;
 use via_sim::{AluKind, CoreConfig, Engine, MemConfig, StallCause, TraceEvent, VecOpKind};
 
@@ -216,7 +215,7 @@ fn markers_and_regions_reach_the_ring() {
 #[derive(Debug)]
 enum Json {
     Null,
-    Bool(bool),
+    Bool,
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -258,8 +257,8 @@ impl<'a> Parser<'a> {
             b'{' => self.object(),
             b'[' => self.array(),
             b'"' => Json::Str(self.string()),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
+            b't' => self.literal("true", Json::Bool),
+            b'f' => self.literal("false", Json::Bool),
             b'n' => self.literal("null", Json::Null),
             _ => self.number(),
         }

@@ -11,9 +11,9 @@
 #    is killed ~30 % in (--max-jobs 1) and resumed.
 # 3. Merges the shard stores in two different input orders and `cmp`s
 #    results.jsonl AND cycles.jsonl byte-for-byte against the solo store.
-# 4. Smoke-tests `campaign serve`: a client submits duplicate requests
-#    and asserts the dedup counters; a second session must be answered
-#    entirely from the memo layers without re-simulation.
+# 4. Renders the live report over a partial fleet, and checks that the
+#    report over all shards plus the solo store matches the merged
+#    store's report.
 #
 # Stores land in the given directory (default ./distributed_smoke) so CI
 # can upload them as artifacts when something diverges.
@@ -33,20 +33,20 @@ fi
 CORPUS="--synthetic 12 --min-rows 48 --max-rows 128 --quiet"
 
 echo "==> solo reference run"
-"$BIN" --dir "$OUT/solo" $CORPUS >/dev/null
+"$BIN" run --dir "$OUT/solo" $CORPUS >/dev/null
 "$BIN" merge "$OUT/solo_canon" "$OUT/solo"
 
 echo "==> 3 concurrent shards (shard 1 killed at ~30% and resumed)"
-"$BIN" --dir "$OUT/shard0" $CORPUS --shard 0/3 >/dev/null &
+"$BIN" run --dir "$OUT/shard0" $CORPUS --shard 0/3 >/dev/null &
 SHARD0=$!
-"$BIN" --dir "$OUT/shard2" $CORPUS --shard 2/3 >/dev/null &
+"$BIN" run --dir "$OUT/shard2" $CORPUS --shard 2/3 >/dev/null &
 SHARD2=$!
-"$BIN" --dir "$OUT/shard1" $CORPUS --shard 1/3 --max-jobs 1 >/dev/null
-"$BIN" --dir "$OUT/shard1" $CORPUS --shard 1/3 --resume >/dev/null
+"$BIN" run --dir "$OUT/shard1" $CORPUS --shard 1/3 --max-jobs 1 >/dev/null
+"$BIN" run --dir "$OUT/shard1" $CORPUS --shard 1/3 --resume >/dev/null
 wait $SHARD0 $SHARD2
 
 echo "==> shard spec guard: resuming shard 1 as solo must be refused"
-if "$BIN" --dir "$OUT/shard1" $CORPUS --resume >/dev/null 2>&1; then
+if "$BIN" run --dir "$OUT/shard1" $CORPUS --resume >/dev/null 2>&1; then
     echo "ERROR: resume under a different shard spec was not refused" >&2
     exit 1
 fi
@@ -64,28 +64,10 @@ echo "==> incremental live report over a partial fleet (shards 0 and 2)"
 "$BIN" report "$OUT/shard0" "$OUT/shard2" >"$OUT/partial_report.txt"
 grep -q "result rows" "$OUT/partial_report.txt"
 
-echo "==> serve smoke: duplicate requests must be deduplicated"
-"$BIN" serve --dir "$OUT/serve_store" --listen 127.0.0.1:0 \
-    --port-file "$OUT/serve_addr.txt" --threads 2 >"$OUT/serve_log.txt" 2>&1 &
-SERVE=$!
-tries=0
-while [ ! -s "$OUT/serve_addr.txt" ]; do
-    tries=$((tries + 1))
-    if [ "$tries" -gt 120 ] || ! kill -0 $SERVE 2>/dev/null; then
-        echo "ERROR: serve did not come up" >&2
-        cat "$OUT/serve_log.txt" >&2 || true
-        exit 1
-    fi
-    sleep 0.5
-done
-ADDR=$(cat "$OUT/serve_addr.txt")
-# 4 distinct matrices x 3 repeats: at least the 8 repeats must be answered
-# from the coalescing/memo layers, not the engine.
-"$BIN" client --addr "$ADDR" --count 4 --repeat 3 --expect-dedup 8
-# A second identical session must be answered entirely from the memo.
-"$BIN" client --addr "$ADDR" --count 4 --repeat 3 --expect-dedup 12 --shutdown
-wait $SERVE
-grep -q "memo" "$OUT/serve_log.txt"
-echo "    serve smoke OK (dedup counters asserted, graceful drain)"
+echo "==> live report over every store matches the merged store's report"
+"$BIN" report "$OUT/merged_a" >"$OUT/merged_report.txt"
+"$BIN" report "$OUT/shard0" "$OUT/shard1" "$OUT/shard2" "$OUT/solo" >"$OUT/fleet_report.txt"
+grep -v "^live view:" "$OUT/fleet_report.txt" | cmp "$OUT/merged_report.txt" -
+echo "    report OK (overlapping rows counted once)"
 
 echo "distributed smoke: OK"

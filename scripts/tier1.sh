@@ -69,11 +69,11 @@ else
     # Kill a sweep after 2 jobs, resume it, and demand the resumed store
     # is byte-identical to an uninterrupted run's (canonical sort).
     cargo run --release -p via-bench --bin campaign -- \
-        --dir "$CAMPAIGN_SMOKE_DIR/killed" $CAMPAIGN_ARGS --max-jobs 2 >/dev/null
+        run --dir "$CAMPAIGN_SMOKE_DIR/killed" $CAMPAIGN_ARGS --max-jobs 2 >/dev/null
     cargo run --release -p via-bench --bin campaign -- \
-        --dir "$CAMPAIGN_SMOKE_DIR/killed" $CAMPAIGN_ARGS --resume >/dev/null
+        run --dir "$CAMPAIGN_SMOKE_DIR/killed" $CAMPAIGN_ARGS --resume >/dev/null
     cargo run --release -p via-bench --bin campaign -- \
-        --dir "$CAMPAIGN_SMOKE_DIR/straight" $CAMPAIGN_ARGS >/dev/null
+        run --dir "$CAMPAIGN_SMOKE_DIR/straight" $CAMPAIGN_ARGS >/dev/null
     LC_ALL=C sort "$CAMPAIGN_SMOKE_DIR/killed/results.jsonl" >"$CAMPAIGN_SMOKE_DIR/a"
     LC_ALL=C sort "$CAMPAIGN_SMOKE_DIR/straight/results.jsonl" >"$CAMPAIGN_SMOKE_DIR/b"
     cmp "$CAMPAIGN_SMOKE_DIR/a" "$CAMPAIGN_SMOKE_DIR/b"
