@@ -78,7 +78,7 @@ fn usage() -> ! {
          \x20 --quick | --full       corpus scale (default --quick: 8 small matrices)\n\
          \x20 --kernels <a,b,..>     tunable kernels (default all): spmv spmm sptrsv symgs\n\
          \x20 --no-audit             skip re-simulating pruned variants (audit is on by default)\n\
-         \x20 --expect-non-default <N>  exit 1 unless >= N matrices prefer a non-default variant\n\
+         \x20 --expect-geomean <X>   exit 1 unless the tuned-over-default geomean is >= X\n\
          \x20 --matrices/--min-rows/--max-rows/--seed/--threads  corpus overrides"
     );
     std::process::exit(2);
@@ -353,7 +353,7 @@ fn cmd_report(args: &[String]) {
 fn cmd_tune(args: &[String]) {
     let mut cfg = TuneConfig::quick();
     let mut dir: Option<PathBuf> = None;
-    let mut expect_non_default = 0usize;
+    let mut expect_geomean: Option<f64> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -373,10 +373,12 @@ fn cmd_tune(args: &[String]) {
                     })
                     .collect();
             }
-            "--expect-non-default" => {
-                expect_non_default = need(&mut it, "--expect-non-default")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
+            "--expect-geomean" => {
+                let v = need(&mut it, "--expect-geomean");
+                expect_geomean = Some(v.parse().unwrap_or_else(|_| {
+                    eprintln!("--expect-geomean wants a number, got {v:?}");
+                    usage()
+                }))
             }
             "--help" | "-h" => usage(),
             // Corpus-scale flags (--matrices/--min-rows/--max-rows/
@@ -420,11 +422,9 @@ fn cmd_tune(args: &[String]) {
         );
         std::process::exit(1);
     }
-    if outcome.non_default_winners() < expect_non_default {
-        eprintln!(
-            "tune: expected >= {expect_non_default} non-default winners, found {}",
-            outcome.non_default_winners(),
-        );
+    let geomean = outcome.geomean_speedup();
+    if let Some(floor) = expect_geomean.filter(|&floor| geomean < floor) {
+        eprintln!("tune: tuned-over-default geomean {geomean:.3}x is under the {floor}x floor");
         std::process::exit(1);
     }
 }

@@ -11,7 +11,6 @@
 //!     [-- --matrices N --max-rows N --seed S --threads N --out path.json]
 //! ```
 
-use std::time::Instant;
 use via_bench::report::banner;
 use via_bench::{multicore_sweep, ExperimentScale};
 
@@ -40,16 +39,11 @@ fn main() {
         scale.matrices, scale.min_rows, scale.max_rows, scale.seed, scale.threads
     );
 
-    let t = Instant::now();
     let out = multicore_sweep(&scale);
-    let wall_s = t.elapsed().as_secs_f64();
     print!("{}", out.render());
 
     let four = out.partitioned_geomean(4);
-    println!(
-        "\n4-core geomean speedup {four:.2}x (floor {FOUR_CORE_FLOOR}x), \
-         swept in {wall_s:.1}s"
-    );
+    println!("\n4-core geomean speedup {four:.2}x (floor {FOUR_CORE_FLOOR}x)");
     std::fs::write(&out_path, out.to_json(&scale)).expect("write multicore json");
     eprintln!("-> {out_path}");
     assert!(

@@ -30,7 +30,7 @@ fn main() {
          minute or two)",
         scale.matrices, scale.min_rows, scale.max_rows, scale.seed, scale.threads
     );
-    let probe = via_sim::ThroughputProbe::start();
+    let started = std::time::Instant::now();
     let telemetry_start = via_sim::telemetry::snapshot();
 
     let mut measured: Vec<(&'static str, f64)> = Vec::new();
@@ -206,15 +206,11 @@ fn main() {
         measured.len()
     );
     let delta = via_sim::telemetry::snapshot().since(&telemetry_start);
-    let effective_mips =
-        delta.effective_instructions() as f64 / probe.elapsed().as_secs_f64().max(1e-9) / 1e6;
+    let secs = started.elapsed().as_secs_f64();
     println!(
-        "simulated {:.1}M instructions in {:.1}s — {:.2} MIPS simulated, \
-         {:.2} MIPS effective (memo-skipped included)",
-        probe.instructions() as f64 / 1e6,
-        probe.elapsed().as_secs_f64(),
-        probe.mips(),
-        effective_mips,
+        "simulated {:.1}M instructions in {secs:.1}s — {:.2} MIPS simulated",
+        delta.instructions as f64 / 1e6,
+        delta.instructions as f64 / secs.max(1e-9) / 1e6,
     );
     println!("{}", delta.render());
 }

@@ -39,8 +39,8 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// A quick smoke-test scale (used by the quick tune, `multicore`,
-    /// `perf_smoke` and CI).
+    /// A quick smoke-test scale (used by the quick tune, `multicore` and
+    /// CI).
     pub fn quick() -> Self {
         ExperimentScale {
             matrices: 8,
@@ -79,31 +79,44 @@ impl ExperimentScale {
     }
 
     /// Parses `--matrices`, `--max-rows`, `--min-rows`, `--seed`, and
-    /// `--threads` from CLI arguments, starting from `self` as defaults.
-    pub fn from_args(mut self, args: &[String]) -> Self {
+    /// `--threads` from CLI arguments, starting from `self` as defaults;
+    /// other arguments are left to the caller. A missing or unparsable
+    /// value prints the flag and the value and exits with status 2.
+    pub fn from_args(self, args: &[String]) -> Self {
+        self.try_from_args(args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    fn try_from_args(mut self, args: &[String]) -> Result<Self, String> {
         let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut grab = |field: &mut usize| {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    *field = v;
-                }
-            };
-            match arg.as_str() {
-                "--matrices" => grab(&mut self.matrices),
-                "--max-rows" => grab(&mut self.max_rows),
-                "--min-rows" => grab(&mut self.min_rows),
-                "--threads" => grab(&mut self.threads),
+        while let Some(flag) = it.next() {
+            let field = match flag.as_str() {
+                "--matrices" => &mut self.matrices,
+                "--max-rows" => &mut self.max_rows,
+                "--min-rows" => &mut self.min_rows,
+                "--threads" => &mut self.threads,
                 "--seed" => {
-                    if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                        self.seed = v;
-                    }
+                    self.seed = flag_value(flag, it.next())?;
+                    continue;
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            *field = flag_value(flag, it.next())?;
         }
         self.threads = self.threads.max(1);
-        self
+        Ok(self)
     }
+}
+
+/// Parses the value that follows `flag`, or says which flag and value
+/// were wrong.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag} wants a non-negative integer, got {value:?}"))
 }
 
 /// A generated matrix suite.
@@ -221,14 +234,27 @@ mod tests {
 
     #[test]
     fn scale_from_args_parses() {
-        let args: Vec<String> = ["--matrices", "5", "--max-rows", "300", "--seed", "9"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let s = ExperimentScale::default().from_args(&args);
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            ExperimentScale::default().try_from_args(&args)
+        };
+        let s = parse(&["--matrices", "5", "--max-rows", "300", "--seed", "9"]).expect("valid");
         assert_eq!(s.matrices, 5);
         assert_eq!(s.max_rows, 300);
         assert_eq!(s.seed, 9);
+
+        assert_eq!(
+            parse(&["--threads", "banana"]),
+            Err("--threads wants a non-negative integer, got \"banana\"".to_string())
+        );
+        assert_eq!(
+            parse(&["--seed", "-1"]),
+            Err("--seed wants a non-negative integer, got \"-1\"".to_string())
+        );
+        assert_eq!(
+            parse(&["--max-rows", "300", "--matrices"]),
+            Err("--matrices needs a value".to_string())
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The accelerator-backend abstraction behind the timing engine.
+//! The accelerator backends a core can carry.
 //!
 //! A *backend* is everything kernel-visible that is specific to one
 //! accelerator architecture: the core-configuration shaping (does the core
@@ -13,18 +13,12 @@
 //!   address generation, so gathers are cheap but there is no scratchpad
 //!   to absorb output traffic.
 //!
-//! The trait is the seam the multi-core `Socket` (in `via-kernels`)
-//! instantiates per core: each core owns a private engine shaped by its
-//! backend, while the backends stay interchangeable behind one interface.
-//! The backend identity is folded into memo keys with
-//! [`backend_config_hash`], so per-backend cycle stores never collide —
-//! while the *existing* [`via_sim::config_hash`] keys (used by
-//! `cycles.jsonl`, the `StreamCache`, and the tuner) are untouched.
+//! [`BackendKind`] names the backend and shapes the core; each kernel
+//! builds its own per-run accelerator state. The multi-core `Socket` (in
+//! `via-kernels`) matches on the kind to pick each core's kernel.
 
 use crate::ssr::SsrStreams;
-use crate::unit::ViaUnit;
-use crate::ViaConfig;
-use via_sim::{config_hash, fnv1a64, CoreConfig, MemConfig};
+use via_sim::CoreConfig;
 
 /// Identity of an accelerator backend (the knob swept by the bake-off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,156 +64,6 @@ impl BackendKind {
             }
         }
     }
-
-    /// Builds this backend's per-run state.
-    pub fn backend(self, via: ViaConfig) -> Box<dyn AcceleratorBackend> {
-        match self {
-            BackendKind::Baseline => Box::new(BaselineBackend),
-            BackendKind::Via => Box::new(ViaBackend::new(via)),
-            BackendKind::Ssr => Box::new(SsrBackend::new()),
-        }
-    }
-}
-
-/// A memo/store key that folds the backend identity into the machine
-/// configuration hash, so per-backend sweep results never collide even
-/// for machine configurations that happen to hash equal.
-///
-/// New multi-core/bake-off stores use this; the single-backend
-/// [`via_sim::config_hash`] keyspace (`cycles.jsonl`, `StreamCache`,
-/// tuner) is deliberately left untouched so existing stores stay valid.
-///
-/// # Example
-///
-/// ```
-/// use via_core::{backend_config_hash, BackendKind};
-/// use via_sim::{CoreConfig, MemConfig};
-///
-/// let core = CoreConfig::default();
-/// let mem = MemConfig::default();
-/// let h_base = backend_config_hash(BackendKind::Baseline, &core, &mem);
-/// let h_ssr = backend_config_hash(BackendKind::Ssr, &core, &mem);
-/// assert_ne!(h_base, h_ssr);
-/// ```
-pub fn backend_config_hash(kind: BackendKind, core: &CoreConfig, mem: &MemConfig) -> u64 {
-    let shaped = kind.shape_core(core.clone());
-    fnv1a64(format!("{}|{:016x}", kind.name(), config_hash(&shaped, mem)).into_bytes())
-}
-
-/// Backend-specific state behind one interface: how the core is shaped and
-/// what per-run accelerator state exists.
-///
-/// Kernels that need the concrete accelerator (the VIA `vldx*` methods or
-/// the SSR stream pusher) downcast through the accessors on the concrete
-/// types; the socket and the bench sweeps stay generic over the trait.
-///
-/// # Example
-///
-/// ```
-/// use via_core::{AcceleratorBackend, BackendKind, ViaConfig};
-/// use via_sim::CoreConfig;
-///
-/// let mut backend = BackendKind::Via.backend(ViaConfig::default());
-/// assert_eq!(backend.kind(), BackendKind::Via);
-/// let core = backend.shape_core(CoreConfig::default());
-/// assert_eq!(core.custom_units, 1);
-/// backend.reset(); // fresh accelerator state for the next run
-/// ```
-pub trait AcceleratorBackend: std::fmt::Debug {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Shapes a base core configuration for this backend (see
-    /// [`BackendKind::shape_core`]).
-    fn shape_core(&self, base: CoreConfig) -> CoreConfig {
-        self.kind().shape_core(base)
-    }
-
-    /// Clears the per-run accelerator state (scratchpad contents, stream
-    /// counters) so the backend can serve a fresh run.
-    fn reset(&mut self);
-}
-
-/// The no-accelerator backend: a plain core, no state.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaselineBackend;
-
-impl AcceleratorBackend for BaselineBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Baseline
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// The VIA backend: owns the per-run [`ViaUnit`] (SSPM + FIVU + ISA).
-#[derive(Debug, Clone)]
-pub struct ViaBackend {
-    config: ViaConfig,
-    unit: ViaUnit,
-}
-
-impl ViaBackend {
-    /// A VIA backend over the given SSPM geometry.
-    pub fn new(config: ViaConfig) -> Self {
-        ViaBackend {
-            config,
-            unit: ViaUnit::new(config),
-        }
-    }
-
-    /// The VIA unit, for kernels that push `vldx*` instructions.
-    pub fn unit_mut(&mut self) -> &mut ViaUnit {
-        &mut self.unit
-    }
-
-    /// The VIA unit (read-only: event counters, SSPM inspection).
-    pub fn unit(&self) -> &ViaUnit {
-        &self.unit
-    }
-}
-
-impl AcceleratorBackend for ViaBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Via
-    }
-
-    fn reset(&mut self) {
-        self.unit = ViaUnit::new(self.config);
-    }
-}
-
-/// The SSR backend: owns the per-run stream-configuration state.
-#[derive(Debug, Clone, Default)]
-pub struct SsrBackend {
-    streams: SsrStreams,
-}
-
-impl SsrBackend {
-    /// A fresh SSR backend.
-    pub fn new() -> Self {
-        SsrBackend::default()
-    }
-
-    /// The stream unit, for kernels that configure indirection streams.
-    pub fn streams_mut(&mut self) -> &mut SsrStreams {
-        &mut self.streams
-    }
-
-    /// The stream unit (read-only: configuration counters).
-    pub fn streams(&self) -> &SsrStreams {
-        &self.streams
-    }
-}
-
-impl AcceleratorBackend for SsrBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Ssr
-    }
-
-    fn reset(&mut self) {
-        self.streams = SsrStreams::default();
-    }
 }
 
 #[cfg(test)]
@@ -244,55 +88,5 @@ mod tests {
         let ssr = BackendKind::Ssr.shape_core(base.clone());
         assert_eq!(ssr.custom_units, 1);
         assert_eq!(ssr.gather_overhead, SsrStreams::GATHER_OVERHEAD);
-    }
-
-    #[test]
-    fn backend_state_matches_kind() {
-        for kind in BackendKind::ALL {
-            let b = kind.backend(ViaConfig::default());
-            assert_eq!(b.kind(), kind);
-        }
-    }
-
-    #[test]
-    fn backend_hashes_are_distinct() {
-        let core = CoreConfig::default();
-        let mem = MemConfig::default();
-        let hashes: Vec<u64> = BackendKind::ALL
-            .iter()
-            .map(|&k| backend_config_hash(k, &core, &mem))
-            .collect();
-        for (i, a) in hashes.iter().enumerate() {
-            for b in &hashes[i + 1..] {
-                assert_ne!(a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn backend_hash_is_stable_for_pre_shaped_cores() {
-        // Shaping is idempotent, so hashing a base core and hashing the
-        // already-shaped core give the same key (callers can pass either).
-        let base = CoreConfig::default();
-        let mem = MemConfig::default();
-        for kind in BackendKind::ALL {
-            let shaped = kind.shape_core(base.clone());
-            assert_eq!(
-                backend_config_hash(kind, &base, &mem),
-                backend_config_hash(kind, &shaped, &mem),
-            );
-        }
-    }
-
-    #[test]
-    fn via_backend_reset_clears_sspm() {
-        let mut b = ViaBackend::new(ViaConfig::default());
-        let mut e = via_sim::Engine::new(b.shape_core(CoreConfig::default()), MemConfig::default());
-        b.unit_mut().vldx_clear(&mut e);
-        b.unit_mut().vldx_load_d(&mut e, &[0], &[42.0], &[]);
-        assert!(b.unit().events().sram_writes > 0);
-        b.reset();
-        assert_eq!(b.unit().events().sram_writes, 0);
-        let _ = e.finish();
     }
 }

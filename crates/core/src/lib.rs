@@ -59,9 +59,7 @@ mod sspm;
 mod ssr;
 mod unit;
 
-pub use backend::{
-    backend_config_hash, AcceleratorBackend, BackendKind, BaselineBackend, SsrBackend, ViaBackend,
-};
+pub use backend::BackendKind;
 pub use config::ViaConfig;
 pub use fivu::{Fivu, FivuCost, SspmOpClass};
 pub use isa::{render_isa, IsaEntry, IsaModes, ISA};

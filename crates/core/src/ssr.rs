@@ -23,7 +23,8 @@
 //!   gap the bake-off is designed to expose (see `docs/BACKENDS.md`).
 //!
 //! The kernel-side entry point is `via-kernels`' SSR kernel variants,
-//! which use this type through [`crate::SsrBackend`].
+//! which build a fresh [`SsrStreams`] per run on an engine whose core
+//! [`BackendKind::Ssr`](crate::BackendKind::Ssr) shaped.
 
 use via_sim::{Engine, Reg};
 

@@ -170,15 +170,6 @@ impl SimContext {
         ))
     }
 
-    /// An engine shaped by `kind` ([`BackendKind::shape_core`]), the
-    /// generic entry point the socket and bake-off sweeps use.
-    pub fn backend_engine(&self, kind: BackendKind) -> Engine {
-        self.apply_trace(Engine::new(
-            kind.shape_core(self.core.clone()),
-            self.mem.clone(),
-        ))
-    }
-
     /// The machine vector length in 64-bit lanes.
     pub fn vl(&self) -> usize {
         self.core.vl as usize

@@ -23,7 +23,6 @@
 use std::sync::Arc;
 
 use crate::alloc::AddressSpace;
-use crate::analyze::{self, AnalysisReport, AnalyzeConfig};
 use crate::calendar::Calendar;
 use crate::compile::{CompiledStream, StreamEvent};
 use crate::config::{CoreConfig, MemConfig};
@@ -124,10 +123,6 @@ pub struct Engine {
     /// empty) streaming verifier's report, so captured diagnostics are
     /// bit-identical between the interpreted and compiled paths.
     replayed_report: Option<verify::Report>,
-    /// The static-analysis report attached by [`Engine::analyze_compiled`]
-    /// for the stream most recently analyzed on this engine. Cleared by
-    /// [`Engine::reset`] so a reused engine cannot leak a stale report.
-    analysis: Option<Arc<AnalysisReport>>,
     /// Emit-only mode ([`Engine::enable_emit_only`]): pushes skip the
     /// timing model entirely — only verification and stream recording run.
     /// Instruction content never depends on timing (kernels read data, not
@@ -175,7 +170,6 @@ impl Engine {
             verify_capture,
             recording: None,
             replayed_report: None,
-            analysis: None,
             emit_only: false,
             core,
             stats: RunStats::default(),
@@ -750,18 +744,6 @@ impl Engine {
             .map(|ring| trace::chrome_trace_json(ring, |id| self.trace.region_name(id)))
     }
 
-    /// Whether a verifier is attached (always true in debug builds; true in
-    /// release only while [`verify::capture_guard`] is active). `via-core`
-    /// uses this to skip building diagnostics that would be dropped.
-    pub fn verify_active(&self) -> bool {
-        self.verifier.is_some()
-    }
-
-    /// The verifier's report so far, if a verifier is attached.
-    pub fn verify_report(&self) -> Option<&verify::Report> {
-        self.verifier.as_deref().map(Verifier::report)
-    }
-
     /// Routes an externally produced diagnostic (e.g. `via-core`'s SSPM
     /// mode checker) into the attached verifier, stamped with the current
     /// instruction index. In debug builds (without capture) an
@@ -806,10 +788,10 @@ impl Engine {
     ///
     /// This is the auto-tuner's fast compile path: emit a candidate
     /// variant's stream without cache/calendar work, take its static
-    /// cycle lower bound from [`analyze`], and only replay (full timing)
-    /// the candidates the bound cannot rule out. Statistics other than
-    /// the instruction count are meaningless on an emit-only run.
-    /// Cleared by [`Engine::reset`].
+    /// cycle lower bound from [`analyze`](crate::analyze()), and only
+    /// replay (full timing) the candidates the bound cannot rule out.
+    /// Statistics other than the instruction count are meaningless on an
+    /// emit-only run. Cleared by [`Engine::reset`].
     pub fn enable_emit_only(&mut self) {
         self.emit_only = true;
     }
@@ -834,24 +816,6 @@ impl Engine {
         Some(CompiledStream::from_recording(
             rec.insts, rec.events, report,
         ))
-    }
-
-    /// Runs the static analyzer over a compiled stream with this engine's
-    /// machine configuration and attaches the report to the engine (read
-    /// it back with [`Engine::analysis_report`]). The attachment is
-    /// per-run state: [`Engine::reset`] clears it, so a reused engine can
-    /// never serve a stale report for a different stream.
-    pub fn analyze_compiled(&mut self, stream: &CompiledStream) -> Arc<AnalysisReport> {
-        let cfg = AnalyzeConfig::from_machine(&self.core, self.hier.config());
-        let report = Arc::new(analyze::analyze(stream, &cfg));
-        self.analysis = Some(report.clone());
-        report
-    }
-
-    /// The report attached by the most recent [`Engine::analyze_compiled`]
-    /// on this run, if any.
-    pub fn analysis_report(&self) -> Option<&Arc<AnalysisReport>> {
-        self.analysis.as_ref()
     }
 
     /// Replays a compiled stream through the timing model: a tight loop
@@ -959,7 +923,6 @@ impl Engine {
         self.predictor.clear();
         self.pushes_since_prune = 0;
         self.recording = None;
-        self.analysis = None;
         self.emit_only = false;
         // Trace state must not leak between back-to-back runs: zero the
         // accumulators, empty the ring, and unwind the region stack, while

@@ -62,6 +62,6 @@ pub use engine::Engine;
 pub use mem::SharedLlc;
 pub use prog::{AluKind, Inst, Op, Reg, VecOpKind};
 pub use stats::{CacheStats, RunStats};
-pub use telemetry::{simulated_instructions, TelemetrySnapshot, ThroughputProbe};
+pub use telemetry::TelemetrySnapshot;
 pub use trace::{MemLevel, OpClass, RegionStalls, StallCause, StallReport, TraceEvent};
 pub use verify::{Verifier, VerifyConfig};

@@ -1,14 +1,14 @@
 //! Process-wide simulated-work counters.
 //!
 //! The sweeps run thousands of independent engines across worker threads;
-//! per-run [`RunStats`](crate::stats::RunStats) can't answer "how fast is
-//! the simulator itself" without threading counters through every layer.
+//! per-run [`RunStats`](crate::stats::RunStats) can't answer "how much did
+//! the simulator do" without threading counters through every layer.
 //! Instead, every finished or reset engine adds its retired-instruction
-//! count to one global atomic, and a [`ThroughputProbe`] brackets a sweep
-//! to report simulated instructions per wall-clock second (MIPS).
+//! count to one global atomic (and the compile, replay, memo and analysis
+//! layers to theirs); two [`snapshot`]s bracket a sweep, and
+//! [`TelemetrySnapshot::since`] attributes the work done in between.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 static SIM_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 static COMPILED_STREAMS: AtomicU64 = AtomicU64::new(0);
@@ -67,8 +67,7 @@ pub fn record_cycle_cache(hit: bool) {
 }
 
 /// Credits `n` instructions whose simulation a cycle-cache hit skipped
-/// entirely (they are *not* part of [`simulated_instructions`]; effective
-/// sweep throughput counts both).
+/// entirely (they are *not* part of [`TelemetrySnapshot::instructions`]).
 pub fn record_skipped_instructions(n: u64) {
     SKIPPED_INSTRUCTIONS.fetch_add(n, Ordering::Relaxed);
 }
@@ -88,12 +87,6 @@ pub(crate) fn record_analysis_cache(hit: bool) {
         &ANALYSIS_CACHE_MISSES
     };
     counter.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Total simulated instructions retired by all engines in this process,
-/// across all threads. Monotonic; diff two readings to bracket a sweep.
-pub fn simulated_instructions() -> u64 {
-    SIM_INSTRUCTIONS.load(Ordering::Relaxed)
 }
 
 /// A point-in-time reading of every process-wide counter. All counters are
@@ -149,12 +142,6 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Instructions accounted for in total: simulated plus cycle-memo
-    /// skipped. Effective sweep MIPS divides this by wall-clock seconds.
-    pub fn effective_instructions(&self) -> u64 {
-        self.instructions + self.skipped_instructions
-    }
-
     /// A one-line human-readable summary of the compile/replay/memo split
     /// (used by the `campaign`, `scorecard`, and `stall_report` binaries).
     pub fn render(&self) -> String {
@@ -197,44 +184,6 @@ pub fn snapshot() -> TelemetrySnapshot {
     }
 }
 
-/// Brackets a stretch of simulation: construct with
-/// [`ThroughputProbe::start`] before a sweep, then read the simulated
-/// instruction delta, elapsed wall-clock, and MIPS.
-#[derive(Debug)]
-pub struct ThroughputProbe {
-    start_instructions: u64,
-    started: Instant,
-}
-
-impl ThroughputProbe {
-    /// Snapshots the counter and the clock.
-    pub fn start() -> Self {
-        ThroughputProbe {
-            start_instructions: simulated_instructions(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Simulated instructions retired since the probe started.
-    pub fn instructions(&self) -> u64 {
-        simulated_instructions() - self.start_instructions
-    }
-
-    /// Wall-clock time since the probe started.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Millions of simulated instructions per wall-clock second.
-    pub fn mips(&self) -> f64 {
-        let secs = self.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.instructions() as f64 / 1e6 / secs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,7 +193,7 @@ mod tests {
 
     #[test]
     fn finish_and_reset_credit_the_global_counter() {
-        let probe = ThroughputProbe::start();
+        let before = snapshot();
         let mut e = Engine::new(CoreConfig::default(), MemConfig::default());
         for _ in 0..25 {
             e.scalar_op(AluKind::Int, &[]);
@@ -255,8 +204,7 @@ mod tests {
         }
         e.finish(); // 10 more
                     // Other tests run concurrently, so only a lower bound is exact.
-        assert!(probe.instructions() >= 35);
-        assert!(probe.elapsed() > Duration::ZERO);
+        assert!(snapshot().since(&before).instructions >= 35);
     }
 
     #[test]
@@ -270,7 +218,6 @@ mod tests {
         assert!(d.cycle_cache_hits >= 1);
         assert!(d.cycle_cache_misses >= 1);
         assert!(d.skipped_instructions >= 500);
-        assert!(d.effective_instructions() >= d.instructions + 500);
         assert!(d.render().contains("cycle memo"));
     }
 }
