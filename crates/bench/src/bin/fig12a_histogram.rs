@@ -1,17 +1,12 @@
 //! Figure 12.a: histogram speedups.
 
-use via_bench::fig12a_histogram;
 use via_bench::report::{banner, render_table, speedup};
+use via_bench::{fig12a_histogram, flag_arg};
 use via_formats::stats::geomean;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let keys = args
-        .iter()
-        .position(|a| a == "--keys")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
+    let keys = flag_arg(&args, "--keys").unwrap_or(20_000);
     print!(
         "{}",
         banner(

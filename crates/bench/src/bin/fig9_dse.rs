@@ -2,7 +2,6 @@
 
 use via_bench::report::{banner, render_table, speedup};
 use via_bench::{fig9_bound_audit, fig9_dse_with_memo, ExperimentScale, SweepMemo};
-use via_sim::AnalysisCache;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,8 +61,7 @@ fn main() {
     // the analyzer's cycle lower bound is per kernel, and how many sweep
     // points a repetition could prune before simulation because their
     // lower bound already exceeds the per-matrix winner's measured cycles.
-    let cache = AnalysisCache::default();
-    let audit = fig9_bound_audit(&eff, &memo, &cache);
+    let audit = fig9_bound_audit(&eff, &memo);
     let audit_header: Vec<String> = ["kernel", "points", "bound tightness", "prunable", "unsound"]
         .iter()
         .map(|s| s.to_string())

@@ -12,7 +12,7 @@
 //! ```
 
 use via_bench::report::banner;
-use via_bench::{multicore_sweep, ExperimentScale};
+use via_bench::{flag_arg, multicore_sweep, ExperimentScale};
 
 /// Acceptance floor: geomean speedup at 4 cores across the partitioned
 /// kernels and backends (nnz-balanced bands over a shared LLC).
@@ -20,11 +20,8 @@ const FOUR_CORE_FLOOR: f64 = 1.7;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_multicore.json".to_string());
+    let out_path: String =
+        flag_arg(&args, "--out").unwrap_or_else(|| "BENCH_multicore.json".into());
     let scale = ExperimentScale::quick().from_args(&args);
 
     print!(

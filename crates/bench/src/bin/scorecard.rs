@@ -8,8 +8,8 @@
 use via_bench::paper::{claim, verdict, Verdict};
 use via_bench::report::{banner, render_table, stall_table};
 use via_bench::{
-    experiments, fig10_spmv, fig11_spma, fig11_spmm, fig12a_histogram, fig12b_stencil, stall_sweep,
-    ExperimentScale,
+    experiments, fig10_spmv, fig11_spma, fig11_spmm, fig12a_histogram, fig12b_stencil, flag_arg,
+    stall_sweep, ExperimentScale,
 };
 use via_core::ViaConfig;
 use via_energy::AreaModel;
@@ -18,6 +18,7 @@ use via_formats::stats::geomean;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = ExperimentScale::default().from_args(&args);
+    let tuned_dir: Option<String> = flag_arg(&args, "--tuned");
     print!(
         "{}",
         banner(
@@ -145,12 +146,8 @@ fn main() {
     // Auto-tuned winners, when a tuned.jsonl store is supplied: how much
     // per-matrix scheduling headroom the tuner found on top of the
     // hand-written kernels the claims above were measured with.
-    if let Some(dir) = args
-        .iter()
-        .position(|a| a == "--tuned")
-        .and_then(|i| args.get(i + 1))
-    {
-        let rows = via_bench::load_tuned(std::path::Path::new(dir)).expect("readable tuned store");
+    if let Some(dir) = tuned_dir {
+        let rows = via_bench::load_tuned(std::path::Path::new(&dir)).expect("readable tuned store");
         if rows.is_empty() {
             println!("\nno tuned winners in {dir} (run `campaign tune --dir {dir}` first)");
         } else {

@@ -13,17 +13,15 @@
 
 use via_bench::experiments::stall_sweep;
 use via_bench::report::{banner, stall_table};
-use via_bench::{ExperimentScale, Suite};
+use via_bench::{flag_arg, ExperimentScale, Suite};
 use via_formats::{gen, Csb};
 use via_kernels::{spmv, SimContext, TraceOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = ExperimentScale::default().from_args(&args);
-    let top = flag_value(&args, "--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8usize);
-    let chrome_path = flag_value(&args, "--chrome");
+    let top = flag_arg(&args, "--top").unwrap_or(8);
+    let chrome_path: Option<String> = flag_arg(&args, "--chrome");
 
     print!(
         "{}",
@@ -66,8 +64,8 @@ fn main() {
     }
 }
 
-/// Analyzes one representative recorded VIA-CSB run (the first matrix of
-/// the suite) and prints the static cycle lower bound next to the
+/// Computes the static cycle lower bound of one representative recorded
+/// VIA-CSB run (the first matrix of the suite) and prints it next to the
 /// simulated count.
 fn print_static_bound(scale: &ExperimentScale) {
     let suite = Suite::generate(scale);
@@ -77,18 +75,18 @@ fn print_static_bound(scale: &ExperimentScale) {
     let x = gen::dense_vector(m.csr.cols(), m.seed);
     let run = spmv::via_csb(&csb, &x, &ctx);
     let stream = run.compiled.as_ref().expect("recording context compiles");
-    let report = via_sim::analyze(stream, &ctx.analyze_config(&run));
+    let bound = via_sim::analyze::static_bound(stream.insts(), &ctx.analyze_config(&run));
     println!(
         "\nstatic bound (spmv/via_csb, {}x{}, {} nnz): {} of {} simulated \
          cycles ({:.3}x tight; replica {}, dram term {})",
         m.csr.rows(),
         m.csr.cols(),
         m.csr.nnz(),
-        report.bound.lower_cycles,
+        bound.lower_cycles,
         run.stats.cycles,
-        report.bound.tightness(run.stats.cycles),
-        report.bound.replica_cycles,
-        report.bound.dram_term,
+        bound.tightness(run.stats.cycles),
+        bound.replica_cycles,
+        bound.dram_term,
     );
 }
 
@@ -109,11 +107,4 @@ fn write_chrome_trace(scale: &ExperimentScale, path: &str) {
         m.csr.cols(),
         m.csr.nnz()
     );
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

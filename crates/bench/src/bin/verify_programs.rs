@@ -23,7 +23,8 @@
 //! finding is refuted by its oracle — the tier-1 gate runs this with
 //! `--quick`.
 
-use via_bench::{ExperimentScale, Suite};
+use via_bench::experiments::{skewed_keys, uniform_keys};
+use via_bench::{flag_arg, ExperimentScale, Suite};
 use via_core::ViaConfig;
 use via_formats::{gen, Csb, SellCSigma, Spc5};
 use via_gen::{GenInputs, Kernel, KernelVariant};
@@ -31,7 +32,7 @@ use via_kernels::spmspv::SparseVector;
 use via_kernels::{
     histogram, spma, spmm, spmspv, spmv, sptrsv, stencil, symgs, KernelRun, Schedule, SimContext,
 };
-use via_rng::StdRng;
+use via_sim::trace::json_string;
 use via_sim::verify::{self, Diag, Severity};
 use via_sim::{analyze, AnalysisCache};
 
@@ -188,21 +189,6 @@ fn check(
     outcomes.push(outcome);
 }
 
-fn uniform_keys(n: usize, nbins: usize, seed: u64) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.random_range(0..nbins as u32)).collect()
-}
-
-fn skewed_keys(n: usize, nbins: usize, seed: u64) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let u: f64 = rng.random_range(0.0..1.0);
-            (((u * u) * nbins as f64) as u32).min(nbins as u32 - 1)
-        })
-        .collect()
-}
-
 fn frontier(n: usize, k: usize, seed: u64) -> SparseVector {
     SparseVector::from_pairs((0..k).map(|i| {
         let idx = ((i as u64 * 2654435761 + seed) % n as u64) as usize;
@@ -210,18 +196,11 @@ fn frontier(n: usize, k: usize, seed: u64) -> SparseVector {
     }))
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "VERIFY_programs.json".to_string());
+    let out_path: String =
+        flag_arg(&args, "--out").unwrap_or_else(|| "VERIFY_programs.json".into());
 
     let scale = if quick {
         ExperimentScale {
@@ -515,13 +494,13 @@ fn main() {
             };
             violations.push_str(&format!(
                 "    {{\"target\": \"{}\", \"code\": \"{}\", \"severity\": \
-                 \"{severity}\", \"inst_index\": {}, \"tag\": \"{}\", \
-                 \"message\": \"{}\"}}",
+                 \"{severity}\", \"inst_index\": {}, \"tag\": {}, \
+                 \"message\": {}}}",
                 o.name,
                 d.code.code(),
                 d.index,
-                json_escape(d.tag),
-                json_escape(&d.message)
+                json_string(d.tag),
+                json_string(&d.message)
             ));
         }
         for f in &o.analysis.failures {
@@ -532,9 +511,9 @@ fn main() {
             violations.push_str(&format!(
                 "    {{\"target\": \"{}\", \"code\": \"analysis\", \"severity\": \
                  \"error\", \"inst_index\": 0, \"tag\": \"bound\", \
-                 \"message\": \"{}\"}}",
+                 \"message\": {}}}",
                 o.name,
-                json_escape(f)
+                json_string(f)
             ));
         }
     }

@@ -56,10 +56,7 @@ pub mod shard;
 pub mod store;
 
 pub use live::{aggregate_report_dirs, ReportBuilder};
-pub use shard::{
-    canonical_sort, canonical_sort_cycles, canonical_sort_quarantine, merge_stores, shard_key,
-    MergeSummary, ShardSpec,
-};
+pub use shard::{canonical_sort, merge_stores, shard_key, MergeSummary, ShardSpec};
 pub use store::{
     cycles_path, load_cycles, load_meta, load_quarantine, load_results, manifest_path,
     quarantine_path, results_path, write_meta, CycleRow, QuarantineRow, ResultRow, StoreMeta,

@@ -18,7 +18,7 @@
 
 use super::store::{
     cycles_path, load_cycles, load_quarantine, load_results, quarantine_path, results_path,
-    rewrite_jsonl, write_meta, CycleRow, QuarantineRow, ResultRow, StoreMeta,
+    rewrite_jsonl, write_meta, ResultRow, StoreMeta,
 };
 use super::{fnv1a64, CampaignError};
 use std::collections::HashMap;
@@ -90,32 +90,6 @@ pub fn canonical_sort(rows: &mut [ResultRow]) {
             &b.config,
             &b.matrix,
         ))
-    });
-}
-
-/// Canonically sorts cycle-memo rows (same key order as [`canonical_sort`],
-/// tie-broken by the full serialized line).
-pub fn canonical_sort_cycles(rows: &mut [CycleRow]) {
-    rows.sort_by_cached_key(|r| {
-        (
-            r.fingerprint,
-            r.kernel.clone(),
-            r.config.clone(),
-            r.to_jsonl(),
-        )
-    });
-}
-
-/// Canonically sorts quarantine rows (by matrix, kernel, config, then the
-/// full serialized line — quarantine rows carry no fingerprint).
-pub fn canonical_sort_quarantine(rows: &mut [QuarantineRow]) {
-    rows.sort_by_cached_key(|r| {
-        (
-            r.matrix.clone(),
-            r.kernel.clone(),
-            r.config.clone(),
-            r.to_jsonl(),
-        )
     });
 }
 

@@ -5,37 +5,19 @@
 //! content hash over the line body (`"hash"` suffix field). Loaders
 //! validate the seal and silently drop torn or tampered lines, so a store
 //! written by a killed process is always readable. The workspace is
-//! dependency-free by design: JSON is hand-rolled here the same way the
-//! Chrome-trace exporter does it.
+//! dependency-free by design: JSON is hand-rolled here, with strings
+//! written by the Chrome-trace exporter's [`json_string`].
 
 use super::fnv1a64;
 use super::shard::ShardSpec;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use via_sim::trace::json_string;
 
 // ---------------------------------------------------------------------------
 // JSON primitives
 // ---------------------------------------------------------------------------
-
-/// Serializes a string as a JSON string literal (quotes, escapes).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// One scalar field of a flat JSONL row.
 #[derive(Debug, Clone, PartialEq)]

@@ -5,12 +5,11 @@ use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use via_core::ViaConfig;
 use via_energy::{AreaModel, EnergyModel, SynthesisPoint, PAPER_SYNTHESIS};
-use via_formats::gen::GenMatrix;
 use via_formats::stats::{geomean, split_categories};
 use via_formats::{gen, Csb, SellCSigma, Spc5};
 use via_kernels::spmspv::{self, SparseVector};
 use via_kernels::{histogram, spma, spmm, spmv, stencil, KernelRun, SimContext, TraceOptions};
-use via_sim::{analyze, fnv1a64, AnalysisCache, Engine, StallCause, StallReport, StreamCache};
+use via_sim::{analyze, fnv1a64, Engine, StallCause, StallReport, StreamCache};
 
 /// One row of the Figure 9 design-space exploration: the speedup of each
 /// configuration over the `4_2p` baseline for the three kernels.
@@ -313,13 +312,8 @@ impl BoundAuditRow {
 /// a point whose *lower bound* exceeds the per-matrix winner's *measured*
 /// cycles provably cannot win, so a repetition hunting only for winners
 /// could drop it before touching the engine. The audit is read-only on
-/// `memo` (reports are memoized in `cache`), keeping `fig9_dse_with_memo`
-/// bit-identical.
-pub fn fig9_bound_audit(
-    scale: &ExperimentScale,
-    memo: &SweepMemo,
-    cache: &AnalysisCache,
-) -> Vec<BoundAuditRow> {
+/// `memo`, keeping `fig9_dse_with_memo` bit-identical.
+pub fn fig9_bound_audit(scale: &ExperimentScale, memo: &SweepMemo) -> Vec<BoundAuditRow> {
     let spmv_suite = Suite::generate(scale);
     let spmm_scale = scale.spmm();
     let spmm_suite = Suite::generate(&spmm_scale);
@@ -356,8 +350,8 @@ pub fn fig9_bound_audit(
                     };
                     let acfg = via_sim::AnalyzeConfig::from_machine(&core, &ctx.mem)
                         .with_cam_entries(ctx.via.cam_entries() as u64);
-                    let report = cache.get_or_analyze(&stream, &acfg);
-                    group.push((report.bound.lower_cycles, cycles));
+                    let bound = analyze::static_bound(stream.insts(), &acfg);
+                    group.push((bound.lower_cycles, cycles));
                 }
                 let Some(winner) = group.iter().map(|&(_, c)| c).min() else {
                     continue;
@@ -405,26 +399,26 @@ impl TightnessRow {
 }
 
 /// Runs the VIA variant of each of the six paper kernels once on a
-/// representative input with recording on, analyzes the stream, and
-/// reports the static-bound tightness per kernel — the scorecard's
-/// "how sharp is the model" column.
+/// representative input with recording on, computes the stream's static
+/// cycle bound and dead stores, and reports the static-bound tightness per
+/// kernel — the scorecard's "how sharp is the model" column.
 pub fn kernel_bound_tightness(seed: u64) -> Vec<TightnessRow> {
     let ctx = SimContext::default().with_recording();
 
     fn row<T>(kernel: &str, ctx: &SimContext, run: &KernelRun<T>) -> TightnessRow {
         let stream = run.compiled.as_ref().expect("recording context compiles");
-        let report = analyze::analyze(stream, &ctx.analyze_config(run));
+        let insts = stream.insts();
+        let bound = analyze::static_bound(insts, &ctx.analyze_config(run)).lower_cycles;
         assert!(
-            report.bound.lower_cycles <= run.stats.cycles,
-            "{kernel}: static bound {} exceeds simulated {}",
-            report.bound.lower_cycles,
+            bound <= run.stats.cycles,
+            "{kernel}: static bound {bound} exceeds simulated {}",
             run.stats.cycles
         );
         TightnessRow {
             kernel: kernel.to_string(),
-            bound_cycles: report.bound.lower_cycles,
+            bound_cycles: bound,
             simulated_cycles: run.stats.cycles,
-            dead_stores: report.dead_stores,
+            dead_stores: analyze::liveness::dead_stores(insts).dead_stores.len() as u64,
         }
     }
 
@@ -708,12 +702,15 @@ pub fn fig12a_histogram(keys_per_workload: usize, seed: u64) -> Vec<HistogramRow
         .collect()
 }
 
-fn uniform_keys(n: usize, nbins: usize, seed: u64) -> Vec<u32> {
+/// `n` histogram keys drawn uniformly from `0..nbins`.
+pub fn uniform_keys(n: usize, nbins: usize, seed: u64) -> Vec<u32> {
     let mut rng = via_rng::StdRng::seed_from_u64(seed);
     (0..n).map(|_| rng.random_range(0..nbins as u32)).collect()
 }
 
-fn skewed_keys(n: usize, nbins: usize, seed: u64) -> Vec<u32> {
+/// `n` histogram keys in `0..nbins`, skewed towards low bins (the square
+/// of a uniform draw).
+pub fn skewed_keys(n: usize, nbins: usize, seed: u64) -> Vec<u32> {
     let mut rng = via_rng::StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
@@ -909,15 +906,6 @@ pub fn csb_row(result: &SpmvResult) -> &SpmvFormatRow {
         .expect("CSB row present")
 }
 
-/// Test helper: build the inputs one matrix of the suite would use.
-pub fn spmv_inputs(m: &GenMatrix, ctx: &SimContext) -> (Csb, Vec<f64>) {
-    let bs = ctx.via.csb_block_size();
-    (
-        Csb::from_csr(&m.csr, bs).expect("power-of-two block"),
-        gen::dense_vector(m.csr.cols(), m.seed),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1051,8 +1039,7 @@ mod tests {
         };
         let memo = SweepMemo::new();
         let first = fig9_dse_with_memo(&scale, &memo);
-        let cache = AnalysisCache::default();
-        let rows = fig9_bound_audit(&scale, &memo, &cache);
+        let rows = fig9_bound_audit(&scale, &memo);
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(row.points > 0, "{}: nothing audited", row.kernel);

@@ -14,6 +14,7 @@
 //! factor, and how the trend moves across categories — not absolute cycle
 //! counts (see EXPERIMENTS.md).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
@@ -37,5 +38,5 @@ pub use experiments::{
     StencilRow, SweepMemo, TightnessRow,
 };
 pub use multicore::{multicore_sweep, BakeoffRow, MulticoreOutcome, ScalingPoint, CORE_COUNTS};
-pub use suite::{default_threads, parallel_map, ExperimentScale, Suite};
+pub use suite::{default_threads, flag_arg, parallel_map, ExperimentScale, Suite};
 pub use tune::{load_tuned, tune, tuned_path, write_tuned, TuneConfig, TuneOutcome, TunedRow};

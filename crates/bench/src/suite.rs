@@ -1,5 +1,7 @@
 //! Experiment input suites and scaling knobs.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use via_formats::gen::{self, GenMatrix, SuiteConfig};
 
 /// How large an experiment to run. The paper's full evaluation uses 1,024
@@ -83,10 +85,7 @@ impl ExperimentScale {
     /// other arguments are left to the caller. A missing or unparsable
     /// value prints the flag and the value and exits with status 2.
     pub fn from_args(self, args: &[String]) -> Self {
-        self.try_from_args(args).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        or_exit(self.try_from_args(args))
     }
 
     fn try_from_args(mut self, args: &[String]) -> Result<Self, String> {
@@ -110,6 +109,22 @@ impl ExperimentScale {
     }
 }
 
+/// The parsed value that follows `flag` in `args`, or `None` when the flag
+/// is absent. A missing or unparsable value prints the flag and the value
+/// and exits with status 2, as [`ExperimentScale::from_args`] does. Only
+/// integer values can fail to parse (a string or path never fails), so
+/// the error names the value as an integer.
+pub fn flag_arg<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    or_exit(try_flag_arg(args, flag))
+}
+
+fn try_flag_arg<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    match args.iter().position(|a| a == flag) {
+        Some(i) => flag_value(flag, args.get(i + 1)).map(Some),
+        None => Ok(None),
+    }
+}
+
 /// Parses the value that follows `flag`, or says which flag and value
 /// were wrong.
 fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
@@ -117,6 +132,14 @@ fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Resul
     value
         .parse()
         .map_err(|_| format!("{flag} wants a non-negative integer, got {value:?}"))
+}
+
+/// Unwraps a CLI parse, or prints its error and exits with status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// A generated matrix suite.
@@ -158,12 +181,10 @@ impl Suite {
 /// schedule changes.
 ///
 /// Workers claim item indices from a shared counter (dynamic load
-/// balancing: simulated matrices vary widely in cost) and each writes only
-/// the result slots it claimed, so completion needs no lock. The previous
-/// implementation funneled every completion through one global `Mutex`,
-/// which both serialized the sweep's hottest edge and converted a worker
-/// panic into a misleading lock-poisoning panic in the *other* workers;
-/// now a worker panic propagates as itself when the scope joins.
+/// balancing: simulated matrices vary widely in cost) and each returns its
+/// `(index, result)` pairs; the caller sorts them by index once the scope
+/// joins, so completion needs no lock and a worker panic propagates as
+/// itself.
 ///
 /// # Panics
 ///
@@ -175,50 +196,34 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let threads = threads.max(1).min(items.len().max(1));
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     if threads == 1 {
-        for (slot, item) in results.iter_mut().zip(items) {
-            *slot = Some(f(item));
-        }
-    } else {
-        struct Slots<R>(*mut Option<R>);
-        // SAFETY: workers write disjoint slots (each index is claimed
-        // exactly once from the counter), and the Vec outlives the scope.
-        unsafe impl<R: Send> Sync for Slots<R> {}
-        let slots = Slots(results.as_mut_ptr());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let (slots, next, f) = (&slots, &next, &f);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = f(&items[i]);
-                    // SAFETY: `i` was claimed exclusively above.
-                    unsafe {
-                        let slot = slots.0.add(i);
-                        // Backs the exclusive-claim invariant: a second
-                        // writer would observe the slot already filled.
-                        debug_assert!((*slot).is_none(), "slot {i} claimed twice");
-                        *slot = Some(r);
-                    };
-                });
-            }
-        });
-        // Backs the `Sync` SAFETY claim: the counter handed out every index
-        // (so each slot had exactly one writer) before `results` is touched
-        // again here on the parent thread.
-        debug_assert!(
-            next.load(std::sync::atomic::Ordering::Relaxed) >= items.len(),
-            "workers exited before claiming every index"
-        );
+        return items.iter().map(f).collect();
     }
-    results
-        .into_iter()
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
+    let next = AtomicUsize::new(0);
+    let (next, f) = (&next, &f);
+    let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            return done;
+                        }
+                        done.push((i, f(&items[i])));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    let mut results: Vec<(usize, R)> = claimed.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Default worker-thread count for sweeps.
@@ -254,6 +259,28 @@ mod tests {
         assert_eq!(
             parse(&["--max-rows", "300", "--matrices"]),
             Err("--matrices needs a value".to_string())
+        );
+    }
+
+    #[test]
+    fn flag_arg_parses_and_names_bad_values() {
+        let args = |args: &[&str]| -> Vec<String> { args.iter().map(|s| s.to_string()).collect() };
+        let keys = |a: &[&str]| try_flag_arg::<usize>(&args(a), "--keys");
+        assert_eq!(keys(&["--keys", "500"]), Ok(Some(500)));
+        assert_eq!(keys(&["--quick"]), Ok(None));
+        assert_eq!(
+            keys(&["--keys", "banana"]),
+            Err("--keys wants a non-negative integer, got \"banana\"".to_string())
+        );
+        assert_eq!(
+            try_flag_arg::<usize>(&args(&["--top", "-3"]), "--top"),
+            Err("--top wants a non-negative integer, got \"-3\"".to_string())
+        );
+        let out = |a: &[&str]| try_flag_arg::<String>(&args(a), "--out");
+        assert_eq!(out(&["--out", "v.json"]), Ok(Some("v.json".to_string())));
+        assert_eq!(
+            out(&["--quick", "--out"]),
+            Err("--out needs a value".to_string())
         );
     }
 

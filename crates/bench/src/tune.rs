@@ -7,11 +7,12 @@
 //!    is simulated first and becomes the incumbent;
 //! 2. every other variant is compiled **emit-only**
 //!    ([`SimContext::with_emit_only`]) — the stream is recorded and
-//!    verified but no timing is simulated — and handed to the static
-//!    analyzer; a candidate whose cycle **lower bound** already exceeds
-//!    the incumbent's measured cycles is pruned without ever touching the
-//!    simulator (sound: the bound never exceeds the true cycle count,
-//!    which `--audit` re-proves by replaying every pruned stream);
+//!    verified but no timing is simulated — and only its static cycle
+//!    **lower bound** ([`via_sim::analyze::static_bound`]) is computed; a
+//!    candidate whose bound already exceeds the incumbent's measured
+//!    cycles is pruned without ever touching the simulator (sound: the
+//!    bound never exceeds the true cycle count, which `--audit` re-proves
+//!    by replaying every pruned stream);
 //! 3. survivors are replayed through the shared [`SweepMemo`], so a
 //!    re-tune over the same corpus costs cache probes, not simulations;
 //! 4. cycle ties break on the stall breakdown (fewer attributed
@@ -27,11 +28,12 @@ use std::path::{Path, PathBuf};
 
 use via_gen::{GenInputs, GenOutput, Kernel, KernelVariant};
 use via_kernels::{SimContext, TraceOptions};
-use via_sim::{fnv1a64, AnalysisCache, CompiledStream, StallCause};
+use via_sim::analyze::static_bound;
+use via_sim::trace::json_string;
+use via_sim::{fnv1a64, CompiledStream, StallCause};
 
 use crate::campaign::store::{
-    json_string, line_integrity_ok, load_rows, num_field, parse_flat_object, rewrite_jsonl,
-    seal_row, str_field,
+    line_integrity_ok, load_rows, num_field, parse_flat_object, rewrite_jsonl, seal_row, str_field,
 };
 use crate::experiments::{point_key, CompiledRun, SweepMemo};
 use crate::suite::{parallel_map, ExperimentScale, Suite};
@@ -328,7 +330,6 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
     let cfg_hash = via_sim::config_hash(&core, &ctx.mem);
     let acfg = via_sim::AnalyzeConfig::from_machine(&core, &ctx.mem)
         .with_cam_entries(ctx.via.cam_entries() as u64);
-    let analysis = AnalysisCache::default();
     let config_name = cfg.via.name();
 
     let per_matrix = parallel_map(&suite.matrices, cfg.scale.threads, |m| {
@@ -380,7 +381,7 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
                     v.name()
                 );
                 let stream = run.compiled.expect("emit-only context compiles");
-                let bound = analysis.get_or_analyze(&stream, &acfg).bound.lower_cycles;
+                let bound = static_bound(stream.insts(), &acfg).lower_cycles;
                 if bound > best.0 {
                     // Provably loses: its true cycle count is >= the
                     // bound, which already exceeds the incumbent.

@@ -48,6 +48,7 @@
 //! assert_eq!(stats.custom_ops, 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backend;

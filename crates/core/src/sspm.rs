@@ -137,12 +137,6 @@ impl Sspm {
         self.lookup.get(&idx).copied()
     }
 
-    /// CAM search without modifying state (test/introspection helper; does
-    /// count a search event).
-    pub fn cam_search(&mut self, idx: u32) -> Option<usize> {
-        self.cam_probe(idx)
-    }
-
     /// CAM write (paper §IV-A "Writing in CAM-based mode"): search first;
     /// on a hit the SRAM value is updated, on a miss the insertion logic
     /// appends the index in order and writes the value to the matching SRAM

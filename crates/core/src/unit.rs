@@ -111,12 +111,6 @@ impl ViaUnit {
         self.sspm.count()
     }
 
-    /// The SSPM mode checker's view of the instruction stream so far
-    /// (via-verify codes VIA009–VIA012).
-    pub fn mode_checker(&self) -> &ModeChecker {
-        &self.mode
-    }
-
     fn push_op(
         &mut self,
         engine: &mut Engine,

@@ -15,6 +15,7 @@
 //!   SpMV reduces total energy ~3.8× and raises achieved memory bandwidth
 //!   ~2.5×).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod area;

@@ -31,6 +31,7 @@
 //! assert_eq!(y, vec![1.0, 2.0, 3.0]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod coo;

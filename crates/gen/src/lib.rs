@@ -25,6 +25,7 @@
 //! emit-only compiles, replays the survivors through the sweep memo, and
 //! records the winner per `(kernel, matrix)` in a sealed `tuned.jsonl`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod inputs;

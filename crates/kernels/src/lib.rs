@@ -28,6 +28,7 @@
 //! expose a [`Schedule`] knob (row-serial vs. level-scheduled wavefronts)
 //! that the `via-gen` auto-tuner sweeps per matrix.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod context;

@@ -15,6 +15,7 @@
 //! compiler versions: the generated experiment suites are part of the
 //! reproduction's fixtures, so the byte-for-byte stream matters.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The workspace-standard deterministic generator (xoshiro256\*\*, seeded

@@ -6,8 +6,7 @@
 //!
 //! * a register write is dead only if the register is **redefined** later
 //!   with no intervening read. A register merely unread at stream end is
-//!   *not* dead (a continuation could read it); those are tallied
-//!   separately as `unread_at_end`.
+//!   *not* dead (a continuation could read it).
 //! * a store is dead only if every stored byte is **overwritten** before
 //!   any load/gather observes it. Bytes still live at stream end are not
 //!   dead — simulated memory outlives the stream.
@@ -32,23 +31,14 @@ pub struct DeadWrite {
     pub overwritten_at: u64,
 }
 
-/// The register-liveness pass result.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegLiveness {
-    /// Every provably dead write, in stream order of the dead definition's
-    /// killer (the order findings are proven).
-    pub dead_writes: Vec<DeadWrite>,
-    /// Registers whose last definition was never read by stream end
-    /// (*not* dead — a continuation could read them).
-    pub unread_at_end: u64,
-}
-
 /// Forward scan for dead register writes: for each register track its last
-/// definition and whether any read has observed it since.
-pub fn dead_register_writes(insts: &[Inst]) -> RegLiveness {
+/// definition and whether any read has observed it since. Returns every
+/// provably dead write, in stream order of the dead definition's killer
+/// (the order findings are proven).
+pub fn dead_register_writes(insts: &[Inst]) -> Vec<DeadWrite> {
     // reg -> (defining index, read since that definition)
     let mut last_def: HashMap<Reg, (u64, bool)> = HashMap::new();
-    let mut out = RegLiveness::default();
+    let mut out = Vec::new();
     for (i, inst) in insts.iter().enumerate() {
         let i = i as u64;
         for &r in inst.srcs.as_slice() {
@@ -59,7 +49,7 @@ pub fn dead_register_writes(insts: &[Inst]) -> RegLiveness {
         if let Some(dst) = inst.dst {
             if let Some(&(def_at, read)) = last_def.get(&dst) {
                 if !read {
-                    out.dead_writes.push(DeadWrite {
+                    out.push(DeadWrite {
                         index: def_at,
                         reg: dst,
                         overwritten_at: i,
@@ -69,7 +59,6 @@ pub fn dead_register_writes(insts: &[Inst]) -> RegLiveness {
             last_def.insert(dst, (i, false));
         }
     }
-    out.unread_at_end = last_def.values().filter(|&&(_, read)| !read).count() as u64;
     out
 }
 

@@ -11,7 +11,6 @@
 //! | register liveness / dead writes  | [`liveness`] | `analysis[VIA101]` |
 //! | store liveness (byte-exact)      | [`liveness`] | `analysis[VIA102]` |
 //! | gather/scatter must-alias        | [`alias`]    | `analysis[VIA103]` |
-//! | SSPM reuse distance / working set| [`reuse`]    | report only |
 //! | CAM index-table occupancy bound  | (here)       | `analysis[VIA104]` |
 //! | static cycle lower bound         | [`bound`]    | report only |
 //!
@@ -20,7 +19,10 @@
 //! findings about *quality*, never correctness gates. The machine-readable
 //! [`AnalysisReport`] is keyed by `(stream_hash, config hash)` and memoized
 //! in an [`AnalysisCache`] exactly like cycle results memoize in the sweep
-//! memo, so a DSE sweep pays for each distinct stream once.
+//! memo, so a sweep that reads the whole report pays for each distinct
+//! stream once. A caller that needs only the cycle bound calls
+//! [`static_bound`] (and [`liveness::dead_stores`] for the dead-store
+//! count) directly instead of running every pass.
 //!
 //! Every finding is *continuation-sound* (still true if the stream were a
 //! prefix of a longer run) and independently re-provable: [`validate`]
@@ -32,12 +34,10 @@
 pub mod alias;
 pub mod bound;
 pub mod liveness;
-pub mod reuse;
 
 pub use alias::{AliasAnalysis, AliasConflict};
 pub use bound::{static_bound, StaticBound};
 pub use liveness::{DeadStore, DeadWrite};
-pub use reuse::{RegionReuse, REUSE_BUCKETS, WHOLE_STREAM};
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,8 +137,6 @@ pub struct AnalysisReport {
     pub dead_writes: u64,
     /// Exemplar dead-write sites.
     pub dead_write_sites: Vec<DeadWrite>,
-    /// Registers unread at stream end (*not* dead; informational).
-    pub unread_at_end: u64,
     /// Total provably dead stores (VIA102).
     pub dead_stores: u64,
     /// Bytes across all dead stores.
@@ -152,24 +150,10 @@ pub struct AnalysisReport {
     /// Scatter candidates dropped by the alias window/per-line caps (0
     /// means the alias pass was exhaustive).
     pub alias_dropped: u64,
-    /// Per-region reuse profiles ([`WHOLE_STREAM`] first).
-    pub regions: Vec<RegionReuse>,
     /// CAM index-table occupancy facts.
     pub cam: CamSummary,
     /// The static cycle lower bound and its terms.
     pub bound: StaticBound,
-}
-
-impl AnalysisReport {
-    /// The whole-stream reuse profile (always present).
-    pub fn whole_stream(&self) -> &RegionReuse {
-        &self.regions[0]
-    }
-
-    /// True when no analysis diagnostics fired.
-    pub fn is_quiet(&self) -> bool {
-        self.diags.is_empty()
-    }
 }
 
 /// Runs the CAM occupancy pass (see [`CamSummary`]). `first_overflow_at`
@@ -232,17 +216,16 @@ fn cam_occupancy(
 /// [`AnalysisReport`] (including its `analysis[VIAxxx]` diagnostics).
 pub fn analyze(stream: &CompiledStream, cfg: &AnalyzeConfig) -> AnalysisReport {
     let insts = stream.insts();
-    let regs = liveness::dead_register_writes(insts);
+    let dead_writes = liveness::dead_register_writes(insts);
     let stores = liveness::dead_stores(insts);
     let aliases = alias::must_alias_conflicts(insts, cfg.alias_window);
-    let regions = reuse::region_reuse(insts, stream.events(), cfg.mem.l1.line_bytes as u64);
     let (cam, cam_overflow_at) = cam_occupancy(insts, stream.events(), cfg);
     let bound = bound::static_bound(insts, cfg);
 
     let cap = cfg.max_exemplars;
     let mut diags = Vec::new();
     let tag_of = |idx: u64| insts[idx as usize].op.tag();
-    for w in regs.dead_writes.iter().take(cap) {
+    for w in dead_writes.iter().take(cap) {
         diags.push(Diag {
             code: DiagCode::DeadRegisterWrite,
             index: w.index,
@@ -294,16 +277,14 @@ pub fn analyze(stream: &CompiledStream, cfg: &AnalyzeConfig) -> AnalysisReport {
         config_hash: cfg.config_hash(),
         instructions: insts.len() as u64,
         diags,
-        dead_writes: regs.dead_writes.len() as u64,
-        dead_write_sites: regs.dead_writes.into_iter().take(cap).collect(),
-        unread_at_end: regs.unread_at_end,
+        dead_writes: dead_writes.len() as u64,
+        dead_write_sites: dead_writes.into_iter().take(cap).collect(),
         dead_stores: stores.dead_stores.len() as u64,
         dead_store_bytes: stores.dead_bytes,
         dead_store_sites: stores.dead_stores.into_iter().take(cap).collect(),
         alias_conflicts: aliases.conflicts.len() as u64,
         alias_sites: aliases.conflicts.into_iter().take(cap).collect(),
         alias_dropped: aliases.dropped_candidates,
-        regions,
         cam,
         bound,
     }

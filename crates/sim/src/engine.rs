@@ -181,11 +181,6 @@ impl Engine {
         &self.core
     }
 
-    /// The memory configuration.
-    pub fn mem_config(&self) -> &MemConfig {
-        self.hier.config()
-    }
-
     /// The simulated address space (for allocating kernel arrays).
     pub fn alloc_mut(&mut self) -> &mut AddressSpace {
         &mut self.alloc
@@ -633,11 +628,6 @@ impl Engine {
     pub fn enable_stall_accounting(&mut self) {
         self.trace.accounting = true;
         self.trace.ensure_root();
-    }
-
-    /// Whether stall-cause accounting is on.
-    pub fn stall_accounting_enabled(&self) -> bool {
-        self.trace.accounting
     }
 
     /// Turns on event tracing: the most recent `capacity` instruction

@@ -39,6 +39,7 @@
 //! assert_eq!(stats.instructions, 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;

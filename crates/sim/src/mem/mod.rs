@@ -10,9 +10,10 @@ use crate::calendar::Calendar;
 use crate::config::MemConfig;
 use crate::stats::{CacheStats, RunStats};
 
-/// The last-level state a socket's cores share: one L3 cache plus the DRAM
-/// channel calendar.
-#[derive(Debug)]
+/// The last level of a hierarchy: one L3 cache plus the DRAM channel
+/// calendar (one transfer at a time), either private to a core or shared
+/// by a socket's cores ([`SharedLlc`]).
+#[derive(Debug, Clone)]
 struct LlcState {
     l3: Cache,
     dram: Calendar,
@@ -42,10 +43,7 @@ impl SharedLlc {
     /// A fresh shared LLC sized by `cfg.l3` with one DRAM channel.
     pub fn new(cfg: &MemConfig) -> Self {
         SharedLlc {
-            state: Mutex::new(LlcState {
-                l3: Cache::new(cfg.l3),
-                dram: Calendar::new(1),
-            }),
+            state: Mutex::new(LlcState::new(cfg)),
         }
     }
 
@@ -56,9 +54,7 @@ impl SharedLlc {
     /// Empties the shared L3 and DRAM calendar (all attached cores see the
     /// reset; only meaningful between whole-socket runs).
     pub fn reset(&self) {
-        let mut st = self.lock();
-        st.l3.reset();
-        st.dram.reset();
+        self.lock().reset();
     }
 
     /// Aggregate L3 statistics across every attached core.
@@ -83,84 +79,109 @@ fn transfer_cycles(bytes: u64, bytes_per_cycle: f64) -> u64 {
     ((bytes as f64 / bytes_per_cycle).ceil() as u64).max(1)
 }
 
-/// Books a dirty-line writeback on the DRAM channel.
-fn llc_writeback(cfg: &MemConfig, dram: &mut Calendar, at: u64, fx: &mut LlcEffects) {
-    let line = cfg.l3.line_bytes as u64;
-    let occupancy = transfer_cycles(line, cfg.dram_bytes_per_cycle);
-    dram.book_span(at, occupancy);
-    fx.busy_cycles += occupancy;
-    fx.write_bytes += line;
-}
-
-/// Installs an L2 victim into L3, cascading an evicted dirty line to DRAM.
-fn llc_install_dirty(
-    cfg: &MemConfig,
-    l3: &mut Cache,
-    dram: &mut Calendar,
-    line_addr: u64,
-    at: u64,
-    fx: &mut LlcEffects,
-) {
-    if l3.install_dirty(line_addr).is_some() {
-        llc_writeback(cfg, dram, at, fx);
-    }
-}
-
-/// The demand-fill L3 lookup + DRAM transfer on miss. `latency` already
-/// includes the L1 + L2 + L3 lookup latencies; returns `done - now`.
-fn llc_demand(
-    cfg: &MemConfig,
-    l3: &mut Cache,
-    dram: &mut Calendar,
-    addr: u64,
-    now: u64,
-    latency: u64,
-    fx: &mut LlcEffects,
-) -> u64 {
-    match l3.access(addr, false) {
-        Access::Hit => {
-            fx.level = 3;
-            return latency;
+impl LlcState {
+    fn new(cfg: &MemConfig) -> Self {
+        LlcState {
+            l3: Cache::new(cfg.l3),
+            dram: Calendar::new(1),
         }
-        Access::Miss { dirty_victim } => {
-            if dirty_victim.is_some() {
-                llc_writeback(cfg, dram, now + latency, fx);
+    }
+
+    fn reset(&mut self) {
+        self.l3.reset();
+        self.dram.reset();
+    }
+
+    /// Books a dirty-line writeback on the DRAM channel.
+    fn writeback(&mut self, cfg: &MemConfig, at: u64, fx: &mut LlcEffects) {
+        let line = cfg.l3.line_bytes as u64;
+        let occupancy = transfer_cycles(line, cfg.dram_bytes_per_cycle);
+        self.dram.book_span(at, occupancy);
+        fx.busy_cycles += occupancy;
+        fx.write_bytes += line;
+    }
+
+    /// Installs an L2 victim into L3, cascading an evicted dirty line to
+    /// DRAM.
+    fn install_dirty(&mut self, cfg: &MemConfig, line_addr: u64, at: u64, fx: &mut LlcEffects) {
+        if self.l3.install_dirty(line_addr).is_some() {
+            self.writeback(cfg, at, fx);
+        }
+    }
+
+    /// The demand-fill L3 lookup + DRAM transfer on miss. `latency` already
+    /// includes the L1 + L2 + L3 lookup latencies; returns `done - now`.
+    fn demand(
+        &mut self,
+        cfg: &MemConfig,
+        addr: u64,
+        now: u64,
+        latency: u64,
+        fx: &mut LlcEffects,
+    ) -> u64 {
+        match self.l3.access(addr, false) {
+            Access::Hit => {
+                fx.level = 3;
+                return latency;
+            }
+            Access::Miss { dirty_victim } => {
+                if dirty_victim.is_some() {
+                    self.writeback(cfg, now + latency, fx);
+                }
             }
         }
-    }
-    // DRAM: wait for a channel slot, transfer one line.
-    fx.level = 4;
-    let request_at = now + latency;
-    let line = cfg.l3.line_bytes as u64;
-    let occupancy = transfer_cycles(line, cfg.dram_bytes_per_cycle);
-    let start = dram.book_span(request_at, occupancy);
-    fx.wait_cycles += start.saturating_sub(request_at);
-    fx.busy_cycles += occupancy;
-    fx.read_bytes += line;
-    let done = start + cfg.dram_latency as u64;
-    done - now
-}
-
-/// The L3/DRAM leg of a prefetch: fills the line off the demand path,
-/// consuming DRAM bandwidth but adding no latency (and not touching the
-/// level mark). `line` is the prefetcher's transfer size (L2 line).
-fn llc_prefetch(
-    cfg: &MemConfig,
-    l3: &mut Cache,
-    dram: &mut Calendar,
-    target: u64,
-    at: u64,
-    line: u64,
-    fx: &mut LlcEffects,
-) {
-    if let Access::Miss { dirty_victim } = l3.access(target, false) {
-        if dirty_victim.is_some() {
-            llc_writeback(cfg, dram, at, fx);
-        }
+        // DRAM: wait for a channel slot, transfer one line.
+        fx.level = 4;
+        let request_at = now + latency;
+        let line = cfg.l3.line_bytes as u64;
         let occupancy = transfer_cycles(line, cfg.dram_bytes_per_cycle);
-        dram.book_span(at, occupancy);
+        let start = self.dram.book_span(request_at, occupancy);
+        fx.wait_cycles += start.saturating_sub(request_at);
         fx.busy_cycles += occupancy;
         fx.read_bytes += line;
+        let done = start + cfg.dram_latency as u64;
+        done - now
+    }
+
+    /// The L3/DRAM leg of a prefetch: fills the line off the demand path,
+    /// consuming DRAM bandwidth but adding no latency (and not touching the
+    /// level mark). `line` is the prefetcher's transfer size (L2 line).
+    fn prefetch(&mut self, cfg: &MemConfig, target: u64, at: u64, line: u64, fx: &mut LlcEffects) {
+        if let Access::Miss { dirty_victim } = self.l3.access(target, false) {
+            if dirty_victim.is_some() {
+                self.writeback(cfg, at, fx);
+            }
+            let occupancy = transfer_cycles(line, cfg.dram_bytes_per_cycle);
+            self.dram.book_span(at, occupancy);
+            fx.busy_cycles += occupancy;
+            fx.read_bytes += line;
+        }
+    }
+}
+
+/// A core's handle on its last level: private state, or a socket's
+/// [`SharedLlc`]. Every L2 miss walks it through [`Llc::with`].
+#[derive(Debug, Clone)]
+enum Llc {
+    Private(LlcState),
+    Shared(Arc<SharedLlc>),
+}
+
+impl Llc {
+    /// Runs `f` on the last-level state (the shared one under its lock).
+    fn with<R>(&mut self, f: impl FnOnce(&mut LlcState) -> R) -> R {
+        match self {
+            Llc::Private(state) => f(state),
+            Llc::Shared(shared) => f(&mut shared.lock()),
+        }
+    }
+
+    /// L3 statistics; socket-wide for a shared LLC.
+    fn l3_stats(&self) -> CacheStats {
+        match self {
+            Llc::Private(state) => state.l3.stats(),
+            Llc::Shared(shared) => shared.l3_stats(),
+        }
     }
 }
 
@@ -178,14 +199,10 @@ pub struct Hierarchy {
     cfg: MemConfig,
     l1: Cache,
     l2: Cache,
-    l3: Cache,
-    /// DRAM channel occupancy calendar (one transfer at a time).
-    dram: Calendar,
-    /// A socket-shared L3 + DRAM channel. When attached, the private
-    /// `l3`/`dram` above go unused: every L2 miss walks the shared state
-    /// instead, modeling inter-core LLC capacity and DRAM bandwidth
-    /// contention. All observation counters below stay per-core.
-    shared: Option<Arc<SharedLlc>>,
+    /// L3 + DRAM channel: private, or socket-shared to model inter-core
+    /// LLC capacity and DRAM bandwidth contention. All observation
+    /// counters below stay per-core.
+    llc: Llc,
     dram_read_bytes: u64,
     dram_write_bytes: u64,
     dram_busy_cycles: u64,
@@ -208,10 +225,8 @@ impl Hierarchy {
         Hierarchy {
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
-            l3: Cache::new(cfg.l3),
+            llc: Llc::Private(LlcState::new(&cfg)),
             cfg,
-            dram: Calendar::new(1),
-            shared: None,
             dram_read_bytes: 0,
             dram_write_bytes: 0,
             dram_busy_cycles: 0,
@@ -272,28 +287,10 @@ impl Hierarchy {
         }
         latency += self.cfg.l3.latency as u64;
         let mut fx = LlcEffects::default();
-        let total = if let Some(shared) = &self.shared {
-            let st = &mut *shared.lock();
-            llc_demand(
-                &self.cfg,
-                &mut st.l3,
-                &mut st.dram,
-                addr,
-                now,
-                latency,
-                &mut fx,
-            )
-        } else {
-            llc_demand(
-                &self.cfg,
-                &mut self.l3,
-                &mut self.dram,
-                addr,
-                now,
-                latency,
-                &mut fx,
-            )
-        };
+        let cfg = &self.cfg;
+        let total = self
+            .llc
+            .with(|llc| llc.demand(cfg, addr, now, latency, &mut fx));
         self.merge_effects(fx);
         total
     }
@@ -318,19 +315,9 @@ impl Hierarchy {
         // Off the critical path, but queued no earlier than the access
         // that evicted it.
         let mut fx = LlcEffects::default();
-        if let Some(shared) = &self.shared {
-            let st = &mut *shared.lock();
-            llc_install_dirty(&self.cfg, &mut st.l3, &mut st.dram, line_addr, at, &mut fx);
-        } else {
-            llc_install_dirty(
-                &self.cfg,
-                &mut self.l3,
-                &mut self.dram,
-                line_addr,
-                at,
-                &mut fx,
-            );
-        }
+        let cfg = &self.cfg;
+        self.llc
+            .with(|llc| llc.install_dirty(cfg, line_addr, at, &mut fx));
         self.merge_effects(fx);
     }
 
@@ -338,12 +325,15 @@ impl Hierarchy {
     /// L3 and book its DRAM calendar instead of the private ones. Attach
     /// before any traffic (the private L3's contents are not migrated).
     pub fn attach_shared(&mut self, shared: Arc<SharedLlc>) {
-        self.shared = Some(shared);
+        self.llc = Llc::Shared(shared);
     }
 
     /// The attached shared LLC, if any.
     pub fn shared_llc(&self) -> Option<&Arc<SharedLlc>> {
-        self.shared.as_ref()
+        match &self.llc {
+            Llc::Shared(shared) => Some(shared),
+            Llc::Private(_) => None,
+        }
     }
 
     /// Discards DRAM channel bookings below `t` (called by the engine as
@@ -354,8 +344,8 @@ impl Hierarchy {
     /// neutral for the pruning core itself, so skipping it keeps N=1
     /// bit-identical.)
     pub fn prune_below(&mut self, t: u64) {
-        if self.shared.is_none() {
-            self.dram.prune_below(t);
+        if let Llc::Private(llc) = &mut self.llc {
+            llc.dram.prune_below(t);
         }
     }
 
@@ -376,28 +366,9 @@ impl Hierarchy {
                     self.writeback_to_l3(victim, at);
                 }
                 let mut fx = LlcEffects::default();
-                if let Some(shared) = &self.shared {
-                    let st = &mut *shared.lock();
-                    llc_prefetch(
-                        &self.cfg,
-                        &mut st.l3,
-                        &mut st.dram,
-                        target,
-                        at,
-                        line,
-                        &mut fx,
-                    );
-                } else {
-                    llc_prefetch(
-                        &self.cfg,
-                        &mut self.l3,
-                        &mut self.dram,
-                        target,
-                        at,
-                        line,
-                        &mut fx,
-                    );
-                }
+                let cfg = &self.cfg;
+                self.llc
+                    .with(|llc| llc.prefetch(cfg, target, at, line, &mut fx));
                 self.merge_effects(fx);
             }
         }
@@ -498,10 +469,7 @@ impl Hierarchy {
     pub fn fill_stats(&self, stats: &mut RunStats) {
         stats.l1 = self.l1.stats();
         stats.l2 = self.l2.stats();
-        stats.l3 = match &self.shared {
-            Some(shared) => shared.l3_stats(),
-            None => self.l3.stats(),
-        };
+        stats.l3 = self.llc.l3_stats();
         stats.dram_read_bytes = self.dram_read_bytes;
         stats.dram_write_bytes = self.dram_write_bytes;
         stats.dram_busy_cycles = self.dram_busy_cycles;
@@ -515,11 +483,7 @@ impl Hierarchy {
     pub fn reset(&mut self) {
         self.l1.reset();
         self.l2.reset();
-        self.l3.reset();
-        self.dram.reset();
-        if let Some(shared) = &self.shared {
-            shared.reset();
-        }
+        self.llc.with(LlcState::reset);
         self.dram_read_bytes = 0;
         self.dram_write_bytes = 0;
         self.dram_busy_cycles = 0;
@@ -527,11 +491,6 @@ impl Hierarchy {
         self.dram_wait_cycles = 0;
         self.port_wait_cycles = 0;
         self.level_mark = 0;
-    }
-
-    /// L1 statistics so far.
-    pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats()
     }
 
     /// Whether an address is resident in L1 (test helper).

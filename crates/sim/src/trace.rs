@@ -476,11 +476,6 @@ impl StallReport {
         self.by_class.iter().map(|row| row[cause as usize]).sum()
     }
 
-    /// Total cycles attributed to one opcode class across all causes.
-    pub fn class_total(&self, class: OpClass) -> u64 {
-        self.by_class[class as usize].iter().sum()
-    }
-
     /// Cycles for one (class, cause) cell.
     pub fn cell(&self, class: OpClass, cause: StallCause) -> u64 {
         self.by_class[class as usize][cause as usize]
@@ -596,18 +591,26 @@ impl StallReport {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
+/// Serializes a string as a JSON string literal: quoted, with `"`, `\`
+/// and control characters escaped. The one JSON string writer of the
+/// workspace (Chrome traces, campaign stores, `verify_programs`).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
@@ -640,14 +643,14 @@ pub fn chrome_trace_json(ring: &EventRing, region_name: impl Fn(u16) -> &'static
                     seq,
                     format!(
                         "{{\"name\":\"{}\",\"cat\":\"inst\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                         \"pid\":0,\"tid\":{},\"args\":{{\"index\":{},\"region\":\"{}\",\
+                         \"pid\":0,\"tid\":{},\"args\":{{\"index\":{},\"region\":{},\
                          \"issue\":{},\"complete\":{},\"level\":\"{}\"}}}}",
                         class.name(),
                         fetch,
                         dur,
                         *class as usize + 1,
                         index,
-                        escape_json(region_name(*region)),
+                        json_string(region_name(*region)),
                         issue,
                         complete,
                         level.name(),
@@ -659,9 +662,9 @@ pub fn chrome_trace_json(ring: &EventRing, region_name: impl Fn(u16) -> &'static
                     *at,
                     seq,
                     format!(
-                        "{{\"name\":\"{}\",\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"g\",\
+                        "{{\"name\":{},\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"g\",\
                          \"ts\":{},\"pid\":0,\"tid\":0}}",
-                        escape_json(name),
+                        json_string(name),
                         at,
                     ),
                 ));
@@ -671,9 +674,9 @@ pub fn chrome_trace_json(ring: &EventRing, region_name: impl Fn(u16) -> &'static
                     *at,
                     seq,
                     format!(
-                        "{{\"name\":\"{}\",\"cat\":\"region\",\"ph\":\"B\",\"ts\":{},\
+                        "{{\"name\":{},\"cat\":\"region\",\"ph\":\"B\",\"ts\":{},\
                          \"pid\":0,\"tid\":{}}}",
-                        escape_json(region_name(*region)),
+                        json_string(region_name(*region)),
                         at,
                         REGION_TID,
                     ),
@@ -684,9 +687,9 @@ pub fn chrome_trace_json(ring: &EventRing, region_name: impl Fn(u16) -> &'static
                     *at,
                     seq,
                     format!(
-                        "{{\"name\":\"{}\",\"cat\":\"region\",\"ph\":\"E\",\"ts\":{},\
+                        "{{\"name\":{},\"cat\":\"region\",\"ph\":\"E\",\"ts\":{},\
                          \"pid\":0,\"tid\":{}}}",
-                        escape_json(region_name(*region)),
+                        json_string(region_name(*region)),
                         at,
                         REGION_TID,
                     ),

@@ -1,8 +1,7 @@
 //! Tests for the `via-analyze` static-analysis subsystem: pass-level
-//! findings with their oracles, the CAM/marker pass, reuse profiles, the
-//! analysis memo, the engine attachment, and — most importantly — the
-//! randomized cross-validation that the static cycle lower bound never
-//! exceeds the simulated cycle count.
+//! findings with their oracles, the CAM/marker pass, the analysis memo,
+//! and — most importantly — the randomized cross-validation that the
+//! static cycle lower bound never exceeds the simulated cycle count.
 
 use via_rng::StdRng;
 use via_sim::analyze::{self, AnalyzeConfig};
@@ -151,8 +150,6 @@ fn read_register_is_not_a_dead_write() {
     ];
     let report = analyze::analyze(&compile(insts, &core), &AnalyzeConfig::default());
     assert_eq!(report.dead_writes, 0);
-    // The final definition is unread at stream end: informational only.
-    assert_eq!(report.unread_at_end, 1);
 }
 
 #[test]
@@ -257,48 +254,6 @@ fn must_alias_conflict_and_ordering_evidence() {
     ];
     let report = analyze::analyze(&compile(later_def, &core), &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 0);
-}
-
-#[test]
-fn reuse_profile_counts_exact_stack_distances() {
-    let core = CoreConfig::default();
-    // Line-granular access string: A B A (distance 1), then B (distance 1).
-    let insts = vec![
-        Inst::load(0x000, 8, 0),
-        Inst::load(0x040, 8, 1),
-        Inst::load(0x008, 8, 2), // line A again: 1 distinct line between
-        Inst::load(0x048, 8, 3), // line B again: distance 1
-    ];
-    let report = analyze::analyze(&compile(insts, &core), &AnalyzeConfig::default());
-    let whole = report.whole_stream();
-    assert_eq!(whole.name, analyze::WHOLE_STREAM);
-    assert_eq!(whole.accesses, 4);
-    assert_eq!(whole.cold, 2);
-    assert_eq!(whole.distinct_lines, 2);
-    // Two reuses at distance 1 → bucket floor(log2(2)) = 1.
-    assert_eq!(whole.hist[1], 2);
-    assert_eq!(whole.hits_within(4), 2);
-    assert_eq!(whole.hits_within(1), 0);
-}
-
-#[test]
-fn reuse_attributes_to_regions_from_stream_events() {
-    let core = CoreConfig::default();
-    let mut e = Engine::new(core.clone(), MemConfig::default());
-    e.enable_recording();
-    e.region("hot");
-    e.push(Inst::load(0x000, 8, 0));
-    e.push(Inst::load(0x000, 8, 1));
-    e.region_end();
-    e.push(Inst::load(0x040, 8, 2));
-    let stream = e.take_compiled().unwrap();
-    let _ = e.finish();
-    let report = analyze::analyze(&stream, &AnalyzeConfig::default());
-    assert_eq!(report.whole_stream().accesses, 3);
-    let hot = report.regions.iter().find(|r| r.name == "hot").unwrap();
-    assert_eq!(hot.accesses, 2);
-    assert_eq!(hot.distinct_lines, 1);
-    assert_eq!(hot.hist[0], 1); // immediate reuse, distance 0
 }
 
 #[test]

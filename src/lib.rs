@@ -26,6 +26,8 @@
 //! and configurations into the paper's tables and figures — at corpus
 //! scale via the resumable `campaign` binary.
 
+#![forbid(unsafe_code)]
+
 pub use via_core as core;
 pub use via_energy as energy;
 pub use via_formats as formats;
