@@ -381,9 +381,14 @@ fn cmd_tune(args: &[String]) {
                 }))
             }
             "--help" | "-h" => usage(),
-            // Corpus-scale flags (--matrices/--min-rows/--max-rows/
-            // --seed/--threads) are picked up below.
-            _ => {}
+            // Corpus-scale flags: their values are parsed below.
+            "--matrices" | "--min-rows" | "--max-rows" | "--seed" | "--threads" => {
+                it.next();
+            }
+            other => {
+                eprintln!("unknown argument {other:?}");
+                usage()
+            }
         }
     }
     let Some(dir) = dir else {
@@ -407,10 +412,11 @@ fn cmd_tune(args: &[String]) {
     }
     print!("{}", outcome.render());
     println!(
-        "memo: {} compiles, {} replays, {} cycle hits | wrote {} rows to {} in {:.1}s",
+        "memo: {} compiles, {} replays, {} cycle hits, {} stall scores | wrote {} rows to {} in {:.1}s",
         memo.compiles(),
         memo.replays(),
         memo.cycle_hits(),
+        memo.stall_scores(),
         outcome.rows.len(),
         tuned_path(&dir).display(),
         start.elapsed().as_secs_f64(),

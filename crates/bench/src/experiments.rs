@@ -2,6 +2,7 @@
 
 use crate::suite::{parallel_map, ExperimentScale, Suite};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use via_core::ViaConfig;
 use via_energy::{AreaModel, EnergyModel, SynthesisPoint, PAPER_SYNTHESIS};
@@ -9,7 +10,7 @@ use via_formats::stats::{geomean, split_categories};
 use via_formats::{gen, Csb, SellCSigma, Spc5};
 use via_kernels::spmspv::{self, SparseVector};
 use via_kernels::{histogram, spma, spmm, spmv, stencil, KernelRun, SimContext, TraceOptions};
-use via_sim::{analyze, fnv1a64, Engine, StallCause, StallReport, StreamCache};
+use via_sim::{analyze, fnv1a64, Engine, RunStats, StallCause, StallReport, StreamCache};
 
 /// One row of the Figure 9 design-space exploration: the speedup of each
 /// configuration over the `4_2p` baseline for the three kernels.
@@ -33,20 +34,30 @@ pub struct DseRow {
 ///   hashed with [`fnv1a64`]) to the kernel's [`via_sim::CompiledStream`],
 ///   so each point is emitted, decoded, and statically verified exactly
 ///   once per process no matter how many sweep repetitions touch it.
+///   Only [`SweepMemo::cycles_for`] fills it (`fig9_bound_audit` reads
+///   the streams back); the tuner retains no streams.
+/// * The point index maps a point key to its stream hash, so a point the
+///   tuner resolved once answers later lookups from its key alone,
+///   without its stream.
 /// * The cycle memo maps `(stream hash, config hash)` to the replayed
 ///   `(cycles, instructions)`, so a repetition that has already replayed a
 ///   stream under the current timing config skips the simulator entirely
 ///   — the point costs one cache probe instead of one simulation.
+/// * The score memo maps `(stream hash, config hash)` to the tuner's
+///   stall tie-break score, so a repeated cycle tie replays nothing.
 ///
 /// Shared by reference across `parallel_map` workers; all interior
 /// mutability is lock-scoped and never held across kernel code.
 #[derive(Debug, Default)]
 pub struct SweepMemo {
     streams: StreamCache,
+    points: Mutex<HashMap<u64, u64>>,
     cycles: Mutex<HashMap<(u64, u64), (u64, u64)>>,
-    compiles: std::sync::atomic::AtomicU64,
-    replays: std::sync::atomic::AtomicU64,
-    cycle_hits: std::sync::atomic::AtomicU64,
+    scores: Mutex<HashMap<(u64, u64), u64>>,
+    compiles: AtomicU64,
+    replays: AtomicU64,
+    cycle_hits: AtomicU64,
+    stall_scores: AtomicU64,
 }
 
 /// What the compile closure of [`SweepMemo::cycles_for`] produces: the
@@ -87,6 +98,14 @@ impl SweepMemo {
         self.cycles.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    fn point_map(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
+        self.points.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn score_map(&self) -> MutexGuard<'_, HashMap<(u64, u64), u64>> {
+        self.scores.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The shared compiled-stream cache (hit/miss counters included).
     pub fn streams(&self) -> &StreamCache {
         &self.streams
@@ -103,19 +122,27 @@ impl SweepMemo {
         self.cycle_map().len()
     }
 
-    /// Points resolved by running the compile closure (full simulation).
+    /// Points resolved by simulating a freshly compiled stream: the
+    /// compile closure of [`SweepMemo::cycles_for`], or a tuner point the
+    /// memo could not answer.
     pub fn compiles(&self) -> u64 {
-        self.compiles.load(std::sync::atomic::Ordering::Relaxed)
+        self.compiles.load(Ordering::Relaxed)
     }
 
     /// Points resolved by replaying a cached stream.
     pub fn replays(&self) -> u64 {
-        self.replays.load(std::sync::atomic::Ordering::Relaxed)
+        self.replays.load(Ordering::Relaxed)
     }
 
     /// Points resolved from the cycle memo without any simulation.
     pub fn cycle_hits(&self) -> u64 {
-        self.cycle_hits.load(std::sync::atomic::Ordering::Relaxed)
+        self.cycle_hits.load(Ordering::Relaxed)
+    }
+
+    /// Stall tie-break scores computed (each replays a stream with stall
+    /// accounting once; later ties on the same stream read the memo).
+    pub fn stall_scores(&self) -> u64 {
+        self.stall_scores.load(Ordering::Relaxed)
     }
 
     /// The memoized cycle count for a `(stream, timing config)` pair, if
@@ -138,7 +165,8 @@ impl SweepMemo {
     ///
     /// All three paths return bit-identical cycle counts — the memo is a
     /// pure performance transformation (pinned by the compiled-equivalence
-    /// tests and `fig9_dse`'s goldens).
+    /// tests and `fig9_dse`'s goldens). Each call counts one cycle-memo
+    /// hit or miss in [`via_sim::telemetry`].
     pub fn cycles_for(
         &self,
         point_key: u64,
@@ -146,14 +174,9 @@ impl SweepMemo {
         compile: impl FnOnce() -> CompiledRun,
         replay_engine: impl FnOnce() -> Engine,
     ) -> u64 {
-        use std::sync::atomic::Ordering;
         if let Some(stream) = self.streams.get(point_key) {
             let memo_key = (stream.stream_hash(), config_hash);
-            let memoized = self.cycle_map().get(&memo_key).copied();
-            via_sim::telemetry::record_cycle_cache(memoized.is_some());
-            if let Some((cycles, instructions)) = memoized {
-                via_sim::telemetry::record_skipped_instructions(instructions);
-                self.cycle_hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(cycles) = self.cycle_hit(memo_key) {
                 return cycles;
             }
             let mut e = replay_engine();
@@ -164,6 +187,7 @@ impl SweepMemo {
             self.replays.fetch_add(1, Ordering::Relaxed);
             return stats.cycles;
         }
+        via_sim::telemetry::record_cycle_cache(false);
         let run = compile();
         let memo_key = (run.stream.stream_hash(), config_hash);
         self.streams.insert(point_key, run.stream);
@@ -172,10 +196,77 @@ impl SweepMemo {
         self.compiles.fetch_add(1, Ordering::Relaxed);
         run.cycles
     }
+
+    /// Probes the cycle memo, counting the lookup as one hit or miss.
+    fn cycle_hit(&self, memo_key: (u64, u64)) -> Option<u64> {
+        let memoized = self.cycle_map().get(&memo_key).copied();
+        via_sim::telemetry::record_cycle_cache(memoized.is_some());
+        let (cycles, instructions) = memoized?;
+        via_sim::telemetry::record_skipped_instructions(instructions);
+        self.cycle_hits.fetch_add(1, Ordering::Relaxed);
+        Some(cycles)
+    }
+
+    /// Resolves one tuner point to `(stream hash, cycles)` without
+    /// retaining its stream. `stream_hash` is the hash of the point's
+    /// stream when the caller holds it; otherwise the point index supplies
+    /// it from `point_key`. Memoized cycles under that hash answer the
+    /// point; else `simulate` runs and returns the stream's hash and run
+    /// statistics, which are memoized. Either way the point key is indexed
+    /// to the stream hash, and the lookup counts one cycle-memo hit or
+    /// miss.
+    pub(crate) fn resolve_point(
+        &self,
+        point_key: u64,
+        stream_hash: Option<u64>,
+        config_hash: u64,
+        simulate: impl FnOnce() -> (u64, RunStats),
+    ) -> (u64, u64) {
+        let known = stream_hash.or_else(|| self.point_map().get(&point_key).copied());
+        let memoized = match known {
+            Some(hash) => self.cycle_hit((hash, config_hash)).map(|c| (hash, c)),
+            None => {
+                via_sim::telemetry::record_cycle_cache(false);
+                None
+            }
+        };
+        let (hash, cycles) = match memoized {
+            Some(hit) => hit,
+            None => {
+                let (hash, stats) = simulate();
+                self.cycle_map()
+                    .insert((hash, config_hash), (stats.cycles, stats.instructions));
+                self.compiles.fetch_add(1, Ordering::Relaxed);
+                (hash, stats.cycles)
+            }
+        };
+        self.point_map().insert(point_key, hash);
+        (hash, cycles)
+    }
+
+    /// The stall tie-break score of a stream under a timing config:
+    /// memoized by `(stream hash, config hash)`, so `score` runs only the
+    /// first time a pair is asked for.
+    pub(crate) fn stall_score(
+        &self,
+        stream_hash: u64,
+        config_hash: u64,
+        score: impl FnOnce() -> u64,
+    ) -> u64 {
+        let key = (stream_hash, config_hash);
+        if let Some(&memoized) = self.score_map().get(&key) {
+            return memoized;
+        }
+        let computed = score();
+        self.score_map().insert(key, computed);
+        self.stall_scores.fetch_add(1, Ordering::Relaxed);
+        computed
+    }
 }
 
 /// The [`fnv1a64`] point key identifying one sweep point in a
-/// [`SweepMemo`]'s stream cache. Computable from names alone — a memoized
+/// [`SweepMemo`]'s stream cache and point index. Computable from names
+/// alone — a memoized
 /// repetition never has to materialize the point's matrix or inputs.
 pub fn point_key(kernel: &str, config: &str, matrix: &str, seed: u64) -> u64 {
     fnv1a64(format!("{kernel}|{config}|{matrix}|{seed}").bytes())

@@ -19,6 +19,12 @@
 //!    non-active stall cycles wins; remaining ties keep the
 //!    earlier-enumerated variant).
 //!
+//! The memo answers every point from keys (point key → stream hash →
+//! cycles, and `(stream hash, config hash)` → stall score) and retains no
+//! stream. A walk over one `(matrix, kernel)` variant space holds only
+//! the incumbent's stream, for tie-breaks, and the pruned streams, for the
+//! audit, and drops them when it ends.
+//!
 //! Winners are sealed into `tuned.jsonl` — same hash-chained row format
 //! as the campaign store, rewritten atomically in canonical order, so two
 //! tuner runs over the same corpus (any thread count) produce
@@ -35,7 +41,7 @@ use via_sim::{fnv1a64, CompiledStream, StallCause};
 use crate::campaign::store::{
     line_integrity_ok, load_rows, num_field, parse_flat_object, rewrite_jsonl, seal_row, str_field,
 };
-use crate::experiments::{point_key, CompiledRun, SweepMemo};
+use crate::experiments::{point_key, SweepMemo};
 use crate::suite::{parallel_map, ExperimentScale, Suite};
 
 /// Everything one tuning run needs.
@@ -319,6 +325,40 @@ fn stall_score(ctx: &SimContext, stream: &CompiledStream) -> u64 {
     report.attributed() - report.cause_total(StallCause::Active)
 }
 
+/// The best variant of a walk so far. Its stream is held only when the
+/// walk compiled it: a default the memo answered by key comes without one.
+struct Incumbent {
+    variant: KernelVariant,
+    cycles: u64,
+    stream_hash: u64,
+    stream: Option<CompiledStream>,
+}
+
+/// The incumbent's stall score through `memo`: scored from its stream if
+/// the walk holds it, else from an emit-only re-emission of its variant.
+fn incumbent_score(
+    memo: &SweepMemo,
+    cfg_hash: u64,
+    ctx: &SimContext,
+    inputs: &GenInputs,
+    best: &Incumbent,
+) -> u64 {
+    memo.stall_score(best.stream_hash, cfg_hash, || match &best.stream {
+        Some(stream) => stall_score(ctx, stream),
+        None => {
+            let run = best.variant.emit(inputs, &ctx.clone().with_emit_only());
+            let stream = run.compiled.expect("emit-only context compiles");
+            assert_eq!(
+                stream.stream_hash(),
+                best.stream_hash,
+                "{}: re-emitted stream differs from the memoized one",
+                best.variant.name()
+            );
+            stall_score(ctx, &stream)
+        }
+    })
+}
+
 /// Tunes every `(matrix, kernel)` pair of the configured corpus through
 /// `memo`. Deterministic in `(cfg, corpus)` for any thread count: matrices
 /// tune in parallel but each is a sequential walk of its variant space,
@@ -346,23 +386,27 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
             assert!(default.is_default(), "space enumerates the default first");
 
             let dkey = point_key(&default.name(), &config_name, &m.name, m.seed);
-            let default_cycles = memo.cycles_for(
-                dkey,
-                cfg_hash,
-                || {
-                    let run = default.emit(&inputs, &rec);
-                    assert!(
-                        output_matches(&run.output, &expected),
-                        "{}/{}: default variant diverged from the reference model",
-                        m.name,
-                        default.name()
-                    );
-                    CompiledRun::from_run(run)
-                },
-                || ctx.via_engine(),
-            );
+            let mut default_stream = None;
+            let (default_hash, default_cycles) = memo.resolve_point(dkey, None, cfg_hash, || {
+                let run = default.emit(&inputs, &rec);
+                assert!(
+                    output_matches(&run.output, &expected),
+                    "{}/{}: default variant diverged from the reference model",
+                    m.name,
+                    default.name()
+                );
+                let stream = run.compiled.expect("recording context compiles");
+                let hash = stream.stream_hash();
+                default_stream = Some(stream);
+                (hash, run.stats)
+            });
 
-            let mut best = (default_cycles, default, dkey);
+            let mut best = Incumbent {
+                variant: default,
+                cycles: default_cycles,
+                stream_hash: default_hash,
+                stream: default_stream,
+            };
             let mut pruned: Vec<(KernelVariant, CompiledStream, u64)> = Vec::new();
             let mut pruned_count = 0u64;
 
@@ -382,7 +426,7 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
                 );
                 let stream = run.compiled.expect("emit-only context compiles");
                 let bound = static_bound(stream.insts(), &acfg).lower_cycles;
-                if bound > best.0 {
+                if bound > best.cycles {
                     // Provably loses: its true cycle count is >= the
                     // bound, which already exceeds the incumbent.
                     tally.pruned += 1;
@@ -393,37 +437,30 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
                     continue;
                 }
                 let key = point_key(&v.name(), &config_name, &m.name, m.seed);
-                let cycles = memo.cycles_for(
-                    key,
-                    cfg_hash,
-                    || {
-                        let mut e = ctx.via_engine();
-                        e.replay(&stream);
-                        let stats = e.finish();
-                        CompiledRun {
-                            stream: stream.clone(),
-                            cycles: stats.cycles,
-                            instructions: stats.instructions,
-                        }
-                    },
-                    || ctx.via_engine(),
-                );
+                let hash = stream.stream_hash();
+                let (_, cycles) = memo.resolve_point(key, Some(hash), cfg_hash, || {
+                    let mut e = ctx.via_engine();
+                    e.replay(&stream);
+                    (hash, e.finish())
+                });
                 tally.replayed += 1;
                 if bound > cycles {
                     tally.bound_violations += 1;
                 }
-                let wins = cycles < best.0 || {
-                    cycles == best.0 && {
-                        let incumbent = memo
-                            .streams()
-                            .get(best.2)
-                            .expect("incumbent stream cached by cycles_for");
+                let wins = cycles < best.cycles || {
+                    cycles == best.cycles && {
                         tally.stall_tiebreaks += 1;
-                        stall_score(&ctx, &stream) < stall_score(&ctx, &incumbent)
+                        memo.stall_score(hash, cfg_hash, || stall_score(&ctx, &stream))
+                            < incumbent_score(memo, cfg_hash, &ctx, &inputs, &best)
                     }
                 };
                 if wins {
-                    best = (cycles, v, key);
+                    best = Incumbent {
+                        variant: v,
+                        cycles,
+                        stream_hash: hash,
+                        stream: Some(stream),
+                    };
                 }
             }
 
@@ -439,14 +476,14 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
                 if bound > true_cycles {
                     tally.bound_violations += 1;
                 }
-                if true_cycles < best.0 {
+                if true_cycles < best.cycles {
                     tally.unsound_prunes += 1;
                     eprintln!(
                         "UNSOUND PRUNE {}/{}: true {} cycles beats winner {}",
                         m.name,
                         v.name(),
                         true_cycles,
-                        best.0
+                        best.cycles
                     );
                 }
             }
@@ -456,10 +493,10 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
                 fingerprint: matrix_fingerprint(&m.name, m.seed),
                 kernel: kernel.name().to_string(),
                 config: config_name.clone(),
-                variant: best.1.name(),
-                variant_hash: best.1.content_hash(),
+                variant: best.variant.name(),
+                variant_hash: best.variant.content_hash(),
                 default_cycles,
-                best_cycles: best.0,
+                best_cycles: best.cycles,
                 candidates: space.len() as u64,
                 pruned: pruned_count,
             });
@@ -554,5 +591,71 @@ mod tests {
         assert_eq!(load_tuned(&dir_a).unwrap(), first.rows);
         let _ = std::fs::remove_dir_all(&dir_a);
         let _ = std::fs::remove_dir_all(&dir_b);
+    }
+
+    #[test]
+    fn tuning_retains_no_streams_and_a_warm_retune_simulates_nothing() {
+        let cfg = tiny_config(2);
+        let memo = SweepMemo::new();
+        let cold = tune(&cfg, &memo);
+        assert!(memo.streams().is_empty(), "the tuner retains no streams");
+        assert!(cold.stall_tiebreaks > 0, "the corpus must exercise ties");
+        let resolved = cold.rows.len() as u64 + cold.replayed;
+        assert_eq!(memo.compiles() + memo.cycle_hits(), resolved);
+        assert_eq!(memo.replays(), 0);
+        let (compiles, hits, scores) = (memo.compiles(), memo.cycle_hits(), memo.stall_scores());
+        assert!(scores > 0);
+
+        let warm = tune(&cfg, &memo);
+        assert_eq!(warm.rows, cold.rows);
+        assert_eq!(
+            (warm.replayed, warm.stall_tiebreaks, warm.audited),
+            (cold.replayed, cold.stall_tiebreaks, cold.audited)
+        );
+        assert_eq!(memo.compiles(), compiles, "a warm re-tune compiles nothing");
+        assert_eq!(memo.replays(), 0, "a warm re-tune replays nothing");
+        assert_eq!(
+            memo.stall_scores(),
+            scores,
+            "every tie reads the score memo"
+        );
+        assert_eq!(memo.cycle_hits(), hits + resolved, "every point is a hit");
+        assert!(memo.streams().is_empty());
+    }
+
+    #[test]
+    fn a_missing_incumbent_score_is_scored_from_a_re_emission() {
+        let cfg = tiny_config(1);
+        let m = &Suite::generate(&cfg.scale).matrices[0];
+        let inputs = GenInputs::from_matrix(&m.name, &m.csr, m.seed);
+        let ctx = SimContext::with_via(cfg.via);
+        let cfg_hash = via_sim::config_hash(&ctx.core.clone().with_custom_unit(), &ctx.mem);
+        let default = KernelVariant::space(Kernel::Sptrsv)[0];
+        let run = default.emit(&inputs, &ctx.clone().with_recording());
+        let stream = run.compiled.expect("recording context compiles");
+        let held = Incumbent {
+            variant: default,
+            cycles: run.stats.cycles,
+            stream_hash: stream.stream_hash(),
+            stream: Some(stream),
+        };
+        let want = incumbent_score(&SweepMemo::new(), cfg_hash, &ctx, &inputs, &held);
+
+        // A default the memo answered by key comes without its stream.
+        let by_key = Incumbent {
+            stream: None,
+            ..held
+        };
+        let memo = SweepMemo::new();
+        assert_eq!(
+            incumbent_score(&memo, cfg_hash, &ctx, &inputs, &by_key),
+            want
+        );
+        assert_eq!(memo.stall_scores(), 1);
+        assert_eq!(
+            incumbent_score(&memo, cfg_hash, &ctx, &inputs, &by_key),
+            want
+        );
+        assert_eq!(memo.stall_scores(), 1, "the re-emitted score is memoized");
     }
 }

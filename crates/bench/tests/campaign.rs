@@ -257,10 +257,10 @@ fn fresh_mode_refuses_to_clobber() {
     }
 }
 
-/// The five corrupt inputs the quarantine acceptance test salts the corpus
+/// The six corrupt inputs the quarantine acceptance test salts the corpus
 /// with, plus the error they must surface.
 fn corrupt_files(dir: &Scratch) -> Vec<(PathBuf, &'static str, &'static str)> {
-    let specs: [(&str, &str, &str, &str); 5] = [
+    let specs: [(&str, &str, &str, &str); 6] = [
         (
             "truncated_header.mtx",
             "%%MatrixMarket matrix\n",
@@ -286,6 +286,14 @@ fn corrupt_files(dir: &Scratch) -> Vec<(PathBuf, &'static str, &'static str)> {
             "outside a 2x2 matrix",
         ),
         ("empty.mtx", "", "parse", "empty input"),
+        (
+            // Sizing a CSR row-pointer array for 10^12 rows would abort the
+            // whole sweep, which no per-job panic guard can quarantine.
+            "huge_dimensions.mtx",
+            "%%MatrixMarket matrix coordinate real general\n1000000000000 4 0\n",
+            "parse",
+            "exceeds 2^32",
+        ),
     ];
     specs
         .iter()
@@ -326,13 +334,13 @@ fn corrupt_corpus_is_quarantined_and_retried_exactly() {
     cfg.kernels = vec![KernelKind::SpmvCsb];
 
     // The sweep completes despite the salt: good inputs land in results,
-    // exactly the 5 corrupt ones in quarantine.
+    // exactly the 6 corrupt ones in quarantine.
     let outcome = run_campaign(&cfg, &corpus, Mode::Fresh).expect("salted sweep");
     assert_eq!(outcome.completed, 2);
-    assert_eq!(outcome.quarantined, 5);
+    assert_eq!(outcome.quarantined, 6);
 
     let rows = load_quarantine(store.path()).expect("load quarantine");
-    assert_eq!(rows.len(), 5);
+    assert_eq!(rows.len(), 6);
     for (path, kind, needle) in &corrupt {
         let row = rows
             .iter()
@@ -346,15 +354,15 @@ fn corrupt_corpus_is_quarantined_and_retried_exactly() {
             row.chain
         );
     }
-    // The five structured errors are pairwise distinct.
+    // The six structured errors are pairwise distinct.
     let mut chains: Vec<_> = rows.iter().map(|r| r.chain.join(" | ")).collect();
     chains.sort();
     chains.dedup();
-    assert_eq!(chains.len(), 5, "quarantine errors must be distinct");
+    assert_eq!(chains.len(), 6, "quarantine errors must be distinct");
 
-    // Fix one corrupt input, then --retry-quarantined: only the 5
+    // Fix one corrupt input, then --retry-quarantined: only the 6
     // quarantined jobs re-run (the 2 good ones are untouched), the fixed
-    // one graduates to results, the other 4 stay quarantined.
+    // one graduates to results, the other 5 stay quarantined.
     std::fs::write(
         files.join("empty.mtx"),
         "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 2.0\n",
@@ -362,11 +370,11 @@ fn corrupt_corpus_is_quarantined_and_retried_exactly() {
     .unwrap();
     let retry = run_campaign(&cfg, &corpus, Mode::RetryQuarantined).expect("retry");
     assert_eq!(retry.completed, 1, "only the fixed input may succeed");
-    assert_eq!(retry.quarantined, 4);
+    assert_eq!(retry.quarantined, 5);
     assert_eq!(retry.skipped, 0, "completed work is not even scheduled");
 
     let rows = load_quarantine(store.path()).expect("reload quarantine");
-    assert_eq!(rows.len(), 4);
+    assert_eq!(rows.len(), 5);
     assert!(rows.iter().all(|r| !r.matrix.ends_with("empty.mtx")));
     let results = load_results(store.path()).expect("reload results");
     assert_eq!(results.len(), 3);
@@ -374,7 +382,7 @@ fn corrupt_corpus_is_quarantined_and_retried_exactly() {
     // A store listed twice reports each quarantined job once, like each
     // result row: the same tables and footer, plus the live-view line.
     let once = aggregate_report(store.path()).expect("report");
-    assert!(once.contains(", 4 quarantined\n"), "{once}");
+    assert!(once.contains(", 5 quarantined\n"), "{once}");
     let dir = store.path().to_path_buf();
     let twice = aggregate_report_dirs(&[dir.clone(), dir]).expect("live report");
     let live = twice

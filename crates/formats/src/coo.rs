@@ -75,7 +75,8 @@ impl Coo {
     /// # Errors
     ///
     /// Returns [`FormatError::IndexOutOfBounds`] when the entry does not fit
-    /// the matrix dimensions.
+    /// the matrix dimensions, and [`FormatError::InvalidStructure`] when it
+    /// does but an index does not fit [`Index`].
     pub fn try_push(&mut self, row: usize, col: usize, value: Value) -> Result<(), FormatError> {
         if row >= self.rows || col >= self.cols {
             return Err(FormatError::IndexOutOfBounds {
@@ -85,12 +86,17 @@ impl Coo {
                 cols: self.cols,
             });
         }
+        let (Ok(r), Ok(c)) = (Index::try_from(row), Index::try_from(col)) else {
+            return Err(FormatError::InvalidStructure(format!(
+                "entry ({row}, {col}) does not fit the 32-bit index type"
+            )));
+        };
         if let Some(&(lr, lc, _)) = self.entries.last() {
-            if (row, col) <= (lr as usize, lc as usize) {
+            if (r, c) <= (lr, lc) {
                 self.canonical = false;
             }
         }
-        self.entries.push((row as Index, col as Index, value));
+        self.entries.push((r, c, value));
         Ok(())
     }
 
@@ -202,6 +208,16 @@ mod tests {
         assert!(m.try_push(2, 0, 1.0).is_err());
         assert!(m.try_push(0, 2, 1.0).is_err());
         assert!(m.try_push(1, 1, 1.0).is_ok());
+    }
+
+    #[test]
+    fn push_refuses_indices_wider_than_index() {
+        let mut m = Coo::new(5_000_000_000, 4);
+        let err = m.try_push(4_294_967_297, 0, 1.0).unwrap_err();
+        assert!(err.to_string().contains("32-bit index"), "{err}");
+        assert_eq!(m.nnz(), 0, "nothing wraps onto a low row");
+        assert!(m.try_push(4_294_967_295, 3, 1.0).is_ok());
+        assert_eq!(m.entries(), &[(u32::MAX, 3, 1.0)]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the campaign quarantine log (`via-bench::campaign`) preserves this chain
 //! so a corrupt corpus file is diagnosable from the log alone.
 
-use crate::{Coo, FormatError};
+use crate::{Coo, FormatError, Index};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
@@ -53,11 +53,13 @@ use std::path::Path;
 ///
 /// # Errors
 ///
-/// Returns [`FormatError::Parse`] (with line/column) for malformed content,
-/// [`FormatError::IndexOutOfBounds`] for entries outside the declared
-/// dimensions, and [`FormatError::Io`] for underlying I/O failures. Only
-/// `matrix coordinate {real,integer,pattern} {general,symmetric}` headers
-/// are accepted, and non-finite values (`NaN`, `inf`) are rejected.
+/// Returns [`FormatError::Parse`] (with line/column) for malformed content
+/// and for a row or column count above 2^32 (what a 32-bit [`Index`]
+/// addresses), [`FormatError::IndexOutOfBounds`] for entries outside the
+/// declared dimensions, and [`FormatError::Io`] for underlying I/O
+/// failures. Only `matrix coordinate {real,integer,pattern}
+/// {general,symmetric}` headers are accepted, and non-finite values
+/// (`NaN`, `inf`) are rejected.
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, FormatError> {
     let mut lines = BufReader::new(reader).lines().enumerate();
 
@@ -134,6 +136,19 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, FormatError> {
         *slot = tok
             .parse::<usize>()
             .map_err(|e| parse_err_at(size_no + 1, col, format!("bad size entry `{tok}`: {e}")))?;
+    }
+    // 32-bit indices address at most 2^32 rows or columns; a larger
+    // dimension would wrap entries onto low indices or overflow memory.
+    for (&dim, &(col, tok)) in dims[..2].iter().zip(&size_toks) {
+        if dim as u64 > u64::from(Index::MAX) + 1 {
+            return Err(parse_err_at(
+                size_no + 1,
+                col,
+                format!(
+                    "dimension {tok} exceeds 2^32, the most rows or columns 32-bit indices address"
+                ),
+            ));
+        }
     }
     let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
 
@@ -385,6 +400,30 @@ mod tests {
             assert_eq!(err.parse_location(), Some((3, Some(5))), "{bad}");
             assert!(err.to_string().contains("non-finite"), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn rejects_dimensions_wider_than_index_at_the_size_line() {
+        // Rows beyond 2^32: the entry would otherwise wrap onto row 0.
+        let text = "%%MatrixMarket matrix coordinate real general\n\
+            5000000000 4 1\n\
+            4294967297 1 1.0\n";
+        let err = read_matrix_market(text.as_bytes()).unwrap_err();
+        assert_eq!(err.parse_location(), Some((2, Some(1))));
+        assert!(err.to_string().contains("2^32"), "{err}");
+        // 10^12 rows and no entries: rejected before anything sized by the
+        // dimensions is allocated. The column names the offending token.
+        let text = "%%MatrixMarket matrix coordinate real general\n1000000000000 4 0\n";
+        let err = read_matrix_market(text.as_bytes()).unwrap_err();
+        assert_eq!(err.parse_location(), Some((2, Some(1))));
+        let text = "%%MatrixMarket matrix coordinate real general\n4 1000000000000 0\n";
+        let err = read_matrix_market(text.as_bytes()).unwrap_err();
+        assert_eq!(err.parse_location(), Some((2, Some(3))));
+        // Exactly 2^32 rows is addressable.
+        let text =
+            "%%MatrixMarket matrix coordinate pattern general\n4294967296 1 1\n4294967296 1\n";
+        let coo = read_matrix_market(text.as_bytes()).unwrap();
+        assert_eq!(coo.entries(), &[(u32::MAX, 0, 1.0)]);
     }
 
     #[test]

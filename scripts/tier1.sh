@@ -7,9 +7,11 @@
 # the golden cycle-count snapshots (the bit-exactness contract for the
 # timing model), the via-verify static sweep over every shipped kernel's
 # instruction streams, the quick auto-tune (gated on soundness and on the
-# 1.10x tuned-over-default geomean floor), and the campaign
-# kill-and-resume smoke. Wall-clock performance is measured separately,
-# by the repository benchmark (`python3 perfbench/run.py`).
+# 1.10x tuned-over-default geomean floor), the campaign kill-and-resume
+# smoke, and the repository benchmark's self-test (every perfbench
+# workload at a tiny scale, so a crate change that breaks the benchmark
+# fails here). Wall-clock performance is measured separately, by the
+# repository benchmark (`python3 perfbench/run.py`).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -63,5 +65,8 @@ LC_ALL=C sort "$SMOKE_DIR/killed/results.jsonl" >"$SMOKE_DIR/a"
 LC_ALL=C sort "$SMOKE_DIR/straight/results.jsonl" >"$SMOKE_DIR/b"
 cmp "$SMOKE_DIR/a" "$SMOKE_DIR/b"
 echo "    resume smoke OK (stores byte-identical)"
+
+echo "==> perfbench selftest (every benchmark workload at a tiny scale)"
+python3 perfbench/run.py selftest
 
 echo "tier-1: OK"
