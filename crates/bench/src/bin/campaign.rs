@@ -32,7 +32,7 @@ use via_bench::campaign::{
 };
 use via_bench::report::banner;
 use via_bench::tune::{tune, tuned_path, write_tuned, TuneConfig};
-use via_bench::SweepMemo;
+use via_bench::{next_flag_value, SweepMemo};
 use via_formats::gen::StratifiedConfig;
 
 struct Cli {
@@ -68,8 +68,9 @@ fn usage() -> ! {
          \x20 --threads <N>          worker threads (default: all cores)\n\
          \x20 --budget-ms <N>        per-job wall-clock budget (default 120000)\n\
          \x20 --max-jobs <N>         stop after N completions this run (kill simulation)\n\
-         \x20 --seed <S>             synthetic corpus master seed\n\
-         \x20 --min-rows/--max-rows  synthetic matrix size range (default 256..8192)\n\
+         \x20 --seed <S>             synthetic corpus master seed (not with --corpus)\n\
+         \x20 --min-rows/--max-rows  synthetic matrix size range (default 256..8192;\n\
+         \x20                        not with --corpus)\n\
          \x20 --backends             also run the SSR rival backend per job (adds the\n\
          \x20                        SSR column to rows and the report's bake-off table)\n\
          \x20 --quiet                suppress per-job progress lines\n\
@@ -106,18 +107,14 @@ fn parse_run_cli(args: &[String]) -> Cli {
     let mut quiet = false;
     let mut backends = false;
     let mut strat = StratifiedConfig::default();
+    // The last flag given that only a synthetic corpus reads.
+    let mut synthetic_only: Option<&str> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--dir" => dir = Some(PathBuf::from(need(&mut it, "--dir"))),
-            "--synthetic" => {
-                synthetic = Some(
-                    need(&mut it, "--synthetic")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
+            "--synthetic" => synthetic = Some(next_flag_value(&mut it, "--synthetic")),
             "--corpus" => manifest = Some(PathBuf::from(need(&mut it, "--corpus"))),
             "--resume" => mode = Mode::Resume,
             "--retry-quarantined" => mode = Mode::RetryQuarantined,
@@ -143,35 +140,20 @@ fn parse_run_cli(args: &[String]) -> Cli {
                         .collect()
                 };
             }
-            "--threads" => {
-                threads = Some(
-                    need(&mut it, "--threads")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
+            "--threads" => threads = Some(next_flag_value(&mut it, "--threads")),
+            "--budget-ms" => budget_ms = next_flag_value(&mut it, "--budget-ms"),
+            "--max-jobs" => max_jobs = Some(next_flag_value(&mut it, "--max-jobs")),
+            "--seed" => {
+                strat.seed = next_flag_value(&mut it, "--seed");
+                synthetic_only = Some("--seed");
             }
-            "--budget-ms" => {
-                budget_ms = need(&mut it, "--budget-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--max-jobs" => {
-                max_jobs = Some(
-                    need(&mut it, "--max-jobs")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
-            "--seed" => strat.seed = need(&mut it, "--seed").parse().unwrap_or_else(|_| usage()),
             "--min-rows" => {
-                strat.min_rows = need(&mut it, "--min-rows")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
+                strat.min_rows = next_flag_value(&mut it, "--min-rows");
+                synthetic_only = Some("--min-rows");
             }
             "--max-rows" => {
-                strat.max_rows = need(&mut it, "--max-rows")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
+                strat.max_rows = next_flag_value(&mut it, "--max-rows");
+                synthetic_only = Some("--max-rows");
             }
             "--quiet" => quiet = true,
             "--backends" => backends = true,
@@ -188,6 +170,10 @@ fn parse_run_cli(args: &[String]) -> Cli {
     };
     if synthetic.is_some() && manifest.is_some() {
         eprintln!("--synthetic and --corpus are mutually exclusive");
+        usage();
+    }
+    if let (Some(flag), Some(_)) = (synthetic_only, &manifest) {
+        eprintln!("{flag} sets the synthetic corpus and cannot be combined with --corpus");
         usage();
     }
     let corpus = match manifest {

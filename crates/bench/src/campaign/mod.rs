@@ -48,14 +48,14 @@
 //!
 //! [`aggregate_report`] regenerates Figure-10/11-style geomean tables from
 //! the JSONL store alone; [`aggregate_report_dirs`] renders the same view
-//! **incrementally over any subset of shard stores** (see [`live`]), so a
-//! partial fleet run always has a consistent report.
+//! **over any subset of shard stores** (see [`live`]), so a partial fleet
+//! run always has a consistent report.
 
 pub mod live;
 pub mod shard;
 pub mod store;
 
-pub use live::{aggregate_report_dirs, ReportBuilder};
+pub use live::aggregate_report_dirs;
 pub use shard::{canonical_sort, merge_stores, shard_key, MergeSummary, ShardSpec};
 pub use store::{
     cycles_path, load_cycles, load_meta, load_quarantine, load_results, manifest_path,
@@ -1042,8 +1042,7 @@ pub fn run_campaign(
 // ---------------------------------------------------------------------------
 
 /// Regenerates Figure-10/11-style geomean tables from one JSONL store
-/// (see [`live::ReportBuilder`]; [`aggregate_report_dirs`] is the
-/// multi-shard live view).
+/// ([`aggregate_report_dirs`] is the multi-shard live view).
 ///
 /// # Errors
 ///
@@ -1052,8 +1051,8 @@ pub fn aggregate_report(dir: &Path) -> std::io::Result<String> {
     aggregate_report_dirs(std::slice::from_ref(&dir.to_path_buf()))
 }
 
-/// Renders the quarantine log as a summary table (used by the `campaign`
-/// binary and `mtx_runner`).
+/// Renders the quarantine log as a summary table (printed by
+/// `campaign run`).
 pub fn quarantine_table(rows: &[QuarantineRow]) -> String {
     let header: Vec<String> = ["matrix", "kernel", "kind", "error"]
         .iter()

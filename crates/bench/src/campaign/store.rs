@@ -33,7 +33,7 @@ pub(crate) enum JsonVal {
 /// Parses one flat JSON object (`{"k":v,...}` with string / number /
 /// string-array values). Returns `None` on any syntax error — the loader
 /// treats that as a torn line.
-pub(crate) fn parse_flat_object(line: &str) -> Option<Vec<(String, JsonVal)>> {
+fn parse_flat_object(line: &str) -> Option<Vec<(String, JsonVal)>> {
     let mut chars = line.trim().chars().peekable();
     fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
         while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
@@ -132,7 +132,7 @@ pub(crate) fn parse_flat_object(line: &str) -> Option<Vec<(String, JsonVal)>> {
     Some(fields)
 }
 
-pub(crate) fn field<'a>(fields: &'a [(String, JsonVal)], key: &str) -> Option<&'a JsonVal> {
+fn field<'a>(fields: &'a [(String, JsonVal)], key: &str) -> Option<&'a JsonVal> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
@@ -153,19 +153,23 @@ pub(crate) fn num_field<T: std::str::FromStr>(
     }
 }
 
-/// Validates the `,"hash":"…"}` suffix of a row against the FNV-1a of the
-/// row body before it. Torn / hand-edited rows fail this check.
-pub(crate) fn line_integrity_ok(line: &str) -> bool {
+/// A 64-bit hash or fingerprint written as a hex string by `{:016x}`.
+pub(crate) fn hex_field(fields: &[(String, JsonVal)], key: &str) -> Option<u64> {
+    u64::from_str_radix(&str_field(fields, key)?, 16).ok()
+}
+
+/// The fields of one sealed row: validates the `,"hash":"…"}` suffix
+/// against the FNV-1a of the row body before it, then parses the object.
+/// `None` for a torn, hand-edited or malformed line; every row decoder
+/// starts here.
+pub(crate) fn unseal(line: &str) -> Option<Vec<(String, JsonVal)>> {
     const MARK: &str = ",\"hash\":\"";
-    match line.rfind(MARK) {
-        Some(pos) => {
-            let body = &line[..pos];
-            let rest = &line[pos + MARK.len()..];
-            let expect = format!("{:016x}\"}}", fnv1a64(body.bytes()));
-            rest == expect
-        }
-        None => false,
+    let pos = line.rfind(MARK)?;
+    let expect = format!("{:016x}\"}}", fnv1a64(line[..pos].bytes()));
+    if line[pos + MARK.len()..] != expect {
+        return None;
     }
+    parse_flat_object(line)
 }
 
 pub(crate) fn seal_row(body: String) -> String {
@@ -251,13 +255,10 @@ impl ResultRow {
     /// Parses one JSONL line, validating the integrity hash. `None` for
     /// torn or foreign lines.
     pub fn from_jsonl(line: &str) -> Option<ResultRow> {
-        if !line_integrity_ok(line) {
-            return None;
-        }
-        let fields = parse_flat_object(line)?;
+        let fields = unseal(line)?;
         Some(ResultRow {
             matrix: str_field(&fields, "matrix")?,
-            fingerprint: u64::from_str_radix(&str_field(&fields, "fingerprint")?, 16).ok()?,
+            fingerprint: hex_field(&fields, "fingerprint")?,
             kernel: str_field(&fields, "kernel")?,
             config: str_field(&fields, "config")?,
             rows: num_field(&fields, "rows")?,
@@ -378,20 +379,15 @@ impl CycleRow {
 
     /// Parses one JSONL line, validating the integrity hash.
     pub fn from_jsonl(line: &str) -> Option<CycleRow> {
-        if !line_integrity_ok(line) {
-            return None;
-        }
-        let fields = parse_flat_object(line)?;
-        let hex =
-            |key: &str| -> Option<u64> { u64::from_str_radix(&str_field(&fields, key)?, 16).ok() };
+        let fields = unseal(line)?;
         Some(CycleRow {
             matrix: str_field(&fields, "matrix")?,
-            fingerprint: hex("fingerprint")?,
+            fingerprint: hex_field(&fields, "fingerprint")?,
             kernel: str_field(&fields, "kernel")?,
             config: str_field(&fields, "config")?,
-            config_hash: hex("config_hash")?,
-            base_stream: hex("base_stream")?,
-            via_stream: hex("via_stream")?,
+            config_hash: hex_field(&fields, "config_hash")?,
+            base_stream: hex_field(&fields, "base_stream")?,
+            via_stream: hex_field(&fields, "via_stream")?,
             rows: num_field(&fields, "rows")?,
             cols: num_field(&fields, "cols")?,
             nnz: num_field(&fields, "nnz")?,
@@ -452,10 +448,7 @@ impl QuarantineRow {
 
     /// Parses one JSONL line, validating the integrity hash.
     pub fn from_jsonl(line: &str) -> Option<QuarantineRow> {
-        if !line_integrity_ok(line) {
-            return None;
-        }
-        let fields = parse_flat_object(line)?;
+        let fields = unseal(line)?;
         let chain = match field(&fields, "error")? {
             JsonVal::List(items) => items.clone(),
             _ => return None,
@@ -501,10 +494,7 @@ impl StoreMeta {
 
     /// Parses a manifest line, validating the integrity hash.
     pub fn from_json(line: &str) -> Option<StoreMeta> {
-        if !line_integrity_ok(line.trim()) {
-            return None;
-        }
-        let fields = parse_flat_object(line)?;
+        let fields = unseal(line.trim())?;
         if str_field(&fields, "kind")? != "campaign_manifest" {
             return None;
         }
@@ -686,7 +676,7 @@ mod tests {
     fn result_row_round_trips() {
         let row = sample_row();
         let line = row.to_jsonl();
-        assert!(line_integrity_ok(&line));
+        assert!(unseal(&line).is_some());
         let back = ResultRow::from_jsonl(&line).expect("parse");
         assert_eq!(back, row);
         assert!((back.speedup() - 4.0).abs() < 1e-12);
@@ -731,7 +721,7 @@ mod tests {
             ssr_instructions: None,
         };
         let line = row.to_jsonl();
-        assert!(line_integrity_ok(&line));
+        assert!(unseal(&line).is_some());
         let back = CycleRow::from_jsonl(&line).expect("parse");
         assert_eq!(back, row);
         assert_eq!(back.memo_key(), back.to_result_row().manifest_key());
@@ -823,5 +813,90 @@ mod tests {
         );
         assert!(parse_flat_object("{\"a\":1} trailing").is_none());
         assert!(parse_flat_object("{\"a\":").is_none());
+    }
+
+    /// One literal sealed line per row type: the on-disk format every
+    /// existing store, memo and `tuned.jsonl` depends on.
+    #[test]
+    fn sealed_lines_are_pinned_per_row_type() {
+        let mut result = ResultRow {
+            matrix: "s0003_powerlaw_r96".into(),
+            fingerprint: 0x0123_4567_89AB_CDEF,
+            kernel: "spmv_csb".into(),
+            config: "16_2p".into(),
+            rows: 96,
+            cols: 96,
+            nnz: 410,
+            key: 3.5,
+            base_cycles: 12_345,
+            via_cycles: 3_210,
+            ssr_cycles: None,
+        };
+        let line = r#"{"schema":1,"matrix":"s0003_powerlaw_r96","fingerprint":"0123456789abcdef","kernel":"spmv_csb","config":"16_2p","rows":96,"cols":96,"nnz":410,"key":3.5,"base_cycles":12345,"via_cycles":3210,"hash":"cebc21040a613079"}"#;
+        assert_eq!(result.to_jsonl(), line);
+        assert_eq!(ResultRow::from_jsonl(line), Some(result.clone()));
+
+        result.ssr_cycles = Some(7_777);
+        let line = r#"{"schema":1,"matrix":"s0003_powerlaw_r96","fingerprint":"0123456789abcdef","kernel":"spmv_csb","config":"16_2p","rows":96,"cols":96,"nnz":410,"key":3.5,"base_cycles":12345,"via_cycles":3210,"ssr_cycles":7777,"hash":"80c61b53a6144975"}"#;
+        assert_eq!(result.to_jsonl(), line);
+        assert_eq!(ResultRow::from_jsonl(line), Some(result));
+
+        let cycle = CycleRow {
+            matrix: "bad \"q\".mtx".into(),
+            fingerprint: 0x0F0F,
+            kernel: "spma".into(),
+            config: "16_2p".into(),
+            config_hash: 0xFEDC_BA98_7654_3210,
+            base_stream: 0xA,
+            via_stream: 0xB,
+            rows: 48,
+            cols: 48,
+            nnz: 100,
+            key: 100.0,
+            base_cycles: 900,
+            via_cycles: 300,
+            base_instructions: 400,
+            via_instructions: 120,
+            ssr_cycles: None,
+            ssr_instructions: None,
+        };
+        let line = r#"{"schema":1,"matrix":"bad \"q\".mtx","fingerprint":"0000000000000f0f","kernel":"spma","config":"16_2p","config_hash":"fedcba9876543210","base_stream":"000000000000000a","via_stream":"000000000000000b","rows":48,"cols":48,"nnz":100,"key":100.0,"base_cycles":900,"via_cycles":300,"base_instructions":400,"via_instructions":120,"hash":"761d47152fc23a9f"}"#;
+        assert_eq!(cycle.to_jsonl(), line);
+        assert_eq!(CycleRow::from_jsonl(line), Some(cycle));
+
+        let quarantine = QuarantineRow {
+            matrix: "empty.mtx".into(),
+            kernel: "spmv_csb".into(),
+            config: "16_2p".into(),
+            kind: "parse".into(),
+            chain: vec!["empty input".into(), "line 1".into()],
+        };
+        let line = r#"{"schema":1,"matrix":"empty.mtx","kernel":"spmv_csb","config":"16_2p","kind":"parse","error":["empty input","line 1"],"hash":"b93108a049420df8"}"#;
+        assert_eq!(quarantine.to_jsonl(), line);
+        assert_eq!(QuarantineRow::from_jsonl(line), Some(quarantine));
+
+        let meta = StoreMeta {
+            shard: ShardSpec::new(1, 3).unwrap(),
+            config: "16_2p".into(),
+        };
+        let line = r#"{"schema":1,"kind":"campaign_manifest","shard_index":1,"shard_total":3,"config":"16_2p","hash":"19cb52b888b92e7e"}"#;
+        assert_eq!(meta.to_json(), line);
+        assert_eq!(StoreMeta::from_json(line), Some(meta));
+
+        let tuned = crate::tune::TunedRow {
+            matrix: "banded_0".into(),
+            fingerprint: 0xDEAD,
+            kernel: "sptrsv".into(),
+            config: "16_2p".into(),
+            variant: "sptrsv/levels/fg8".into(),
+            variant_hash: 0xBEEF,
+            default_cycles: 1000,
+            best_cycles: 400,
+            candidates: 6,
+            pruned: 2,
+        };
+        let line = r#"{"schema":1,"matrix":"banded_0","fingerprint":"000000000000dead","kernel":"sptrsv","config":"16_2p","variant":"sptrsv/levels/fg8","variant_hash":"000000000000beef","default_cycles":1000,"best_cycles":400,"candidates":6,"pruned":2,"hash":"a61536cef74e5b50"}"#;
+        assert_eq!(tuned.to_jsonl(), line);
+        assert_eq!(crate::tune::TunedRow::from_jsonl(line), Some(tuned));
     }
 }

@@ -32,8 +32,8 @@ pub struct DseRow {
 ///
 /// * The [`StreamCache`] maps a *point key* (kernel × config × matrix,
 ///   hashed with [`fnv1a64`]) to the kernel's [`via_sim::CompiledStream`],
-///   so each point is emitted, decoded, and statically verified exactly
-///   once per process no matter how many sweep repetitions touch it.
+///   so each point is emitted and decoded exactly once per process no
+///   matter how many sweep repetitions touch it.
 ///   Only [`SweepMemo::cycles_for`] fills it (`fig9_bound_audit` reads
 ///   the streams back); the tuner retains no streams.
 /// * The point index maps a point key to its stream hash, so a point the
@@ -64,7 +64,7 @@ pub struct SweepMemo {
 /// recorded (compile-phase) run's stream plus its timing outcome.
 #[derive(Debug, Clone)]
 pub struct CompiledRun {
-    /// The recorded, pre-decoded, statically verified stream.
+    /// The recorded, pre-decoded stream.
     pub stream: via_sim::CompiledStream,
     /// Cycles the recorded run took.
     pub cycles: u64,
@@ -159,7 +159,8 @@ impl SweepMemo {
     /// 1. compiled stream cached **and** cycles memoized under
     ///    `config_hash` → return the memoized cycles (no simulation);
     /// 2. stream cached but cycles unknown → replay it on a fresh engine
-    ///    from `replay_engine` (no re-emit, no re-decode, no re-verify);
+    ///    from `replay_engine` (no re-emit, no re-decode; the replay runs
+    ///    the engine's verify step like any push);
     /// 3. nothing cached → run `compile` (a recorded kernel run), cache
     ///    the stream and its timing.
     ///

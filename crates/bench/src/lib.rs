@@ -28,8 +28,8 @@ pub mod tune;
 
 pub use campaign::{
     aggregate_report, aggregate_report_dirs, merge_stores, run_campaign, CampaignConfig,
-    CampaignOutcome, Corpus, CycleRow, KernelKind, MergeSummary, Mode, QuarantineRow,
-    ReportBuilder, ResultRow, ShardSpec, StoreMeta,
+    CampaignOutcome, Corpus, CycleRow, KernelKind, MergeSummary, Mode, QuarantineRow, ResultRow,
+    ShardSpec, StoreMeta,
 };
 pub use experiments::{
     fig10_spmv, fig11_spma, fig11_spmm, fig12a_histogram, fig12b_stencil, fig9_bound_audit,
@@ -38,5 +38,5 @@ pub use experiments::{
     StencilRow, SweepMemo, TightnessRow,
 };
 pub use multicore::{multicore_sweep, BakeoffRow, MulticoreOutcome, ScalingPoint, CORE_COUNTS};
-pub use suite::{default_threads, flag_arg, parallel_map, ExperimentScale, Suite};
+pub use suite::{default_threads, flag_arg, next_flag_value, parallel_map, ExperimentScale, Suite};
 pub use tune::{load_tuned, tune, tuned_path, write_tuned, TuneConfig, TuneOutcome, TunedRow};

@@ -125,6 +125,17 @@ fn try_flag_arg<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Opt
     }
 }
 
+/// Parses the next argument as the value of `flag`, for parsers that walk
+/// the arguments in order (`campaign run`). A missing or unparsable value
+/// prints the flag and the value and exits with status 2, as
+/// [`flag_arg`] does.
+pub fn next_flag_value<'a, T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> T {
+    or_exit(flag_value(flag, args.next()))
+}
+
 /// Parses the value that follows `flag`, or says which flag and value
 /// were wrong.
 fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {

@@ -6,9 +6,9 @@
 //! 1. the **default** variant (bit-identical to the hand-written kernel)
 //!    is simulated first and becomes the incumbent;
 //! 2. every other variant is compiled **emit-only**
-//!    ([`SimContext::with_emit_only`]) — the stream is recorded and
-//!    verified but no timing is simulated — and only its static cycle
-//!    **lower bound** ([`via_sim::analyze::static_bound`]) is computed; a
+//!    ([`SimContext::with_emit_only`]) — the stream is recorded but no
+//!    timing is simulated — and only its static cycle **lower bound**
+//!    ([`via_sim::analyze::static_bound`]) is computed; a
 //!    candidate whose bound already exceeds the incumbent's measured
 //!    cycles is pruned without ever touching the simulator (sound: the
 //!    bound never exceeds the true cycle count, which `--audit` re-proves
@@ -39,7 +39,7 @@ use via_sim::trace::json_string;
 use via_sim::{fnv1a64, CompiledStream, StallCause};
 
 use crate::campaign::store::{
-    line_integrity_ok, load_rows, num_field, parse_flat_object, rewrite_jsonl, seal_row, str_field,
+    hex_field, load_rows, num_field, rewrite_jsonl, seal_row, str_field, unseal,
 };
 use crate::experiments::{point_key, SweepMemo};
 use crate::suite::{parallel_map, ExperimentScale, Suite};
@@ -131,17 +131,14 @@ impl TunedRow {
     /// Parses one JSONL line, validating the integrity hash. `None` for
     /// torn or foreign lines.
     pub fn from_jsonl(line: &str) -> Option<TunedRow> {
-        if !line_integrity_ok(line) {
-            return None;
-        }
-        let fields = parse_flat_object(line)?;
+        let fields = unseal(line)?;
         Some(TunedRow {
             matrix: str_field(&fields, "matrix")?,
-            fingerprint: u64::from_str_radix(&str_field(&fields, "fingerprint")?, 16).ok()?,
+            fingerprint: hex_field(&fields, "fingerprint")?,
             kernel: str_field(&fields, "kernel")?,
             config: str_field(&fields, "config")?,
             variant: str_field(&fields, "variant")?,
-            variant_hash: u64::from_str_radix(&str_field(&fields, "variant_hash")?, 16).ok()?,
+            variant_hash: hex_field(&fields, "variant_hash")?,
             default_cycles: num_field(&fields, "default_cycles")?,
             best_cycles: num_field(&fields, "best_cycles")?,
             candidates: num_field(&fields, "candidates")?,
@@ -412,9 +409,9 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
 
             for &v in &space[1..] {
                 tally.candidates += 1;
-                // Emit-only compile: the stream is recorded and verified
-                // (bit-identical to a timed run's) but no timing model
-                // runs; the functional output still computes, so every
+                // Emit-only compile: the stream is recorded (bit-identical
+                // to a timed run's) but no timing model runs; the
+                // functional output still computes, so every
                 // candidate is checked against the reference before it is
                 // allowed to rank.
                 let run = v.emit(&inputs, &emit);

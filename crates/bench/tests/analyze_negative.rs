@@ -9,12 +9,11 @@
 
 use via_sim::compile::StreamEvent;
 use via_sim::prog::{AluKind, Inst, VecOpKind};
-use via_sim::verify::{verify_program, DiagCode, Program, Severity, VerifyConfig};
+use via_sim::verify::{verify_program, DiagCode, Severity, VerifyConfig};
 use via_sim::{analyze, AnalyzeConfig, CompiledStream, CoreConfig, MemConfig};
 
-fn compile(insts: Vec<Inst>, core: &CoreConfig) -> CompiledStream {
-    let prog: Program = insts.into_iter().collect();
-    CompiledStream::compile(prog, &VerifyConfig::from_core(core))
+fn compile(insts: Vec<Inst>) -> CompiledStream {
+    CompiledStream::from_recording(insts, Vec::new())
 }
 
 fn base_cfg() -> AnalyzeConfig {
@@ -43,8 +42,12 @@ fn codes(report: &via_sim::AnalysisReport) -> Vec<&'static str> {
 
 #[test]
 fn the_uncorrupted_stream_is_quiet() {
-    let stream = compile(clean_insts(), &CoreConfig::default());
-    assert!(stream.verify().is_clean(), "{}", stream.verify().render());
+    let stream = compile(clean_insts());
+    let verified = verify_program(
+        &clean_insts().into_iter().collect(),
+        &VerifyConfig::default(),
+    );
+    assert!(verified.is_clean(), "{}", verified.render());
     let report = analyze::analyze(&stream, &base_cfg());
     assert!(report.diags.is_empty(), "unexpected: {:?}", codes(&report));
     assert_eq!(report.dead_writes, 0);
@@ -59,7 +62,7 @@ fn dead_register_write_is_via101() {
     // Corrupt: r1's first definition is clobbered by a reload before the
     // add reads it — the original load is dead.
     insts.insert(2, Inst::load(0x1010, 8, 1));
-    let stream = compile(insts, &CoreConfig::default());
+    let stream = compile(insts);
     let report = analyze::analyze(&stream, &base_cfg());
     assert_eq!(codes(&report), ["VIA101"]);
     let diag = &report.diags[0];
@@ -79,7 +82,7 @@ fn dead_store_is_via102() {
     // Corrupt: a second store fully overwrites the first store's bytes
     // with no load of 0x2000 in between.
     insts.insert(4, Inst::store(0x2000, 8, &[2]));
-    let stream = compile(insts, &CoreConfig::default());
+    let stream = compile(insts);
     let report = analyze::analyze(&stream, &base_cfg());
     assert_eq!(codes(&report), ["VIA102"]);
     let diag = &report.diags[0];
@@ -94,7 +97,7 @@ fn partial_overwrite_is_not_a_dead_store() {
     let mut insts = clean_insts();
     // Only half of the first store's bytes are overwritten — not dead.
     insts.insert(4, Inst::store(0x2004, 4, &[2]));
-    let stream = compile(insts, &CoreConfig::default());
+    let stream = compile(insts);
     let report = analyze::analyze(&stream, &base_cfg());
     assert_eq!(report.dead_stores, 0, "{:?}", codes(&report));
 }
@@ -112,17 +115,17 @@ fn unordered_must_alias_is_via103() {
         Inst::vec(VecOpKind::Reduce, &[2], Some(3)),
         Inst::scalar(AluKind::FpAdd, &[3], Some(4)),
     ];
-    let stream = compile(insts, &CoreConfig::default());
     // The dynamic verifier flags the same site at runtime (VIA008); the
     // analyzer proves it statically.
+    let verified = verify_program(&insts.iter().cloned().collect(), &VerifyConfig::default());
     assert!(
-        stream
-            .verify()
+        verified
             .diags
             .iter()
             .any(|d| d.code == DiagCode::UnorderedGatherAfterScatter),
         "dynamic check should agree"
     );
+    let stream = compile(insts);
     let report = analyze::analyze(&stream, &base_cfg());
     assert_eq!(codes(&report), ["VIA103"]);
     let diag = &report.diags[0];
@@ -142,7 +145,7 @@ fn fence_silences_via103() {
         Inst::vec(VecOpKind::Reduce, &[2], Some(3)),
         Inst::scalar(AluKind::FpAdd, &[3], Some(4)),
     ];
-    let stream = compile(insts, &CoreConfig::default());
+    let stream = compile(insts);
     let report = analyze::analyze(&stream, &base_cfg());
     assert_eq!(report.alias_conflicts, 0, "{:?}", codes(&report));
 }
@@ -153,16 +156,7 @@ fn cam_stream(ops: usize) -> CompiledStream {
     let insts: Vec<Inst> = (0..ops)
         .map(|_| Inst::custom(1, 3, true, &[], None))
         .collect();
-    let prog: Program = insts.iter().cloned().collect();
-    let verify = verify_program(
-        &prog,
-        &VerifyConfig::from_core(&CoreConfig::default().with_custom_unit()),
-    );
-    CompiledStream::from_recording(
-        insts,
-        vec![(0, StreamEvent::Marker("sspm mode: cam"))],
-        verify,
-    )
+    CompiledStream::from_recording(insts, vec![(0, StreamEvent::Marker("sspm mode: cam"))])
 }
 
 #[test]

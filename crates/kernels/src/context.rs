@@ -63,10 +63,11 @@ pub struct SimContext {
     /// later [`Engine::replay`]s. Timing-transparent (off by default).
     pub record: bool,
     /// Skip the timing model entirely ([`Engine::enable_emit_only`]):
-    /// pushes are verified and (with [`SimContext::record`]) captured,
-    /// but complete at cycle 0 — the recorded stream is still
-    /// bit-identical to a timed run's. The auto-tuner's cheap compile
-    /// path; cycle statistics of such a run are meaningless.
+    /// pushes still run the engine's verify step (debug builds and report
+    /// capture only) and (with [`SimContext::record`]) are captured, but
+    /// complete at cycle 0 — the recorded stream is still bit-identical to
+    /// a timed run's. The auto-tuner's cheap compile path; cycle
+    /// statistics of such a run are meaningless.
     pub emit_only: bool,
 }
 

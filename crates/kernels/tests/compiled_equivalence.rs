@@ -2,8 +2,9 @@
 //! (compile) run and the replay of its [`CompiledStream`] must be
 //! bit-identical to the plain interpreted run — same cycles and full
 //! [`RunStats`], same stall-cause breakdown, and same captured verify
-//! diagnostics. The compile/replay split is a pure performance
-//! transformation; any divergence here means it changed what is simulated.
+//! diagnostics (the replay re-verifies every instruction it replays).
+//! The compile/replay split is a pure performance transformation; any
+//! divergence here means it changed what is simulated or checked.
 
 use via_formats::{gen, Csb};
 use via_kernels::{histogram, spma, spmm, spmspv, spmv, sptrsv, ssr, stencil, symgs};
@@ -51,11 +52,6 @@ fn assert_equivalent<T: PartialEq + std::fmt::Debug>(
         rec_reports, interp_reports,
         "{name}: recording changed verify reports"
     );
-    assert_eq!(
-        stream.verify(),
-        &rec_reports[0],
-        "{name}: compiled report must equal the recorded run's flush"
-    );
     assert_eq!(stream.len() as u64, interp.stats.instructions);
 
     let guard = verify::capture_guard();
@@ -80,7 +76,7 @@ fn assert_equivalent<T: PartialEq + std::fmt::Debug>(
     assert_eq!(
         stream2, stream,
         "{name}: recording must be deterministic (instructions, events, \
-         verify report, and stream hash all equal across compiles)"
+         and stream hash all equal across compiles)"
     );
 }
 

@@ -6,14 +6,16 @@
 //! that pipeline:
 //!
 //! * **compile** — run a kernel once with
-//!   [`Engine::enable_recording`](crate::Engine::enable_recording) (or feed
-//!   an offline [`Program`] to [`CompiledStream::compile`]) to obtain a
-//!   [`CompiledStream`]: the pre-decoded flat instruction array with its
-//!   operand/dependence edges already resolved into virtual-register ids,
-//!   plus a one-shot static verify report reusing `via-verify`'s analysis;
-//! * **replay** — [`Engine::replay`](crate::Engine::replay) is a pure
-//!   timing loop over that array: no per-sweep emission, allocation, or
-//!   dependence recomputation, and the verifier never re-runs.
+//!   [`Engine::enable_recording`](crate::Engine::enable_recording) to
+//!   obtain a [`CompiledStream`]: the pre-decoded flat instruction array
+//!   with its operand/dependence edges already resolved into
+//!   virtual-register ids, plus its region/marker events and content hash;
+//! * **replay** — [`Engine::replay`](crate::Engine::replay) is a timing
+//!   loop over that array: no per-sweep emission, allocation, or
+//!   dependence recomputation. It runs the same per-instruction verify
+//!   step as a push, so whether a replay is checked depends only on the
+//!   replaying engine (debug build or report capture), never on how the
+//!   stream was recorded.
 //!
 //! Two memo levels layer on top: a process-wide [`StreamCache`] (keyed by
 //! the caller's FNV-1a content hashes, shared across sweep workers so each
@@ -29,7 +31,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::config::{CoreConfig, MemConfig};
 use crate::prog::{Inst, Op};
 use crate::telemetry;
-use crate::verify::{verify_program, Program, Report, VerifyConfig};
 
 /// 64-bit FNV-1a over a byte stream. Stable across platforms and releases —
 /// it keys the campaign store's content seals and the persistent cycle
@@ -193,29 +194,22 @@ pub enum StreamEvent {
 /// A kernel's instruction stream compiled for replay: the pre-decoded flat
 /// instruction array (operand/dependence edges resolved into virtual
 /// register ids at emission), the region/marker annotations, and the
-/// one-shot static verify report. See the [module docs](self) for the
-/// compile/replay pipeline.
+/// content hash over both. Plain data: it carries no verify report. See
+/// the [module docs](self) for the compile/replay pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledStream {
     insts: Vec<Inst>,
     /// `(position, event)` pairs, non-decreasing in position: the event
     /// fired after `position` instructions had been pushed.
     events: Vec<(usize, StreamEvent)>,
-    verify: Report,
     stream_hash: u64,
 }
 
 impl CompiledStream {
-    /// Wraps a recorded stream, its region/marker events, and its verify
-    /// report (used by
-    /// [`Engine::take_compiled`](crate::Engine::take_compiled), whose
-    /// report also carries externally routed diagnostics such as
-    /// `via-core`'s SSPM mode checks).
-    pub fn from_recording(
-        insts: Vec<Inst>,
-        events: Vec<(usize, StreamEvent)>,
-        verify: Report,
-    ) -> Self {
+    /// Wraps a recorded stream and its region/marker events (used by
+    /// [`Engine::take_compiled`](crate::Engine::take_compiled); tests and
+    /// tools wrap hand-built instruction lists the same way).
+    pub fn from_recording(insts: Vec<Inst>, events: Vec<(usize, StreamEvent)>) -> Self {
         telemetry::record_compiled(insts.len() as u64);
         let mut hash = Fnv::new();
         for inst in &insts {
@@ -236,18 +230,8 @@ impl CompiledStream {
         CompiledStream {
             insts,
             events,
-            verify,
             stream_hash: hash.finish(),
         }
-    }
-
-    /// Compiles an offline [`Program`]: one-shot static verification via
-    /// `via-verify`'s [`verify_program`] (reusing its whole-program
-    /// analysis rather than re-deriving checks here), then the flat array.
-    pub fn compile(mut prog: Program, cfg: &VerifyConfig) -> Self {
-        let verify = verify_program(&prog, cfg);
-        let insts = std::mem::take(prog.insts_mut());
-        Self::from_recording(insts, Vec::new(), verify)
     }
 
     /// The pre-decoded instructions, in stream order.
@@ -268,13 +252,6 @@ impl CompiledStream {
     /// Whether the stream is empty.
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
-    }
-
-    /// The compile-time verify report (re-submitted verbatim on replay, so
-    /// diagnostics are bit-identical between the interpreted and compiled
-    /// paths).
-    pub fn verify(&self) -> &Report {
-        &self.verify
     }
 
     /// The stream's canonical content hash: [`stream_hash`] over the
@@ -407,29 +384,12 @@ mod tests {
     }
 
     #[test]
-    fn compile_runs_the_static_verifier_once() {
-        let prog: Program = vec![
-            Inst::scalar(AluKind::Int, &[], Some(0)),
-            // Register 42 has no producer: VIA001.
-            Inst::scalar(AluKind::Int, &[42], None),
-        ]
-        .into_iter()
-        .collect();
-        let cfg = VerifyConfig::from_core(&CoreConfig::default());
-        let stream = CompiledStream::compile(prog, &cfg);
-        assert_eq!(stream.len(), 2);
-        assert_eq!(stream.verify().error_count(), 1);
-        assert_eq!(stream.verify().instructions, 2);
-    }
-
-    #[test]
     fn stream_cache_shares_and_counts() {
         let cache = StreamCache::new();
         let build = || {
             CompiledStream::from_recording(
                 vec![Inst::scalar(AluKind::Int, &[], Some(0))],
                 Vec::new(),
-                Report::default(),
             )
         };
         assert!(cache.get(7).is_none());

@@ -105,10 +105,11 @@ pub struct Engine {
     /// present; disabled it costs one branch per push and never perturbs
     /// timing, so golden cycle counts are identical with tracing on or off.
     trace: TraceState,
-    /// Streaming program verifier (`via-verify`). Always attached in debug
-    /// builds (every debug simulation is checked, errors panic at the
-    /// offending push); in release builds attached only while thread-local
-    /// report capture is enabled, so the hot path pays one `Option` check.
+    /// Streaming program verifier (`via-verify`), attached only by
+    /// [`Engine::new`]: always in debug builds (every pushed or replayed
+    /// instruction is checked, errors panic at the offending instruction);
+    /// in release builds only while thread-local report capture is
+    /// enabled, so the hot path pays one `Option` check.
     verifier: Option<Box<Verifier>>,
     /// Whether the attached verifier should flush its reports to the
     /// thread-local capture sink (instead of panicking in debug builds).
@@ -118,17 +119,13 @@ pub struct Engine {
     /// appended here, to be harvested as a [`CompiledStream`] by
     /// [`Engine::take_compiled`].
     recording: Option<Recording>,
-    /// The compile-time verify report of a stream fed through
-    /// [`Engine::replay`]; flushed to the capture sink instead of the (then
-    /// empty) streaming verifier's report, so captured diagnostics are
-    /// bit-identical between the interpreted and compiled paths.
-    replayed_report: Option<verify::Report>,
     /// Emit-only mode ([`Engine::enable_emit_only`]): pushes skip the
-    /// timing model entirely — only verification and stream recording run.
-    /// Instruction content never depends on timing (kernels read data, not
-    /// cycle counts), so an emit-only recording is bit-identical to a timed
-    /// one; the auto-tuner uses this to compile candidate streams cheaply
-    /// and prune on the static cycle bound before paying for a replay.
+    /// timing model entirely — only the verify step and stream recording
+    /// run. Instruction content never depends on timing (kernels read
+    /// data, not cycle counts), so an emit-only recording is bit-identical
+    /// to a timed one; the auto-tuner uses this to compile candidate
+    /// streams cheaply and prune on the static cycle bound before paying
+    /// for a replay.
     emit_only: bool,
     stats: RunStats,
 }
@@ -169,7 +166,6 @@ impl Engine {
             verifier,
             verify_capture,
             recording: None,
-            replayed_report: None,
             emit_only: false,
             core,
             stats: RunStats::default(),
@@ -242,20 +238,7 @@ impl Engine {
     /// Panics if a [`Op::Custom`] instruction is pushed on a core configured
     /// with `custom_units == 0` (the baseline has no FIVU).
     pub fn push(&mut self, inst: Inst) -> u64 {
-        // --- via-verify: streaming static checks -------------------------
-        // `None` in release builds unless report capture is on, so the
-        // cost there is a single branch.
-        if let Some(v) = self.verifier.as_deref_mut() {
-            let fresh = v.check(&inst);
-            if cfg!(debug_assertions) && !self.verify_capture {
-                if let Some(d) = fresh.iter().find(|d| d.severity() == Severity::Error) {
-                    panic!(
-                        "via-verify rejected the instruction stream:\n{}",
-                        d.render()
-                    );
-                }
-            }
-        }
+        self.verify_inst(&inst);
         let complete = if self.emit_only {
             // Emit-only: count the instruction (so `stream.len() ==
             // stats.instructions` holds on recordings) but skip the timing
@@ -272,8 +255,27 @@ impl Engine {
         complete
     }
 
+    /// The per-instruction verify step (`via-verify`) that both
+    /// [`Engine::push`] and [`Engine::replay`] run. A no-op unless
+    /// [`Engine::new`] attached a verifier (release builds without capture:
+    /// one branch); in a debug build without capture, the first error
+    /// panics at the offending instruction.
+    fn verify_inst(&mut self, inst: &Inst) {
+        if let Some(v) = self.verifier.as_deref_mut() {
+            let fresh = v.check(inst);
+            if cfg!(debug_assertions) && !self.verify_capture {
+                if let Some(d) = fresh.iter().find(|d| d.severity() == Severity::Error) {
+                    panic!(
+                        "via-verify rejected the instruction stream:\n{}",
+                        d.render()
+                    );
+                }
+            }
+        }
+    }
+
     /// The timing model proper: everything [`Engine::push`] does after the
-    /// verifier check. [`Engine::replay`] drives this directly for every
+    /// verify step. [`Engine::replay`] drives this directly for every
     /// pre-decoded instruction of a [`CompiledStream`], so interpreted and
     /// replayed runs share one code path and produce bit-identical cycles,
     /// stall attribution, and statistics.
@@ -753,15 +755,10 @@ impl Engine {
     // ---- compile / replay (via-sim::compile) ---------------------------
 
     /// Starts recording the pushed instruction stream so it can be
-    /// harvested with [`Engine::take_compiled`]. Also attaches a verifier
-    /// if none is present (release builds without capture), so the
-    /// compiled stream's one-shot verify report carries the same
-    /// diagnostics — including externally routed ones like `via-core`'s
-    /// SSPM checks — that a debug interpreted run would see.
+    /// harvested with [`Engine::take_compiled`]. Recording never changes
+    /// what is verified: pushes are checked exactly as on an unrecorded
+    /// run.
     pub fn enable_recording(&mut self) {
-        if self.verifier.is_none() {
-            self.verifier = Some(Box::new(Verifier::new(VerifyConfig::from_core(&self.core))));
-        }
         self.recording = Some(Recording::default());
     }
 
@@ -770,11 +767,12 @@ impl Engine {
         self.recording.is_some()
     }
 
-    /// Puts the engine in *emit-only* mode: subsequent pushes are verified
-    /// and (if recording) captured, but the timing model is skipped and
-    /// every push reports completion cycle 0. Because kernels construct
-    /// instructions from data only — completion cycles feed nothing but
-    /// timing — the recorded stream is bit-identical to a timed run's.
+    /// Puts the engine in *emit-only* mode: subsequent pushes run the
+    /// verify step and (if recording) are captured, but the timing model
+    /// is skipped and every push reports completion cycle 0. Because
+    /// kernels construct instructions from data only — completion cycles
+    /// feed nothing but timing — the recorded stream is bit-identical to a
+    /// timed run's.
     ///
     /// This is the auto-tuner's fast compile path: emit a candidate
     /// variant's stream without cache/calendar work, take its static
@@ -793,49 +791,31 @@ impl Engine {
 
     /// Harvests the recorded stream as a [`CompiledStream`] (turning
     /// recording off), or `None` if [`Engine::enable_recording`] was never
-    /// called. Call before [`Engine::finish`]/[`Engine::reset`]. The
-    /// verify report is *cloned*, not taken: a capturing recorded run
-    /// still flushes its own report exactly like an interpreted one.
+    /// called. Call before [`Engine::finish`]/[`Engine::reset`].
     pub fn take_compiled(&mut self) -> Option<CompiledStream> {
         let rec = self.recording.take()?;
-        let report = self
-            .verifier
-            .as_deref()
-            .map(|v| v.report().clone())
-            .unwrap_or_default();
-        Some(CompiledStream::from_recording(
-            rec.insts, rec.events, report,
-        ))
+        Some(CompiledStream::from_recording(rec.insts, rec.events))
     }
 
     /// Replays a compiled stream through the timing model: a tight loop
-    /// over the pre-decoded instructions with no verifier work (the stream
-    /// was verified once at compile). Returns the last instruction's
+    /// over the pre-decoded instructions. Returns the last instruction's
     /// completion cycle (0 for an empty stream). Cycles, stall attribution
     /// and statistics are bit-identical to pushing the same instructions.
     ///
-    /// The stream's compile-time verify report stands in for the streaming
-    /// verifier's: under capture it is flushed verbatim at
-    /// [`Engine::finish`]/[`Engine::reset`], and in debug builds without
-    /// capture an error-carrying stream panics here, mirroring
-    /// [`Engine::push`]. One stream per run — reset between replays.
+    /// Every instruction runs the same verify step as [`Engine::push`], so
+    /// a replay is checked exactly like the run that recorded it: under
+    /// capture the report of the replayed instructions is flushed at
+    /// [`Engine::finish`]/[`Engine::reset`]. Diagnostics that kernels
+    /// raise during emission through [`Engine::report_diag`] (the SSPM
+    /// mode checks) are not part of the stream and are not raised again.
+    /// One stream per run — reset between replays.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds (without capture) if `stream`'s verify
-    /// report contains an error-severity diagnostic.
+    /// Panics in debug builds (without capture) at the first instruction
+    /// of `stream` with an error-severity diagnostic, as [`Engine::push`]
+    /// does.
     pub fn replay(&mut self, stream: &CompiledStream) -> u64 {
-        if cfg!(debug_assertions) && !self.verify_capture {
-            if let Some(d) = stream
-                .verify()
-                .diags
-                .iter()
-                .find(|d| d.severity() == Severity::Error)
-            {
-                panic!("via-verify rejected the compiled stream:\n{}", d.render());
-            }
-        }
-        self.replayed_report = Some(stream.verify().clone());
         let mut last = 0;
         let mut events = stream.events().iter().peekable();
         for (i, inst) in stream.insts().iter().enumerate() {
@@ -846,6 +826,7 @@ impl Engine {
                 events.next();
                 self.apply_stream_event(event);
             }
+            self.verify_inst(inst);
             last = self.push_core(inst);
         }
         for &(_, event) in events {
@@ -867,19 +848,12 @@ impl Engine {
     }
 
     /// Flushes the run's verify report to the thread-local capture sink
-    /// (when capture is on) and clears the streaming state. A replayed
-    /// run's report is its stream's compile-time report; otherwise it is
-    /// whatever the attached verifier accumulated.
+    /// (when capture is on) and clears the streaming state.
     fn flush_verifier(&mut self) {
-        let replayed = self.replayed_report.take();
-        if self.verify_capture {
-            if let Some(report) = replayed {
-                verify::submit_report(report);
-            } else if let Some(v) = self.verifier.as_deref_mut() {
+        if let Some(v) = self.verifier.as_deref_mut() {
+            if self.verify_capture {
                 verify::submit_report(v.take_report());
             }
-        }
-        if let Some(v) = self.verifier.as_deref_mut() {
             v.reset();
         }
     }
@@ -1426,10 +1400,9 @@ mod tests {
         mixed_workload(&mut fast);
         let fast_stream = fast.take_compiled().expect("recording was on");
 
-        // Identical instructions, events, and verify report — the stream
-        // hash covers all three inputs the replay path consumes.
+        // Identical instructions and events — the stream hash covers both
+        // inputs the replay path consumes.
         assert_eq!(fast_stream.stream_hash(), timed_stream.stream_hash());
-        assert_eq!(fast_stream.verify(), timed_stream.verify());
 
         // Replaying the emit-only stream reproduces the timed run exactly.
         let mut replayer = engine();
@@ -1470,10 +1443,11 @@ mod tests {
     }
 
     #[test]
-    fn replay_flushes_the_compile_time_report_under_capture() {
+    fn replay_reverifies_under_capture() {
         let _guard = verify::capture_guard();
         let mut recorded = engine();
         recorded.enable_recording();
+        recorded.scalar_op(AluKind::Int, &[]);
         // Undefined source register: captured as VIA001 instead of a panic.
         recorded.push(Inst::scalar(AluKind::Int, &[42], None));
         let stream = recorded.take_compiled().expect("recording was on");
@@ -1485,28 +1459,27 @@ mod tests {
         replayer.replay(&stream);
         let _ = replayer.finish();
         let from_replay = verify::drain_captured();
-        assert_eq!(from_replay.len(), 1);
-        // Bit-identical diagnostics across the two paths, and both match
-        // the stream's one-shot report.
+        // The replay checks its instructions itself and finds the same
+        // diagnostic at the same instruction.
         assert_eq!(from_replay, from_recording);
-        assert_eq!(&from_replay[0], stream.verify());
         assert_eq!(from_replay[0].error_count(), 1);
+        assert_eq!(from_replay[0].diags[0].index, 1);
+        assert_eq!(from_replay[0].instructions, 2);
     }
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "VIA001")]
+    #[should_panic(expected = "error[VIA001]: use of undefined register\n  --> inst #1")]
     fn debug_replay_panics_on_error_carrying_stream() {
-        use crate::compile::CompiledStream;
-        use crate::verify::Program;
-        // Compile offline (no engine, no capture): the error lands in the
-        // stream's report rather than panicking.
-        let prog: Program = vec![Inst::scalar(AluKind::Int, &[42], None)]
-            .into_iter()
-            .collect();
-        let stream =
-            CompiledStream::compile(prog, &VerifyConfig::from_core(&CoreConfig::default()));
-        assert_eq!(stream.verify().error_count(), 1);
+        // Built without an engine, so nothing has checked it yet: the
+        // replay's verify step panics at the offending instruction.
+        let stream = CompiledStream::from_recording(
+            vec![
+                Inst::scalar(AluKind::Int, &[], Some(0)),
+                Inst::scalar(AluKind::Int, &[42], None),
+            ],
+            Vec::new(),
+        );
         engine().replay(&stream);
     }
 
@@ -1522,8 +1495,8 @@ mod tests {
         let mut e = engine();
         e.replay(&stream);
         e.reset();
-        // A fresh interpreted run after the reset flushes its own (clean)
-        // streaming report, not the stale replayed one.
+        // The interpreted run after the reset flushes a report of its own
+        // instruction only.
         e.push(Inst::scalar(AluKind::Int, &[7], None));
         let _ = e.finish();
         let reports = verify::drain_captured();

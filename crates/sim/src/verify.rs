@@ -9,11 +9,12 @@
 //! layer that makes those corruptions loud:
 //!
 //! * [`Verifier`] — a streaming checker with O(1) amortized work per
-//!   instruction. The [`Engine`](crate::Engine) runs one over every pushed
-//!   instruction in debug builds (panicking on the first error), and
-//!   attaches one in release builds when [capture](capture_guard) is on,
-//!   so the `verify_programs` binary can sweep every kernel × format with
-//!   the shipping optimized code.
+//!   instruction. [`Engine::new`](crate::Engine::new) attaches one in
+//!   debug builds (panicking on the first error) and, in release builds,
+//!   only when [capture](capture_guard) is on, so the `verify_programs`
+//!   binary can sweep every kernel × format with the shipping optimized
+//!   code. The engine runs it over every instruction it pushes *or
+//!   replays*; recording a stream attaches nothing extra.
 //! * [`Program`] + [`verify_program`] — an offline API over a recorded
 //!   instruction list, used by negative tests that hand-corrupt streams.
 //! * [`Diag`]/[`DiagCode`]/[`Report`] — rustc-style diagnostics

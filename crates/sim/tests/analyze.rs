@@ -6,12 +6,11 @@
 use via_rng::StdRng;
 use via_sim::analyze::{self, AnalyzeConfig};
 use via_sim::prog::{AluKind, Inst};
-use via_sim::verify::{DiagCode, Program, VerifyConfig};
+use via_sim::verify::DiagCode;
 use via_sim::{CompiledStream, CoreConfig, Engine, MemConfig};
 
-fn compile(insts: Vec<Inst>, core: &CoreConfig) -> CompiledStream {
-    let prog: Program = insts.into_iter().collect();
-    CompiledStream::compile(prog, &VerifyConfig::from_core(core))
+fn compile(insts: Vec<Inst>) -> CompiledStream {
+    CompiledStream::from_recording(insts, Vec::new())
 }
 
 fn simulate(insts: &[Inst], core: &CoreConfig) -> u64 {
@@ -99,7 +98,7 @@ fn random_streams_bound_holds_and_findings_validate() {
         };
         let insts = random_stream(rng, 250, with_custom);
         let cycles = simulate(&insts, &core);
-        let stream = compile(insts, &core);
+        let stream = compile(insts);
         let cfg = AnalyzeConfig::from_machine(&core, &MemConfig::default());
         let report = analyze::analyze(&stream, &cfg);
         assert!(
@@ -118,14 +117,13 @@ fn random_streams_bound_holds_and_findings_validate() {
 
 #[test]
 fn dead_write_detected_and_renders_as_analysis() {
-    let core = CoreConfig::default();
     let insts = vec![
         Inst::scalar(AluKind::Int, &[], Some(0)), // dead: redefined at #2
         Inst::scalar(AluKind::Int, &[], Some(1)),
         Inst::scalar(AluKind::Int, &[1], Some(0)),
         Inst::store(0x100, 8, &[0]),
     ];
-    let stream = compile(insts, &core);
+    let stream = compile(insts);
     let report = analyze::analyze(&stream, &AnalyzeConfig::default());
     assert_eq!(report.dead_writes, 1);
     assert_eq!(report.dead_write_sites[0].index, 0);
@@ -142,25 +140,23 @@ fn dead_write_detected_and_renders_as_analysis() {
 
 #[test]
 fn read_register_is_not_a_dead_write() {
-    let core = CoreConfig::default();
     let insts = vec![
         Inst::scalar(AluKind::Int, &[], Some(0)),
         Inst::store(0x100, 8, &[0]), // read before the redefinition
         Inst::scalar(AluKind::Int, &[], Some(0)),
     ];
-    let report = analyze::analyze(&compile(insts, &core), &AnalyzeConfig::default());
+    let report = analyze::analyze(&compile(insts), &AnalyzeConfig::default());
     assert_eq!(report.dead_writes, 0);
 }
 
 #[test]
 fn dead_store_is_byte_exact() {
-    let core = CoreConfig::default();
     let fully_dead = vec![
         Inst::scalar(AluKind::Int, &[], Some(0)),
         Inst::store(0x100, 8, &[0]), // dead: fully overwritten at #2
         Inst::store(0x100, 8, &[0]),
     ];
-    let stream = compile(fully_dead, &core);
+    let stream = compile(fully_dead);
     let report = analyze::analyze(&stream, &AnalyzeConfig::default());
     assert_eq!(report.dead_stores, 1);
     assert_eq!(report.dead_store_bytes, 8);
@@ -174,7 +170,7 @@ fn dead_store_is_byte_exact() {
         Inst::store(0x100, 8, &[0]),
         Inst::store(0x101, 7, &[0]),
     ];
-    let report = analyze::analyze(&compile(partial, &core), &AnalyzeConfig::default());
+    let report = analyze::analyze(&compile(partial), &AnalyzeConfig::default());
     assert_eq!(report.dead_stores, 0);
 
     // A gather observes one byte before the overwrite: not dead.
@@ -184,7 +180,7 @@ fn dead_store_is_byte_exact() {
         Inst::gather(vec![0x104], 4, &[0], 1),
         Inst::store(0x100, 8, &[0]),
     ];
-    let report = analyze::analyze(&compile(observed, &core), &AnalyzeConfig::default());
+    let report = analyze::analyze(&compile(observed), &AnalyzeConfig::default());
     assert_eq!(report.dead_stores, 0);
 
     // A scatter can be the killer (but is never itself a candidate).
@@ -193,13 +189,12 @@ fn dead_store_is_byte_exact() {
         Inst::store(0x200, 4, &[0]),
         Inst::scatter(vec![0x200], 4, &[0]),
     ];
-    let report = analyze::analyze(&compile(scatter_kill, &core), &AnalyzeConfig::default());
+    let report = analyze::analyze(&compile(scatter_kill), &AnalyzeConfig::default());
     assert_eq!(report.dead_stores, 1);
 }
 
 #[test]
 fn must_alias_conflict_and_ordering_evidence() {
-    let core = CoreConfig::default();
     // Gather overlaps the scatter byte-exactly, no ordering evidence.
     let conflict = vec![
         Inst::scalar(AluKind::Int, &[], Some(0)),
@@ -207,7 +202,7 @@ fn must_alias_conflict_and_ordering_evidence() {
         Inst::scatter(vec![0x100, 0x200], 8, &[0]),
         Inst::gather(vec![0x200, 0x300], 8, &[1], 2),
     ];
-    let stream = compile(conflict, &core);
+    let stream = compile(conflict);
     let report = analyze::analyze(&stream, &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 1);
     assert_eq!(report.alias_sites[0].gather, 3);
@@ -222,7 +217,7 @@ fn must_alias_conflict_and_ordering_evidence() {
         Inst::scatter(vec![0x200], 8, &[0]),
         Inst::gather(vec![0x208], 8, &[1], 2),
     ];
-    let report = analyze::analyze(&compile(line_share_only, &core), &AnalyzeConfig::default());
+    let report = analyze::analyze(&compile(line_share_only), &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 0);
 
     // A fence orders them.
@@ -233,7 +228,7 @@ fn must_alias_conflict_and_ordering_evidence() {
         Inst::fence(),
         Inst::gather(vec![0x200], 8, &[1], 2),
     ];
-    let report = analyze::analyze(&compile(fenced, &core), &AnalyzeConfig::default());
+    let report = analyze::analyze(&compile(fenced), &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 0);
 
     // Shared source register is ordering evidence.
@@ -242,7 +237,7 @@ fn must_alias_conflict_and_ordering_evidence() {
         Inst::scatter(vec![0x200], 8, &[0]),
         Inst::gather(vec![0x200], 8, &[0], 1),
     ];
-    let report = analyze::analyze(&compile(shared_src, &core), &AnalyzeConfig::default());
+    let report = analyze::analyze(&compile(shared_src), &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 0);
 
     // A source defined after the scatter is ordering evidence.
@@ -252,7 +247,7 @@ fn must_alias_conflict_and_ordering_evidence() {
         Inst::scalar(AluKind::Int, &[0], Some(1)),
         Inst::gather(vec![0x200], 8, &[1], 2),
     ];
-    let report = analyze::analyze(&compile(later_def, &core), &AnalyzeConfig::default());
+    let report = analyze::analyze(&compile(later_def), &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 0);
 }
 
@@ -294,9 +289,8 @@ fn cam_occupancy_bound_from_markers() {
 
 #[test]
 fn analysis_cache_memoizes_by_stream_and_config() {
-    let core = CoreConfig::default();
     let insts = vec![Inst::scalar(AluKind::Int, &[], Some(0))];
-    let stream = compile(insts, &core);
+    let stream = compile(insts);
     let cache = via_sim::AnalysisCache::new();
     let cfg = AnalyzeConfig::default();
     let a = cache.get_or_analyze(&stream, &cfg);
@@ -315,9 +309,8 @@ fn analysis_cache_memoizes_by_stream_and_config() {
 /// identically, so the analysis keys match the sweep's stream keys.
 #[test]
 fn analysis_report_is_keyed_by_content() {
-    let core = CoreConfig::default();
-    let a = compile(vec![Inst::scalar(AluKind::Int, &[], Some(0))], &core);
-    let b = compile(vec![Inst::scalar(AluKind::Int, &[], Some(0))], &core);
+    let a = compile(vec![Inst::scalar(AluKind::Int, &[], Some(0))]);
+    let b = compile(vec![Inst::scalar(AluKind::Int, &[], Some(0))]);
     let cfg = AnalyzeConfig::default();
     let report = analyze::analyze(&a, &cfg);
     assert_eq!(report.stream_hash, a.stream_hash());

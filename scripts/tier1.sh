@@ -3,8 +3,10 @@
 #
 #   scripts/tier1.sh
 #
-# Formatting, the clippy wall, release build, full workspace test suite,
-# the golden cycle-count snapshots (the bit-exactness contract for the
+# Formatting, the clippy wall, release build, full workspace test suite
+# in release and in debug (debug builds verify every pushed and replayed
+# instruction, so that run doubles as the stream-soundness proof), the
+# golden cycle-count snapshots (the bit-exactness contract for the
 # timing model), the via-verify static sweep over every shipped kernel's
 # instruction streams, the quick auto-tune (gated on soundness and on the
 # 1.10x tuned-over-default geomean floor), the campaign kill-and-resume
@@ -31,6 +33,9 @@ cargo build --release --workspace
 
 echo "==> cargo test (workspace, release)"
 cargo test --workspace --release -q
+
+echo "==> cargo test (workspace, debug: every pushed and replayed instruction verified)"
+cargo test --workspace -q
 
 echo "==> golden cycle snapshots"
 cargo test -p via-kernels --release -q --test golden_cycles
