@@ -32,7 +32,7 @@ use via_bench::campaign::{
 };
 use via_bench::report::banner;
 use via_bench::tune::{tune, tuned_path, write_tuned, TuneConfig};
-use via_bench::{next_flag_value, SweepMemo};
+use via_bench::{check_suite_size, next_flag_value, SweepMemo};
 use via_formats::gen::StratifiedConfig;
 
 struct Cli {
@@ -183,6 +183,7 @@ fn parse_run_cli(args: &[String]) -> Cli {
         }),
         None => {
             strat.count = synthetic.unwrap_or(64);
+            check_suite_size("--synthetic", strat.count, strat.min_rows, strat.max_rows);
             Corpus::Synthetic(strat)
         }
     };

@@ -1,15 +1,12 @@
 //! Figure 9: design-space exploration of SSPM size and ports.
 
 use via_bench::report::{banner, render_table, speedup};
-use via_bench::{fig9_bound_audit, fig9_dse_with_memo, ExperimentScale, SweepMemo};
+use via_bench::{fig9_dse, ExperimentScale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = ExperimentScale {
-        matrices: 8,
-        ..ExperimentScale::default()
-    }
-    .from_args(&args);
+    // The DSE suite by default; explicit scale flags override it.
+    let scale = ExperimentScale::default().dse().from_args(&args);
     print!(
         "{}",
         banner(
@@ -18,19 +15,17 @@ fn main() {
              for 4_4p/16_2p/16_4p (paper §VI-A)",
         )
     );
-    let eff = scale.dse();
     eprintln!(
         "suite: {} matrices, {}..{} rows, density {:.1}%..{:.1}%, seed {}",
-        eff.matrices,
-        eff.min_rows,
-        eff.max_rows,
-        eff.density_range.0 * 100.0,
-        eff.density_range.1 * 100.0,
-        eff.seed
+        scale.matrices,
+        scale.min_rows,
+        scale.max_rows,
+        scale.density_range.0 * 100.0,
+        scale.density_range.1 * 100.0,
+        scale.seed
     );
     let before = via_sim::telemetry::snapshot();
-    let memo = SweepMemo::new();
-    let rows = fig9_dse_with_memo(&eff, &memo);
+    let (rows, audit) = fig9_dse(&scale);
     let header: Vec<String> = ["config", "SpMV (CSB)", "SpMA", "SpMM"]
         .iter()
         .map(|s| s.to_string())
@@ -57,11 +52,10 @@ fn main() {
         .collect();
     print!("{}", render_table(&header, &table));
 
-    // Post-sweep static-bound audit over the memoized streams: how tight
-    // the analyzer's cycle lower bound is per kernel, and how many sweep
-    // points a repetition could prune before simulation because their
-    // lower bound already exceeds the per-matrix winner's measured cycles.
-    let audit = fig9_bound_audit(&eff, &memo);
+    // Static-bound audit of the same sweep points: how tight the
+    // analyzer's cycle lower bound is per kernel, and how many points a
+    // sweep could prune before simulation because their lower bound
+    // already exceeds the per-matrix winner's measured cycles.
     let audit_header: Vec<String> = ["kernel", "points", "bound tightness", "prunable", "unsound"]
         .iter()
         .map(|s| s.to_string())
@@ -85,8 +79,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    // The DSE sweep runs on the compile/replay path (streams recorded
-    // once, identical streams deduplicated across configs) — the counters
-    // below make that visible in CI logs.
+    // Every point is recorded once for its bound and its stream dropped
+    // straight away; the counters below show the compiled streams in CI
+    // logs.
     println!("{}", via_sim::telemetry::snapshot().since(&before).render());
 }

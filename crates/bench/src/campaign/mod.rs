@@ -33,8 +33,9 @@
 //!   campaign (resume, overlap, or a fresh directory seeded with the
 //!   memo) that meets the same `(matrix, kernel, config)` under the same
 //!   timing configuration rebuilds its result row from the memo and skips
-//!   the simulator entirely — level two of the compile/replay pipeline's
-//!   memoization (level one is the in-process [`via_sim::StreamCache`]).
+//!   the simulator entirely. This is the campaign's only memo: it keeps
+//!   no in-process stream cache, and each job drops its recorded streams
+//!   once their hashes are taken.
 //! * **Work-stealing queue** — workers claim job indices from a shared
 //!   atomic counter (the same contention-free scheme as
 //!   [`parallel_map`](crate::suite::parallel_map)) with per-worker progress

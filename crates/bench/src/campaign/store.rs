@@ -277,10 +277,8 @@ impl ResultRow {
 /// compiled streams' content hashes and the core/memory timing-config
 /// hash. A later campaign over the same inputs under the same timing
 /// config rebuilds the [`ResultRow`] from this memo and **skips the
-/// simulator entirely** — the second level of the compile/replay
-/// pipeline's memoization (level one, the in-process
-/// [`via_sim::StreamCache`], saves re-compiles within a run; this level
-/// saves replays across runs).
+/// simulator entirely**. It is the campaign's only memo: nothing caches
+/// compiled streams within a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CycleRow {
     /// Matrix name (spec name or file path).

@@ -32,11 +32,14 @@ pub use campaign::{
     ShardSpec, StoreMeta,
 };
 pub use experiments::{
-    fig10_spmv, fig11_spma, fig11_spmm, fig12a_histogram, fig12b_stencil, fig9_bound_audit,
-    fig9_dse, fig9_dse_with_memo, kernel_bound_tightness, point_key, stall_sweep, table2_area,
-    BoundAuditRow, CategoryRow, CompiledRun, DseRow, HistogramRow, SpmvFormatRow, StallRow,
-    StencilRow, SweepMemo, TightnessRow,
+    fig10_spmv, fig11_spma, fig11_spmm, fig12a_histogram, fig12b_stencil, fig9_dse,
+    kernel_bound_tightness, point_key, stall_sweep, table2_area, BoundAuditRow, CategoryRow,
+    CompiledRun, DseRow, HistogramRow, SpmvFormatRow, StallRow, StencilRow, SweepMemo,
+    TightnessRow,
 };
 pub use multicore::{multicore_sweep, BakeoffRow, MulticoreOutcome, ScalingPoint, CORE_COUNTS};
-pub use suite::{default_threads, flag_arg, next_flag_value, parallel_map, ExperimentScale, Suite};
+pub use suite::{
+    check_suite_size, default_threads, flag_arg, next_flag_value, parallel_map, ExperimentScale,
+    Suite,
+};
 pub use tune::{load_tuned, tune, tuned_path, write_tuned, TuneConfig, TuneOutcome, TunedRow};

@@ -83,7 +83,8 @@ impl ExperimentScale {
     /// Parses `--matrices`, `--max-rows`, `--min-rows`, `--seed`, and
     /// `--threads` from CLI arguments, starting from `self` as defaults;
     /// other arguments are left to the caller. A missing or unparsable
-    /// value prints the flag and the value and exits with status 2.
+    /// value, or a suite [`check_suite_size`] rejects, prints the flag and
+    /// the value and exits with status 2.
     pub fn from_args(self, args: &[String]) -> Self {
         or_exit(self.try_from_args(args))
     }
@@ -105,7 +106,35 @@ impl ExperimentScale {
             *field = flag_value(flag, it.next())?;
         }
         self.threads = self.threads.max(1);
+        suite_size("--matrices", self.matrices, self.min_rows, self.max_rows)?;
         Ok(self)
+    }
+}
+
+/// Checks the size flags of a generated suite: `count` matrices (set by
+/// `count_flag`) with rows in `min_rows..=max_rows`. An empty suite, fewer
+/// than 2 rows, or an inverted range prints the flag(s) and value(s) and
+/// exits with status 2, before any generator can panic on them.
+pub fn check_suite_size(count_flag: &str, count: usize, min_rows: usize, max_rows: usize) {
+    or_exit(suite_size(count_flag, count, min_rows, max_rows))
+}
+
+fn suite_size(
+    count_flag: &str,
+    count: usize,
+    min_rows: usize,
+    max_rows: usize,
+) -> Result<(), String> {
+    if count == 0 {
+        Err(format!("{count_flag} wants at least 1 matrix, got 0"))
+    } else if min_rows < 2 {
+        Err(format!("--min-rows wants at least 2 rows, got {min_rows}"))
+    } else if min_rows > max_rows {
+        Err(format!(
+            "--min-rows {min_rows} exceeds --max-rows {max_rows}"
+        ))
+    } else {
+        Ok(())
     }
 }
 
@@ -271,6 +300,37 @@ mod tests {
             parse(&["--max-rows", "300", "--matrices"]),
             Err("--matrices needs a value".to_string())
         );
+    }
+
+    #[test]
+    fn scale_from_args_rejects_degenerate_suites() {
+        let parse = |scale: ExperimentScale, args: &str| {
+            let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+            let s = scale.try_from_args(&args)?;
+            Ok::<_, String>((s.matrices, s.min_rows, s.max_rows))
+        };
+        let default = ExperimentScale::default;
+        for (args, error) in [
+            ("--matrices 0", "--matrices wants at least 1 matrix, got 0"),
+            ("--min-rows 0", "--min-rows wants at least 2 rows, got 0"),
+            ("--min-rows 1", "--min-rows wants at least 2 rows, got 1"),
+            (
+                "--min-rows 600 --max-rows 300",
+                "--min-rows 600 exceeds --max-rows 300",
+            ),
+            // The range is checked after every flag, so defaults count too.
+            ("--max-rows 100", "--min-rows 256 exceeds --max-rows 100"),
+        ] {
+            assert_eq!(parse(default(), args), Err(error.to_string()));
+        }
+        let smallest = "--matrices 1 --min-rows 2 --max-rows 2";
+        assert_eq!(parse(default(), smallest), Ok((1, 2, 2)));
+        // Figure 9 starts from the DSE suite; explicit flags override it.
+        let dse = |args| parse(default().dse(), args);
+        assert_eq!(dse(""), Ok((8, 2048, 3072)));
+        assert_eq!(dse("--matrices 16"), Ok((16, 2048, 3072)));
+        let error = "--min-rows 2048 exceeds --max-rows 1024";
+        assert_eq!(dse("--max-rows 1024"), Err(error.to_string()));
     }
 
     #[test]

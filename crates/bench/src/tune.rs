@@ -463,8 +463,8 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
 
             // Audit: re-simulate every pruned stream and prove (a) the
             // bound held and (b) the prune could not have changed the
-            // winner — the same soundness argument `fig9_bound_audit`
-            // makes for the DSE sweep.
+            // winner — the same soundness argument `fig9_dse`'s bound
+            // audit makes for the DSE sweep.
             for (v, stream, bound) in pruned {
                 tally.audited += 1;
                 let mut e = ctx.via_engine();

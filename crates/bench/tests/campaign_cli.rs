@@ -1,6 +1,7 @@
 //! The `campaign run` command line, driven through the built binary: exit
 //! codes for usable, partly usable and unusable `.mtx` corpora, and exit 2
-//! naming the flag for bad or conflicting arguments.
+//! naming the flag for bad, conflicting or degenerate arguments
+//! (`campaign tune` and `fig9_dse` share the suite-size check).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -120,6 +121,63 @@ fn a_synthetic_corpus_flag_with_corpus_exits_2() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--seed"), "{}", stderr(&out));
+    assert!(
+        !store.exists(),
+        "a rejected command line must not start a run"
+    );
+}
+
+#[test]
+fn a_degenerate_suite_size_exits_2_naming_its_flags() {
+    let scratch = Scratch::new("degenerate");
+    let store = scratch.0.join("store");
+    let campaign = env!("CARGO_BIN_EXE_campaign");
+    for (bin, args, error) in [
+        (
+            campaign,
+            "run --synthetic 2 --min-rows 600 --max-rows 300",
+            "--min-rows 600 exceeds --max-rows 300",
+        ),
+        (
+            campaign,
+            "run --synthetic 2 --min-rows 1",
+            "--min-rows wants at least 2 rows, got 1",
+        ),
+        (
+            campaign,
+            "run --synthetic 0",
+            "--synthetic wants at least 1 matrix, got 0",
+        ),
+        (
+            campaign,
+            "tune --min-rows 600 --max-rows 300",
+            "--min-rows 600 exceeds --max-rows 300",
+        ),
+        (
+            campaign,
+            "tune --matrices 0",
+            "--matrices wants at least 1 matrix, got 0",
+        ),
+        // Figure 9's suite starts at 2,048 rows, so a lower cap is rejected.
+        (
+            env!("CARGO_BIN_EXE_fig9_dse"),
+            "--max-rows 1024",
+            "--min-rows 2048 exceeds --max-rows 1024",
+        ),
+    ] {
+        let mut cmd = Command::new(bin);
+        cmd.args(args.split(' '));
+        if bin == campaign {
+            cmd.arg("--dir").arg(&store);
+        }
+        let out = cmd.output().expect("run the binary");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args}: {err}");
+        assert!(
+            err.contains(error) && !err.contains("panicked"),
+            "{args}: {err}"
+        );
+    }
     assert!(
         !store.exists(),
         "a rejected command line must not start a run"

@@ -9,8 +9,8 @@
 //! * a stable, parseable **name** (`sptrsv/levels/fg8`) that doubles as the
 //!   tuner's on-disk identity,
 //! * a **content hash** ([`via_sim::fnv1a64`] of the name) that plugs into
-//!   the memo hierarchy (`StreamCache` / `SweepMemo` / `cycles.jsonl`)
-//!   exactly like a kernel/config pair does today, and
+//!   the memo hierarchy (`SweepMemo` / `cycles.jsonl`) exactly like a
+//!   kernel/config pair does today, and
 //! * an [`emit`](KernelVariant::emit) method producing the kernel's
 //!   [`KernelRun`](via_kernels::KernelRun) — the same stream the
 //!   hand-written kernel emits at the

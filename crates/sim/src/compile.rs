@@ -21,11 +21,10 @@
 //! the caller's FNV-1a content hashes, shared across sweep workers so each
 //! (matrix, kernel) point compiles exactly once per process), and the
 //! persistent (stream-hash, config-hash) → cycle cache `via-campaign`
-//! keeps in its JSONL store. [`fnv1a64`], [`stream_hash`] and
-//! [`config_hash`] define those keys.
+//! keeps in its JSONL store. [`fnv1a64`],
+//! [`CompiledStream::stream_hash`] and [`config_hash`] define those keys.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::config::{CoreConfig, MemConfig};
@@ -81,22 +80,9 @@ impl Fnv {
     }
 }
 
-/// Canonical content hash of an instruction array: FNV-1a over a fixed
-/// little-endian encoding of every instruction (op discriminant + payload,
-/// source registers, destination). Two arrays hash equal iff they replay
-/// to identical cycles, so this is the first half of the persistent
-/// (stream-hash, config-hash) cycle-cache key.
-/// [`CompiledStream::stream_hash`] extends this with the recorded
-/// region/marker events (which don't affect timing but are part of the
-/// stream's observable content).
-pub fn stream_hash(insts: &[Inst]) -> u64 {
-    let mut h = Fnv::new();
-    for inst in insts {
-        hash_inst(&mut h, inst);
-    }
-    h.finish()
-}
-
+/// Feeds one instruction's canonical encoding to `h`: a fixed
+/// little-endian encoding of the op discriminant and payload, the source
+/// registers and the destination.
 fn hash_inst(h: &mut Fnv, inst: &Inst) {
     match &inst.op {
         Op::Scalar { kind } => {
@@ -254,8 +240,11 @@ impl CompiledStream {
         self.insts.is_empty()
     }
 
-    /// The stream's canonical content hash: [`stream_hash`] over the
-    /// instructions, extended with the region/marker events.
+    /// The stream's canonical content hash: FNV-1a over every
+    /// instruction's encoding (op and payload, sources, destination), then
+    /// the region/marker events. Streams that differ in any instruction or
+    /// event hash apart (up to FNV-1a collisions), so this is the first
+    /// half of the persistent (stream-hash, config-hash) cycle-cache key.
     pub fn stream_hash(&self) -> u64 {
         self.stream_hash
     }
@@ -264,15 +253,12 @@ impl CompiledStream {
 /// A process-wide compiled-stream cache, shared by sweep workers so each
 /// (matrix, kernel, config) point compiles exactly once per process.
 ///
-/// Keys are caller-chosen FNV-1a content hashes (the campaign uses its
-/// store's matrix fingerprints; `fig9_dse` hashes the sweep-point
-/// identity). Hit/miss counts feed both the local accessors and the
-/// process-wide [`telemetry`] counters.
+/// Keys are caller-chosen FNV-1a content hashes (`via-bench`'s
+/// `SweepMemo::cycles_for` hashes the sweep-point identity). Lookups
+/// count hits and misses in the process-wide [`telemetry`] counters.
 #[derive(Debug, Default)]
 pub struct StreamCache {
     map: Mutex<HashMap<u64, Arc<CompiledStream>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl StreamCache {
@@ -291,12 +277,6 @@ impl StreamCache {
     /// Looks up a compiled stream, counting a hit or miss.
     pub fn get(&self, key: u64) -> Option<Arc<CompiledStream>> {
         let found = self.map().get(&key).cloned();
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
         telemetry::record_stream_cache(found.is_some());
         found
     }
@@ -310,18 +290,6 @@ impl StreamCache {
             .clone()
     }
 
-    /// Returns the cached stream for `key`, compiling with `f` on a miss.
-    pub fn get_or_compile(
-        &self,
-        key: u64,
-        f: impl FnOnce() -> CompiledStream,
-    ) -> Arc<CompiledStream> {
-        match self.get(key) {
-            Some(s) => s,
-            None => self.insert(key, f()),
-        }
-    }
-
     /// Number of cached streams.
     pub fn len(&self) -> usize {
         self.map().len()
@@ -330,16 +298,6 @@ impl StreamCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Lookup hits since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookup misses since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -359,15 +317,13 @@ mod tests {
 
     #[test]
     fn stream_hash_distinguishes_payload_sources_and_dst() {
-        let base = vec![Inst::load(0x100, 8, 1)];
-        let other_addr = vec![Inst::load(0x108, 8, 1)];
-        let other_dst = vec![Inst::load(0x100, 8, 2)];
-        let with_dep = vec![Inst::load_dep(0x100, 8, &[3], 1)];
-        let h = stream_hash(&base);
-        assert_eq!(h, stream_hash(&base.clone()));
-        assert_ne!(h, stream_hash(&other_addr));
-        assert_ne!(h, stream_hash(&other_dst));
-        assert_ne!(h, stream_hash(&with_dep));
+        let hash =
+            |inst: Inst| CompiledStream::from_recording(vec![inst], Vec::new()).stream_hash();
+        let h = hash(Inst::load(0x100, 8, 1));
+        assert_eq!(h, hash(Inst::load(0x100, 8, 1)));
+        assert_ne!(h, hash(Inst::load(0x108, 8, 1)), "address");
+        assert_ne!(h, hash(Inst::load(0x100, 8, 2)), "destination");
+        assert_ne!(h, hash(Inst::load_dep(0x100, 8, &[3], 1)), "dependence");
     }
 
     #[test]
@@ -393,11 +349,11 @@ mod tests {
             )
         };
         assert!(cache.get(7).is_none());
-        let a = cache.get_or_compile(7, build);
-        let b = cache.get_or_compile(7, || unreachable!("must hit"));
-        assert!(Arc::ptr_eq(&a, &b));
+        let a = cache.insert(7, build());
+        // A racing insert under the same key keeps the first stream.
+        let b = cache.insert(7, build());
+        let c = cache.get(7).expect("must hit");
+        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &c));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2); // the bare get() and the first get_or_compile
     }
 }

@@ -57,7 +57,7 @@ pub mod verify;
 
 pub use alloc::{AddressSpace, Region};
 pub use analyze::{analyze, AnalysisCache, AnalysisReport, AnalyzeConfig, StaticBound};
-pub use compile::{config_hash, fnv1a64, stream_hash, CompiledStream, StreamCache};
+pub use compile::{config_hash, fnv1a64, CompiledStream, StreamCache};
 pub use config::{CacheConfig, CoreConfig, MemConfig};
 pub use engine::Engine;
 pub use mem::SharedLlc;
