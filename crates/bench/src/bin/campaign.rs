@@ -32,7 +32,7 @@ use via_bench::campaign::{
 };
 use via_bench::report::banner;
 use via_bench::tune::{tune, tuned_path, write_tuned, TuneConfig};
-use via_bench::{check_suite_size, next_flag_value, SweepMemo};
+use via_bench::{check_nonzero, check_suite_size, next_flag_value, SweepMemo};
 use via_formats::gen::StratifiedConfig;
 
 struct Cli {
@@ -142,7 +142,11 @@ fn parse_run_cli(args: &[String]) -> Cli {
             }
             "--threads" => threads = Some(next_flag_value(&mut it, "--threads")),
             "--budget-ms" => budget_ms = next_flag_value(&mut it, "--budget-ms"),
-            "--max-jobs" => max_jobs = Some(next_flag_value(&mut it, "--max-jobs")),
+            "--max-jobs" => {
+                let n = next_flag_value(&mut it, "--max-jobs");
+                check_nonzero("--max-jobs", n, "job");
+                max_jobs = Some(n);
+            }
             "--seed" => {
                 strat.seed = next_flag_value(&mut it, "--seed");
                 synthetic_only = Some("--seed");
@@ -292,7 +296,7 @@ fn cmd_merge(args: &[String]) {
         usage();
     }
     let out = PathBuf::from(&args[0]);
-    let inputs: Vec<PathBuf> = args[1..].iter().map(PathBuf::from).collect();
+    let inputs = store_dirs("merge", &args[1..]);
     match merge_stores(&out, &inputs) {
         Ok(s) => {
             println!(
@@ -322,12 +326,27 @@ fn cmd_merge(args: &[String]) {
     }
 }
 
+/// The store directories a `merge` or `report` reads. A path that is not
+/// a directory exits 2 naming it, before anything is read or written; an
+/// existing directory without store files reads as an empty store.
+fn store_dirs(cmd: &str, args: &[String]) -> Vec<PathBuf> {
+    let dirs: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
+    if let Some(missing) = dirs.iter().find(|d| !d.is_dir()) {
+        eprintln!(
+            "campaign {cmd}: no store directory at {}",
+            missing.display()
+        );
+        std::process::exit(2);
+    }
+    dirs
+}
+
 fn cmd_report(args: &[String]) {
     if args.is_empty() || args.iter().any(|a| a.starts_with("--")) {
         eprintln!("report wants: campaign report <store>...");
         usage();
     }
-    let dirs: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
+    let dirs = store_dirs("report", args);
     match aggregate_report_dirs(&dirs) {
         Ok(report) => print!("{report}"),
         Err(e) => {

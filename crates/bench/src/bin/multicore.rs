@@ -12,7 +12,7 @@
 //! ```
 
 use via_bench::report::banner;
-use via_bench::{flag_arg, multicore_sweep, ExperimentScale};
+use via_bench::{flag_arg, multicore_sweep, write_or_exit, ExperimentScale};
 
 /// Acceptance floor: geomean speedup at 4 cores across the partitioned
 /// kernels and backends (nnz-balanced bands over a shared LLC).
@@ -41,10 +41,10 @@ fn main() {
 
     let four = out.partitioned_geomean(4);
     println!("\n4-core geomean speedup {four:.2}x (floor {FOUR_CORE_FLOOR}x)");
-    std::fs::write(&out_path, out.to_json(&scale)).expect("write multicore json");
+    write_or_exit(&out_path, &out.to_json(&scale));
     eprintln!("-> {out_path}");
-    assert!(
-        four >= FOUR_CORE_FLOOR,
-        "4-core geomean {four:.3}x under the {FOUR_CORE_FLOOR}x acceptance floor"
-    );
+    if four < FOUR_CORE_FLOOR {
+        eprintln!("4-core geomean {four:.3}x under the {FOUR_CORE_FLOOR}x acceptance floor");
+        std::process::exit(1);
+    }
 }

@@ -13,7 +13,7 @@
 
 use via_bench::experiments::stall_sweep;
 use via_bench::report::{banner, stall_table};
-use via_bench::{flag_arg, ExperimentScale, Suite};
+use via_bench::{flag_arg, write_or_exit, ExperimentScale, Suite};
 use via_formats::{gen, Csb};
 use via_kernels::{spmv, SimContext, TraceOptions};
 
@@ -100,7 +100,7 @@ fn write_chrome_trace(scale: &ExperimentScale, path: &str) {
     let x = gen::dense_vector(m.csr.cols(), m.seed);
     let run = spmv::via_csb(&csb, &x, &ctx);
     let json = run.chrome.expect("event capture enabled");
-    std::fs::write(path, &json).expect("write chrome trace");
+    write_or_exit(path, &json);
     eprintln!(
         "chrome trace for spmv/via_csb on {}x{} ({} nnz) written to {path}",
         m.csr.rows(),

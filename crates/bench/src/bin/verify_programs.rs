@@ -24,7 +24,7 @@
 //! `--quick`.
 
 use via_bench::experiments::{skewed_keys, uniform_keys};
-use via_bench::{flag_arg, ExperimentScale, Suite};
+use via_bench::{flag_arg, write_or_exit, ExperimentScale, Suite};
 use via_core::ViaConfig;
 use via_formats::{gen, Csb, SellCSigma, Spc5};
 use via_gen::{GenInputs, Kernel, KernelVariant};
@@ -536,7 +536,7 @@ fn main() {
         cache.misses(),
         errors == 0 && analysis_failures == 0
     );
-    std::fs::write(&out_path, &json).expect("write verify json");
+    write_or_exit(&out_path, &json);
     eprintln!(
         "verify_programs: {total_instructions} instructions across {} targets \
          -> {errors} errors, {warnings} warnings; analyzed {analyzed_streams} \

@@ -492,7 +492,7 @@ impl StoreMeta {
 
     /// Parses a manifest line, validating the integrity hash.
     pub fn from_json(line: &str) -> Option<StoreMeta> {
-        let fields = unseal(line.trim())?;
+        let fields = unseal(line)?;
         if str_field(&fields, "kind")? != "campaign_manifest" {
             return None;
         }
@@ -595,16 +595,21 @@ pub(crate) fn load_rows<T>(
         Err(e) => return Err(e),
     };
     let mut rows = Vec::new();
-    for line in std::io::BufReader::new(file).lines() {
+    for line in std::io::BufReader::new(file).split(b'\n') {
         let line = line?;
+        // A torn or corrupt line (killed writer, possibly cut inside a
+        // multi-byte character) is dropped; the job it described is simply
+        // not in the manifest and will re-run.
+        let Ok(line) = std::str::from_utf8(&line) else {
+            continue;
+        };
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
-        if let Some(row) = parse(&line) {
+        if let Some(row) = parse(line) {
             rows.push(row);
         }
-        // else: torn/corrupt line (killed writer) — dropped; the job it
-        // described is simply not in the manifest and will re-run.
     }
     Ok(rows)
 }
@@ -653,6 +658,7 @@ impl Appender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use via_rng::{cases, mutate};
 
     fn sample_row() -> ResultRow {
         ResultRow {
@@ -680,21 +686,39 @@ mod tests {
         assert!((back.speedup() - 4.0).abs() < 1e-12);
     }
 
+    /// A file of rows torn anywhere (inside a multi-byte character too) or
+    /// edited loads as exactly its intact rows.
     #[test]
     fn torn_lines_are_rejected() {
-        let line = sample_row().to_jsonl();
-        for cut in [1, line.len() / 2, line.len() - 1] {
-            assert!(
-                ResultRow::from_jsonl(&line[..cut]).is_none(),
-                "truncated at {cut} should not parse"
-            );
-        }
-        let mut tampered = line.clone();
-        tampered = tampered.replace("\"rows\":128", "\"rows\":129");
-        assert!(
-            ResultRow::from_jsonl(&tampered).is_none(),
-            "hash must catch edits"
-        );
+        let dir = std::env::temp_dir().join(format!("via_torn_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("results.jsonl");
+        cases(40, 0x7042, |case, rng| {
+            let (mut file, mut intact) = (Vec::new(), Vec::new());
+            for n in 0..rng.below(24) {
+                let row = ResultRow {
+                    matrix: format!("m/café_{n}/矩阵.mtx"),
+                    ..sample_row()
+                };
+                let line = row.to_jsonl().into_bytes();
+                match rng.below(4) {
+                    0 => file.extend_from_slice(&line[..rng.below(line.len() as u64) as usize]),
+                    1 => file.extend(mutate(&line, rng)),
+                    _ => {
+                        file.extend_from_slice(&line);
+                        intact.push(row);
+                    }
+                }
+                file.push(b'\n');
+            }
+            // The writer died mid-append: a last line with no newline.
+            let last = sample_row().to_jsonl().into_bytes();
+            file.extend_from_slice(&last[..rng.below(last.len() as u64) as usize]);
+            std::fs::write(&path, &file).unwrap();
+            let rows = load_rows(&path, ResultRow::from_jsonl).expect("a torn file loads");
+            assert_eq!(rows, intact, "case {case}");
+        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -813,8 +837,18 @@ mod tests {
         assert!(parse_flat_object("{\"a\":").is_none());
     }
 
-    /// One literal sealed line per row type: the on-disk format every
-    /// existing store, memo and `tuned.jsonl` depends on.
+    /// One literal sealed line per row type (`ResultRow` with and without
+    /// `ssr_cycles`): the on-disk format every existing store, memo and
+    /// `tuned.jsonl` depends on.
+    const PINNED: [&str; 6] = [
+        r#"{"schema":1,"matrix":"s0003_powerlaw_r96","fingerprint":"0123456789abcdef","kernel":"spmv_csb","config":"16_2p","rows":96,"cols":96,"nnz":410,"key":3.5,"base_cycles":12345,"via_cycles":3210,"hash":"cebc21040a613079"}"#,
+        r#"{"schema":1,"matrix":"s0003_powerlaw_r96","fingerprint":"0123456789abcdef","kernel":"spmv_csb","config":"16_2p","rows":96,"cols":96,"nnz":410,"key":3.5,"base_cycles":12345,"via_cycles":3210,"ssr_cycles":7777,"hash":"80c61b53a6144975"}"#,
+        r#"{"schema":1,"matrix":"bad \"q\".mtx","fingerprint":"0000000000000f0f","kernel":"spma","config":"16_2p","config_hash":"fedcba9876543210","base_stream":"000000000000000a","via_stream":"000000000000000b","rows":48,"cols":48,"nnz":100,"key":100.0,"base_cycles":900,"via_cycles":300,"base_instructions":400,"via_instructions":120,"hash":"761d47152fc23a9f"}"#,
+        r#"{"schema":1,"matrix":"empty.mtx","kernel":"spmv_csb","config":"16_2p","kind":"parse","error":["empty input","line 1"],"hash":"b93108a049420df8"}"#,
+        r#"{"schema":1,"kind":"campaign_manifest","shard_index":1,"shard_total":3,"config":"16_2p","hash":"19cb52b888b92e7e"}"#,
+        r#"{"schema":1,"matrix":"banded_0","fingerprint":"000000000000dead","kernel":"sptrsv","config":"16_2p","variant":"sptrsv/levels/fg8","variant_hash":"000000000000beef","default_cycles":1000,"best_cycles":400,"candidates":6,"pruned":2,"hash":"a61536cef74e5b50"}"#,
+    ];
+
     #[test]
     fn sealed_lines_are_pinned_per_row_type() {
         let mut result = ResultRow {
@@ -830,12 +864,12 @@ mod tests {
             via_cycles: 3_210,
             ssr_cycles: None,
         };
-        let line = r#"{"schema":1,"matrix":"s0003_powerlaw_r96","fingerprint":"0123456789abcdef","kernel":"spmv_csb","config":"16_2p","rows":96,"cols":96,"nnz":410,"key":3.5,"base_cycles":12345,"via_cycles":3210,"hash":"cebc21040a613079"}"#;
+        let line = PINNED[0];
         assert_eq!(result.to_jsonl(), line);
         assert_eq!(ResultRow::from_jsonl(line), Some(result.clone()));
 
         result.ssr_cycles = Some(7_777);
-        let line = r#"{"schema":1,"matrix":"s0003_powerlaw_r96","fingerprint":"0123456789abcdef","kernel":"spmv_csb","config":"16_2p","rows":96,"cols":96,"nnz":410,"key":3.5,"base_cycles":12345,"via_cycles":3210,"ssr_cycles":7777,"hash":"80c61b53a6144975"}"#;
+        let line = PINNED[1];
         assert_eq!(result.to_jsonl(), line);
         assert_eq!(ResultRow::from_jsonl(line), Some(result));
 
@@ -858,7 +892,7 @@ mod tests {
             ssr_cycles: None,
             ssr_instructions: None,
         };
-        let line = r#"{"schema":1,"matrix":"bad \"q\".mtx","fingerprint":"0000000000000f0f","kernel":"spma","config":"16_2p","config_hash":"fedcba9876543210","base_stream":"000000000000000a","via_stream":"000000000000000b","rows":48,"cols":48,"nnz":100,"key":100.0,"base_cycles":900,"via_cycles":300,"base_instructions":400,"via_instructions":120,"hash":"761d47152fc23a9f"}"#;
+        let line = PINNED[2];
         assert_eq!(cycle.to_jsonl(), line);
         assert_eq!(CycleRow::from_jsonl(line), Some(cycle));
 
@@ -869,7 +903,7 @@ mod tests {
             kind: "parse".into(),
             chain: vec!["empty input".into(), "line 1".into()],
         };
-        let line = r#"{"schema":1,"matrix":"empty.mtx","kernel":"spmv_csb","config":"16_2p","kind":"parse","error":["empty input","line 1"],"hash":"b93108a049420df8"}"#;
+        let line = PINNED[3];
         assert_eq!(quarantine.to_jsonl(), line);
         assert_eq!(QuarantineRow::from_jsonl(line), Some(quarantine));
 
@@ -877,7 +911,7 @@ mod tests {
             shard: ShardSpec::new(1, 3).unwrap(),
             config: "16_2p".into(),
         };
-        let line = r#"{"schema":1,"kind":"campaign_manifest","shard_index":1,"shard_total":3,"config":"16_2p","hash":"19cb52b888b92e7e"}"#;
+        let line = PINNED[4];
         assert_eq!(meta.to_json(), line);
         assert_eq!(StoreMeta::from_json(line), Some(meta));
 
@@ -893,8 +927,44 @@ mod tests {
             candidates: 6,
             pruned: 2,
         };
-        let line = r#"{"schema":1,"matrix":"banded_0","fingerprint":"000000000000dead","kernel":"sptrsv","config":"16_2p","variant":"sptrsv/levels/fg8","variant_hash":"000000000000beef","default_cycles":1000,"best_cycles":400,"candidates":6,"pruned":2,"hash":"a61536cef74e5b50"}"#;
+        let line = PINNED[5];
         assert_eq!(tuned.to_jsonl(), line);
         assert_eq!(crate::tune::TunedRow::from_jsonl(line), Some(tuned));
+    }
+
+    /// Decodes a line as the row type of the same index in [`PINNED`] and
+    /// re-encodes it.
+    const CODECS: [fn(&str) -> Option<String>; 6] = [
+        |l| ResultRow::from_jsonl(l).map(|r| r.to_jsonl()),
+        |l| ResultRow::from_jsonl(l).map(|r| r.to_jsonl()),
+        |l| CycleRow::from_jsonl(l).map(|r| r.to_jsonl()),
+        |l| QuarantineRow::from_jsonl(l).map(|r| r.to_jsonl()),
+        |l| StoreMeta::from_json(l).map(|m| m.to_json()),
+        |l| crate::tune::TunedRow::from_jsonl(l).map(|r| r.to_jsonl()),
+    ];
+
+    #[test]
+    fn fuzzed_sealed_lines_never_panic_and_accept_only_exact_lines() {
+        for (i, (line, codec)) in PINNED.iter().zip(CODECS).enumerate() {
+            let body = &line[..line.rfind(",\"hash\":\"").expect("sealed")];
+            cases(10_000, 0x5EA1 + i as u64, |case, rng| {
+                let decode = |text: &str| {
+                    std::panic::catch_unwind(|| codec(text))
+                        .unwrap_or_else(|_| panic!("line {i} case {case}: panicked on {text:?}"))
+                };
+                // The seal rejects every edit, so an accepted mutant is one
+                // that re-encodes to itself.
+                if let Ok(mutant) = String::from_utf8(mutate(line.as_bytes(), rng)) {
+                    if let Some(again) = decode(&mutant) {
+                        assert_eq!(again, mutant, "line {i} case {case}: accepted an edit");
+                    }
+                }
+                // A mutated body sealed again reaches the JSON parser and
+                // the field decoders behind the seal.
+                if let Ok(body) = String::from_utf8(mutate(body.as_bytes(), rng)) {
+                    decode(&seal_row(body));
+                }
+            });
+        }
     }
 }

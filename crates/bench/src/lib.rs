@@ -39,7 +39,7 @@ pub use experiments::{
 };
 pub use multicore::{multicore_sweep, BakeoffRow, MulticoreOutcome, ScalingPoint, CORE_COUNTS};
 pub use suite::{
-    check_suite_size, default_threads, flag_arg, next_flag_value, parallel_map, ExperimentScale,
-    Suite,
+    check_nonzero, check_suite_size, default_threads, flag_arg, next_flag_value, parallel_map,
+    write_or_exit, ExperimentScale, Suite,
 };
 pub use tune::{load_tuned, tune, tuned_path, write_tuned, TuneConfig, TuneOutcome, TunedRow};

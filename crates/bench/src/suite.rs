@@ -125,14 +125,28 @@ fn suite_size(
     min_rows: usize,
     max_rows: usize,
 ) -> Result<(), String> {
-    if count == 0 {
-        Err(format!("{count_flag} wants at least 1 matrix, got 0"))
-    } else if min_rows < 2 {
+    nonzero(count_flag, count, "matrix")?;
+    if min_rows < 2 {
         Err(format!("--min-rows wants at least 2 rows, got {min_rows}"))
     } else if min_rows > max_rows {
         Err(format!(
             "--min-rows {min_rows} exceeds --max-rows {max_rows}"
         ))
+    } else {
+        Ok(())
+    }
+}
+
+/// Checks a count flag that would make a run do nothing at 0: a `count`
+/// of 0 prints `<flag> wants at least 1 <unit>, got 0` and exits with
+/// status 2.
+pub fn check_nonzero(flag: &str, count: usize, unit: &str) {
+    or_exit(nonzero(flag, count, unit))
+}
+
+fn nonzero(flag: &str, count: usize, unit: &str) -> Result<(), String> {
+    if count == 0 {
+        Err(format!("{flag} wants at least 1 {unit}, got 0"))
     } else {
         Ok(())
     }
@@ -180,6 +194,15 @@ fn or_exit<T>(parsed: Result<T, String>) -> T {
         eprintln!("{e}");
         std::process::exit(2);
     })
+}
+
+/// Writes a binary's output file, or prints `cannot write <path>: <error>`
+/// and exits with status 1.
+pub fn write_or_exit(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// A generated matrix suite.

@@ -98,15 +98,18 @@ fn killed_campaign_resumes_to_byte_identical_store() {
         first.completed
     );
 
-    // ...simulate the torn trailing line of a writer killed mid-append...
+    // ...simulate the torn trailing line of a writer killed mid-append,
+    // cut inside a multi-byte character (`--corpus` rows carry file paths)...
+    let torn = b"{\"schema\":1,\"matrix\":\"m/caf\xc3";
     {
         use std::io::Write;
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(results_path(resumed.path()))
             .unwrap();
-        write!(f, "{{\"schema\":1,\"matrix\":\"torn").unwrap();
+        f.write_all(torn).unwrap();
     }
+    aggregate_report(resumed.path()).expect("a torn store stays readable");
 
     // ...and resume. No completed job may re-execute.
     cfg.max_jobs = None;
@@ -117,6 +120,11 @@ fn killed_campaign_resumes_to_byte_identical_store() {
     );
     assert_eq!(second.completed, total - first.completed);
     assert!(!second.aborted);
+    let log = std::fs::read(results_path(resumed.path())).unwrap();
+    assert!(
+        !log.windows(torn.len()).any(|w| w == torn),
+        "compacted away"
+    );
 
     // The merged store is byte-identical (after canonical sort) to the
     // uninterrupted run's.

@@ -1,7 +1,8 @@
-//! The `campaign run` command line, driven through the built binary: exit
-//! codes for usable, partly usable and unusable `.mtx` corpora, and exit 2
-//! naming the flag for bad, conflicting or degenerate arguments
-//! (`campaign tune` and `fig9_dse` share the suite-size check).
+//! The command lines of the built binaries: `campaign run` exit codes for
+//! usable, partly usable and unusable `.mtx` corpora; exit 2 naming the
+//! flag or path for bad, conflicting, degenerate or do-nothing arguments
+//! (`campaign tune`, `fig9_dse` and `fig12a_histogram` included); and
+//! exit 1 naming the path when an output file cannot be written.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -164,6 +165,17 @@ fn a_degenerate_suite_size_exits_2_naming_its_flags() {
             "--max-rows 1024",
             "--min-rows 2048 exceeds --max-rows 1024",
         ),
+        // Counts that would make a run do nothing.
+        (
+            env!("CARGO_BIN_EXE_fig12a_histogram"),
+            "--keys 0",
+            "--keys wants at least 1 key, got 0",
+        ),
+        (
+            campaign,
+            "run --max-jobs 0",
+            "--max-jobs wants at least 1 job, got 0",
+        ),
     ] {
         let mut cmd = Command::new(bin);
         cmd.args(args.split(' '));
@@ -182,4 +194,67 @@ fn a_degenerate_suite_size_exits_2_naming_its_flags() {
         !store.exists(),
         "a rejected command line must not start a run"
     );
+}
+
+/// Runs `bin` with the space-separated `args`.
+fn run(bin: &str, args: &str) -> Output {
+    Command::new(bin)
+        .args(args.split(' '))
+        .output()
+        .expect("run the binary")
+}
+
+#[test]
+fn report_and_merge_exit_2_on_a_path_that_is_not_a_directory() {
+    let scratch = Scratch::new("paths");
+    let [missing, merged, empty] =
+        ["missing", "merged", "empty"].map(|d| scratch.0.join(d).display().to_string());
+    let campaign = env!("CARGO_BIN_EXE_campaign");
+    for (cmd, rest) in [
+        ("report", missing.clone()),
+        ("merge", format!("{merged} {missing}")),
+    ] {
+        let out = run(campaign, &format!("{cmd} {rest}"));
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
+        assert!(err.contains(&format!("campaign {cmd}: no store directory at {missing}")));
+    }
+    assert!(!Path::new(&merged).exists(), "nothing may be written");
+    // An existing directory without store files still reads as empty.
+    std::fs::create_dir_all(&empty).unwrap();
+    for args in [format!("report {empty}"), format!("merge {merged} {empty}")] {
+        assert_eq!(run(campaign, &args).status.code(), Some(0), "{args}");
+    }
+}
+
+#[test]
+fn an_unwritable_output_or_a_missed_floor_exits_1() {
+    let scratch = Scratch::new("exit1");
+    let [missing, written] =
+        ["missing/out.json", "multicore.json"].map(|f| scratch.0.join(f).display().to_string());
+    let (report, multicore) = (
+        env!("CARGO_BIN_EXE_stall_report"),
+        env!("CARGO_BIN_EXE_multicore"),
+    );
+    let cannot = format!("cannot write {missing}: ");
+    for (bin, out, error) in [
+        (report, format!("--chrome {missing}"), cannot.as_str()),
+        (multicore, format!("--out {missing}"), &cannot),
+        // At this scale 4 cores miss the floor; the grid is written first.
+        (
+            multicore,
+            format!("--out {written}"),
+            "under the 1.7x acceptance floor",
+        ),
+    ] {
+        let tiny = format!("--matrices 1 --min-rows 48 --max-rows 48 {out}");
+        let output = run(bin, &tiny);
+        let err = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{out}: {err}");
+        assert!(
+            err.contains(error) && !err.contains("panicked"),
+            "{out}: {err}"
+        );
+    }
+    assert!(Path::new(&written).exists());
 }

@@ -220,30 +220,6 @@ pub struct KernelRun<T> {
 }
 
 impl<T> KernelRun<T> {
-    /// Wraps a baseline run (no SSPM events).
-    pub fn baseline(output: T, stats: RunStats) -> Self {
-        KernelRun {
-            output,
-            stats,
-            sspm_events: None,
-            stall: None,
-            chrome: None,
-            compiled: None,
-        }
-    }
-
-    /// Wraps a VIA run.
-    pub fn via(output: T, stats: RunStats, events: SspmEvents) -> Self {
-        KernelRun {
-            output,
-            stats,
-            sspm_events: Some(events),
-            stall: None,
-            chrome: None,
-            compiled: None,
-        }
-    }
-
     /// Finishes a baseline engine, harvesting the stall report, Chrome
     /// trace, and compiled stream (whichever switches were enabled)
     /// alongside the run statistics.
@@ -317,14 +293,11 @@ mod tests {
 
     #[test]
     fn kernel_run_accessors() {
-        let run = KernelRun::baseline(
-            vec![1.0],
-            RunStats {
-                cycles: 42,
-                ..RunStats::default()
-            },
-        );
-        assert_eq!(run.cycles(), 42);
+        let mut e = SimContext::default().baseline_engine();
+        e.scalar_op(via_sim::AluKind::Int, &[]);
+        let run = KernelRun::finish_baseline(vec![1.0], e);
+        assert_eq!(run.cycles(), run.stats.cycles);
+        assert!(run.cycles() > 0);
         assert!(run.sspm_events.is_none());
     }
 }

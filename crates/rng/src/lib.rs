@@ -124,6 +124,47 @@ pub fn cases(n: u64, seed: u64, mut f: impl FnMut(u64, &mut StdRng)) {
     }
 }
 
+/// One to three random edits of `input`, for deterministic fuzz loops over
+/// parsers: a flipped byte, a deleted span, or an inserted digit run, sign,
+/// out-of-range number, whitespace, multi-byte character or invalid UTF-8.
+pub fn mutate(input: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    const INSERTS: [&[u8]; 12] = [
+        b"-",
+        b"+",
+        b"18446744073709551616",
+        b"4294967297",
+        b"1e999",
+        b"-1e-999",
+        b" ",
+        b"\n",
+        "é".as_bytes(),
+        b"\xff",
+        b"\xc3",
+        b"\xe2\x82",
+    ];
+    let mut out = input.to_vec();
+    for _ in 0..rng.random_range(1..=3usize) {
+        let at = rng.random_range(0..=out.len());
+        match rng.below(4) {
+            0 if at < out.len() => out[at] ^= rng.random_range(1..=255u32) as u8,
+            1 if at < out.len() => {
+                let end = (at + rng.random_range(1..=8usize)).min(out.len());
+                out.drain(at..end);
+            }
+            2 => {
+                let digits = rng.random_range(1..=24usize);
+                let run: Vec<u8> = (0..digits).map(|_| b'0' + rng.below(10) as u8).collect();
+                out.splice(at..at, run);
+            }
+            _ => {
+                let insert = INSERTS[rng.below(INSERTS.len() as u64) as usize];
+                out.splice(at..at, insert.iter().copied());
+            }
+        }
+    }
+    out
+}
+
 /// Types [`StdRng::random`] can produce.
 pub trait Sample {
     /// Draws one uniform value.

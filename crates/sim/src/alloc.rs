@@ -146,12 +146,6 @@ impl AddressSpace {
     pub fn used_bytes(&self) -> u64 {
         self.next - self.base
     }
-
-    /// Rewinds the bump pointer to this space's base. Regions handed
-    /// out before the reset must no longer be used.
-    pub fn reset(&mut self) {
-        self.next = self.base;
-    }
 }
 
 #[cfg(test)]
@@ -229,9 +223,6 @@ mod tests {
         let r = a.alloc_f64(4);
         assert_eq!(r.base(), 1 << 32);
         assert_eq!(a.used_bytes(), 32);
-        a.reset();
-        assert_eq!(a.used_bytes(), 0);
-        assert_eq!(a.alloc_f64(1).base(), 1 << 32);
     }
 
     #[test]

@@ -184,14 +184,6 @@ impl Calendar {
         }
         entries
     }
-
-    /// Drops every booking, returning the calendar to its freshly-built
-    /// state (the width and allocations are kept).
-    pub fn reset(&mut self) {
-        self.counts.clear();
-        self.next.clear();
-        self.base = 0;
-    }
 }
 
 #[cfg(test)]

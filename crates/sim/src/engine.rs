@@ -779,7 +779,7 @@ impl Engine {
     /// cycle lower bound from [`analyze`](crate::analyze()), and only
     /// replay (full timing) the candidates the bound cannot rule out.
     /// Statistics other than the instruction count are meaningless on an
-    /// emit-only run. Cleared by [`Engine::reset`].
+    /// emit-only run, and the mode lasts for the engine's whole life.
     pub fn enable_emit_only(&mut self) {
         self.emit_only = true;
     }
@@ -791,7 +791,7 @@ impl Engine {
 
     /// Harvests the recorded stream as a [`CompiledStream`] (turning
     /// recording off), or `None` if [`Engine::enable_recording`] was never
-    /// called. Call before [`Engine::finish`]/[`Engine::reset`].
+    /// called. Call before [`Engine::finish`].
     pub fn take_compiled(&mut self) -> Option<CompiledStream> {
         let rec = self.recording.take()?;
         Some(CompiledStream::from_recording(rec.insts, rec.events))
@@ -805,10 +805,10 @@ impl Engine {
     /// Every instruction runs the same verify step as [`Engine::push`], so
     /// a replay is checked exactly like the run that recorded it: under
     /// capture the report of the replayed instructions is flushed at
-    /// [`Engine::finish`]/[`Engine::reset`]. Diagnostics that kernels
-    /// raise during emission through [`Engine::report_diag`] (the SSPM
-    /// mode checks) are not part of the stream and are not raised again.
-    /// One stream per run — reset between replays.
+    /// [`Engine::finish`]. Diagnostics that kernels raise during emission
+    /// through [`Engine::report_diag`] (the SSPM mode checks) are not part
+    /// of the stream and are not raised again. One stream per engine:
+    /// build a fresh engine for every replay.
     ///
     /// # Panics
     ///
@@ -847,58 +847,14 @@ impl Engine {
         }
     }
 
-    /// Flushes the run's verify report to the thread-local capture sink
-    /// (when capture is on) and clears the streaming state.
-    fn flush_verifier(&mut self) {
+    /// Finalizes the run: drains the pipeline and returns the statistics.
+    pub fn finish(mut self) -> RunStats {
+        crate::telemetry::record_instructions(self.stats.instructions);
         if let Some(v) = self.verifier.as_deref_mut() {
             if self.verify_capture {
                 verify::submit_report(v.take_report());
             }
-            v.reset();
         }
-    }
-
-    /// Returns the engine to its just-constructed state while keeping its
-    /// internal allocations (register-ready table, ROB window, cache set
-    /// storage), so a sweep can reuse one engine across many runs instead
-    /// of reconstructing per run. Stream recording is turned off.
-    pub fn reset(&mut self) {
-        crate::telemetry::record_instructions(self.stats.instructions);
-        self.flush_verifier();
-        self.hier.reset();
-        self.alloc.reset();
-        self.next_reg = 0;
-        self.ready.clear();
-        self.fetch_cycle = 0;
-        self.fetch_in_cycle = 0;
-        self.commit_cycle = 0;
-        self.commit_in_cycle = 0;
-        self.last_commit = 0;
-        self.rob_head = 0;
-        self.rob_filled = 0;
-        self.all_complete_max = 0;
-        self.noncustom_complete_max = 0;
-        self.fence_until = 0;
-        self.scalar_units.reset();
-        self.vector_units.reset();
-        self.load_ports.reset();
-        self.store_ports.reset();
-        self.custom_units.iter_mut().for_each(|t| *t = 0);
-        self.predictor.clear();
-        self.pushes_since_prune = 0;
-        self.recording = None;
-        self.emit_only = false;
-        // Trace state must not leak between back-to-back runs: zero the
-        // accumulators, empty the ring, and unwind the region stack, while
-        // keeping the enabled flags so a reused engine keeps tracing.
-        self.trace.clear();
-        self.stats = RunStats::default();
-    }
-
-    /// Finalizes the run: drains the pipeline and returns the statistics.
-    pub fn finish(mut self) -> RunStats {
-        crate::telemetry::record_instructions(self.stats.instructions);
-        self.flush_verifier();
         self.stats.cycles = self.last_commit.max(self.all_complete_max);
         self.hier.fill_stats(&mut self.stats);
         self.stats
@@ -1328,19 +1284,6 @@ mod tests {
     }
 
     #[test]
-    fn capture_flushes_one_report_per_reset() {
-        let _guard = verify::capture_guard();
-        let mut e = engine();
-        e.scalar_op(AluKind::Int, &[]);
-        e.reset();
-        e.scalar_op(AluKind::Int, &[]);
-        let _ = e.finish();
-        let reports = verify::drain_captured();
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(verify::Report::is_clean));
-    }
-
-    #[test]
     fn report_diag_reaches_captured_report() {
         let _guard = verify::capture_guard();
         let mut e = engine();
@@ -1398,6 +1341,7 @@ mod tests {
         fast.enable_emit_only();
         assert!(fast.emit_only_enabled());
         mixed_workload(&mut fast);
+        assert_eq!(fast.stats_so_far().cycles, 0, "emit-only skips timing");
         let fast_stream = fast.take_compiled().expect("recording was on");
 
         // Identical instructions and events — the stream hash covers both
@@ -1408,19 +1352,6 @@ mod tests {
         let mut replayer = engine();
         replayer.replay(&fast_stream);
         assert_eq!(replayer.finish(), timed_stats);
-    }
-
-    #[test]
-    fn reset_clears_emit_only() {
-        let mut e = engine();
-        e.enable_emit_only();
-        e.scalar_op(AluKind::Int, &[]);
-        assert_eq!(e.stats_so_far().cycles, 0);
-        e.reset();
-        assert!(!e.emit_only_enabled());
-        e.scalar_op(AluKind::Int, &[]);
-        let stats = e.finish();
-        assert!(stats.cycles > 0, "timing resumed after reset");
     }
 
     #[test]
@@ -1481,27 +1412,6 @@ mod tests {
             Vec::new(),
         );
         engine().replay(&stream);
-    }
-
-    #[test]
-    fn reset_clears_replay_state_between_runs() {
-        let _guard = verify::capture_guard();
-        let mut recorded = engine();
-        recorded.enable_recording();
-        recorded.scalar_op(AluKind::Int, &[]);
-        let stream = recorded.take_compiled().expect("recording was on");
-        let _ = recorded.finish();
-
-        let mut e = engine();
-        e.replay(&stream);
-        e.reset();
-        // The interpreted run after the reset flushes a report of its own
-        // instruction only.
-        e.push(Inst::scalar(AluKind::Int, &[7], None));
-        let _ = e.finish();
-        let reports = verify::drain_captured();
-        assert_eq!(reports.len(), 3); // recorded run + replay + interpreted
-        assert_eq!(reports[2].error_count(), 1);
     }
 
     #[test]

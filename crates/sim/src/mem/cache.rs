@@ -163,16 +163,6 @@ impl Cache {
     pub fn resident_lines(&self) -> usize {
         self.sets.iter().map(|s| s.len()).sum()
     }
-
-    /// Empties the cache and zeroes its statistics, keeping every set's
-    /// storage allocated so a reused engine pays no reallocation.
-    pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.last_hit = None;
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]

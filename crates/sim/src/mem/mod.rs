@@ -51,12 +51,6 @@ impl SharedLlc {
         self.state.lock().expect("shared LLC lock poisoned")
     }
 
-    /// Empties the shared L3 and DRAM calendar (all attached cores see the
-    /// reset; only meaningful between whole-socket runs).
-    pub fn reset(&self) {
-        self.lock().reset();
-    }
-
     /// Aggregate L3 statistics across every attached core.
     pub fn l3_stats(&self) -> CacheStats {
         self.lock().l3.stats()
@@ -85,11 +79,6 @@ impl LlcState {
             l3: Cache::new(cfg.l3),
             dram: Calendar::new(1),
         }
-    }
-
-    fn reset(&mut self) {
-        self.l3.reset();
-        self.dram.reset();
     }
 
     /// Books a dirty-line writeback on the DRAM channel.
@@ -473,24 +462,6 @@ impl Hierarchy {
         stats.dram_read_bytes = self.dram_read_bytes;
         stats.dram_write_bytes = self.dram_write_bytes;
         stats.dram_busy_cycles = self.dram_busy_cycles;
-    }
-
-    /// Empties all cache levels, the DRAM channel calendar, and the traffic
-    /// counters — the hierarchy behaves exactly like a freshly-built one,
-    /// but keeps its allocated set storage. With a shared LLC attached the
-    /// shared state is reset too (every attached core sees it), matching
-    /// the "freshly built" contract; socket runs reset whole sockets.
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        self.llc.with(LlcState::reset);
-        self.dram_read_bytes = 0;
-        self.dram_write_bytes = 0;
-        self.dram_busy_cycles = 0;
-        self.prefetches_issued = 0;
-        self.dram_wait_cycles = 0;
-        self.port_wait_cycles = 0;
-        self.level_mark = 0;
     }
 
     /// Whether an address is resident in L1 (test helper).

@@ -3,7 +3,7 @@
 //! The sweeps run thousands of independent engines across worker threads;
 //! per-run [`RunStats`](crate::stats::RunStats) can't answer "how much did
 //! the simulator do" without threading counters through every layer.
-//! Instead, every finished or reset engine adds its retired-instruction
+//! Instead, every finished engine adds its retired-instruction
 //! count to one global atomic (and the compile, replay, memo and analysis
 //! layers to theirs); two [`snapshot`]s bracket a sweep, and
 //! [`TelemetrySnapshot::since`] attributes the work done in between.
@@ -25,8 +25,8 @@ static ANALYSIS_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static ANALYSIS_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Credits `n` retired instructions to the process-wide counter. Called by
-/// the engine on `finish()` and `reset()`; an engine dropped mid-run is
-/// not counted.
+/// [`Engine::finish`](crate::Engine::finish); an engine dropped unfinished
+/// is not counted.
 pub(crate) fn record_instructions(n: u64) {
     SIM_INSTRUCTIONS.fetch_add(n, Ordering::Relaxed);
 }
@@ -192,18 +192,16 @@ mod tests {
     use crate::prog::AluKind;
 
     #[test]
-    fn finish_and_reset_credit_the_global_counter() {
+    fn finished_engines_credit_the_global_counter() {
         let before = snapshot();
-        let mut e = Engine::new(CoreConfig::default(), MemConfig::default());
-        for _ in 0..25 {
-            e.scalar_op(AluKind::Int, &[]);
+        for n in [25, 10] {
+            let mut e = Engine::new(CoreConfig::default(), MemConfig::default());
+            for _ in 0..n {
+                e.scalar_op(AluKind::Int, &[]);
+            }
+            e.finish(); // n credited here
         }
-        e.reset(); // 25 credited here
-        for _ in 0..10 {
-            e.scalar_op(AluKind::Int, &[]);
-        }
-        e.finish(); // 10 more
-                    // Other tests run concurrently, so only a lower bound is exact.
+        // Other tests run concurrently, so only a lower bound is exact.
         assert!(snapshot().since(&before).instructions >= 35);
     }
 

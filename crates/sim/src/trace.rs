@@ -349,12 +349,6 @@ impl EventRing {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Drops all retained events (capacity kept).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
 }
 
 /// Per-region stall accumulator inside the engine.
@@ -414,21 +408,6 @@ impl TraceState {
     pub(crate) fn charge(&mut self, class: OpClass, cause: StallCause, d: u64) {
         self.by_class[class as usize][cause as usize] += d;
         self.regions[self.current as usize].cycles[cause as usize] += d;
-    }
-
-    /// Clears all accumulated data and the region stack; keeps the enabled
-    /// flags and the ring capacity (so a reused engine keeps tracing).
-    pub(crate) fn clear(&mut self) {
-        self.by_class = [[0; CAUSE_COUNT]; CLASS_COUNT];
-        self.regions.clear();
-        self.stack.clear();
-        self.current = 0;
-        if self.accounting || self.events.is_some() {
-            self.ensure_root();
-        }
-        if let Some(ring) = &mut self.events {
-            ring.clear();
-        }
     }
 
     /// Region name for an id (export helper).
@@ -765,9 +744,6 @@ mod tests {
             })
             .collect();
         assert_eq!(ats, vec![3, 4]);
-        ring.clear();
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]

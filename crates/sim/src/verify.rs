@@ -434,14 +434,6 @@ impl Verifier {
         std::mem::take(&mut self.report)
     }
 
-    /// Clears all stream state and the report.
-    pub fn reset(&mut self) {
-        self.def_index.clear();
-        self.index = 0;
-        self.pending_scatters.clear();
-        self.report = Report::default();
-    }
-
     fn defined_at(&self, r: Reg) -> u64 {
         self.def_index.get(r as usize).copied().unwrap_or(UNDEFINED)
     }
@@ -760,7 +752,7 @@ pub fn verify_program(prog: &Program, cfg: &VerifyConfig) -> Report {
 // release-build verification (the `verify_programs` binary, the kernels'
 // unit tests) cannot attach a verifier by hand. Instead they enable
 // *capture* on their thread: every engine constructed while capture is on
-// attaches a verifier, and flushes its report here on `finish`/`reset`.
+// attaches a verifier, and submits its report here when it is finished.
 // Thread-local (not global) so concurrently running tests cannot steal each
 // other's reports.
 
@@ -1001,19 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_verifier_reset_clears_state() {
-        let mut v = Verifier::new(cfg());
-        v.check(&Inst::scalar(AluKind::Int, &[], Some(0)));
-        v.check(&Inst::scalar(AluKind::Int, &[0], Some(1)));
-        assert!(v.report().is_clean());
-        v.reset();
-        // After reset r0 is undefined again.
-        let diags = v.check(&Inst::scalar(AluKind::Int, &[0], Some(1)));
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, DiagCode::UndefinedRegister);
-    }
-
-    #[test]
     fn external_diags_are_stamped_with_the_stream_index() {
         let mut v = Verifier::new(cfg());
         v.check(&Inst::scalar(AluKind::Int, &[], Some(0)));
@@ -1025,6 +1004,13 @@ mod tests {
         });
         assert_eq!(v.report().diags[0].index, 1);
         assert_eq!(v.report().error_count(), 1);
+        // `check` returns only the diagnostics of the instruction it checked.
+        assert!(v
+            .check(&Inst::scalar(AluKind::Int, &[0], Some(1)))
+            .is_empty());
+        let diags = v.check(&Inst::scalar(AluKind::Int, &[5], None));
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, DiagCode::UndefinedRegister);
     }
 
     #[test]

@@ -186,57 +186,3 @@ fn cache_hits_plus_misses_equals_accesses() {
         assert_eq!(stats.dram_read_bytes, stats.l3.misses * 64, "case {i}");
     });
 }
-
-#[test]
-fn engine_reset_reproduces_fresh_engine() {
-    // A reused (reset) engine must time streams identically to a freshly
-    // constructed one — the contract that lets sweeps keep one engine's
-    // allocations alive across runs.
-    cases(32, 0xE7, |i, rng| {
-        let stream = arb_stream(rng);
-        let fresh = replay(&stream, CoreConfig::default(), MemConfig::default());
-        let mut e = Engine::new(CoreConfig::default(), MemConfig::default());
-        // Dirty the engine with a different stream, then reset.
-        for a in 0..50u64 {
-            e.load(0x9000 + a * 24, 8);
-            e.scalar_op(AluKind::Int, &[]);
-        }
-        e.reset();
-        let mut prev = None;
-        for t in &stream {
-            let deps: Vec<u32> = prev.into_iter().collect();
-            let next = match t {
-                Template::Scalar { dep_on_prev } => {
-                    let d = if *dep_on_prev { deps.as_slice() } else { &[] };
-                    Some(e.scalar_op(AluKind::FpAdd, d))
-                }
-                Template::Vec { dep_on_prev } => {
-                    let d = if *dep_on_prev { deps.as_slice() } else { &[] };
-                    Some(e.vec_op(VecOpKind::Fma, d))
-                }
-                Template::Load { addr, bytes_log } => {
-                    Some(e.load(0x10000 + *addr as u64, 1 << bytes_log))
-                }
-                Template::Store { addr } => {
-                    e.store(0x10000 + *addr as u64, 8, &deps);
-                    None
-                }
-                Template::GatherOf { base, stride } => {
-                    let addrs: Vec<u64> = (0..4u64)
-                        .map(|k| 0x10000 + *base as u64 + k * *stride as u64 * 8)
-                        .collect();
-                    Some(e.gather(&addrs, 8, &deps))
-                }
-                Template::Branch { taken, site } => {
-                    e.branch(*taken, *site as u32, &deps);
-                    None
-                }
-                Template::Delay { cycles } => Some(e.delay(*cycles as u32, &deps)),
-            };
-            if next.is_some() {
-                prev = next;
-            }
-        }
-        assert_eq!(e.finish(), fresh, "case {i}: reset engine diverged");
-    });
-}

@@ -1,6 +1,6 @@
 //! `via-trace` integration tests: the conservation invariant, tracing
-//! transparency (bit-identical cycles), Chrome-trace export validity, and
-//! the `Engine::reset` trace-state regression.
+//! transparency (bit-identical cycles), per-region attribution, the event
+//! ring, and Chrome-trace export validity.
 
 use via_sim::trace::CAUSE_COUNT;
 use via_sim::{AluKind, CoreConfig, Engine, MemConfig, StallCause, TraceEvent, VecOpKind};
@@ -143,50 +143,6 @@ fn regions_split_the_attribution() {
     let body = report.regions.iter().find(|r| r.name == "body").unwrap();
     assert!(body.cycles.iter().sum::<u64>() > 0);
     assert_eq!(body.cycles.len(), CAUSE_COUNT);
-}
-
-#[test]
-fn reset_clears_trace_state_between_kernels() {
-    // Regression: reusing one engine for two kernels must not leak
-    // attribution, events, or the region stack across the reset.
-    let kernel_b = |e: &mut Engine| {
-        e.region("b");
-        for i in 0..20u64 {
-            let v = e.load(0x40_0000 + i * 256, 8);
-            e.scalar_op(AluKind::FpAdd, &[v]);
-        }
-        e.region_end();
-    };
-
-    let mut reused = traced_engine(CoreConfig::default());
-    // Kernel A: leave a region deliberately open to prove the stack is
-    // cleared too.
-    reused.region("a_left_open");
-    run_stream(&mut reused, false);
-    assert!(reused.stall_report().unwrap().attributed() > 0);
-    reused.reset();
-
-    let after_reset = reused.stall_report().expect("flags survive reset");
-    assert_eq!(after_reset.attributed(), 0, "attribution leaked");
-    assert!(
-        reused.trace_events().unwrap().is_empty(),
-        "event ring leaked"
-    );
-
-    kernel_b(&mut reused);
-    let mut fresh = traced_engine(CoreConfig::default());
-    kernel_b(&mut fresh);
-
-    let (r1, r2) = (
-        reused.stall_report().unwrap(),
-        fresh.stall_report().unwrap(),
-    );
-    assert_eq!(r1, r2, "reused engine must attribute like a fresh one");
-    assert_eq!(
-        reused.trace_events().unwrap().len(),
-        fresh.trace_events().unwrap().len()
-    );
-    assert_eq!(reused.finish().cycles, fresh.finish().cycles);
 }
 
 #[test]

@@ -3,9 +3,11 @@
 #
 #   scripts/tier1.sh
 #
-# Formatting, the clippy wall, release build, full workspace test suite
-# in release and in debug (debug builds verify every pushed and replayed
-# instruction, so that run doubles as the stream-soundness proof), the
+# Formatting, the clippy wall, CI's docs job (the rustdoc wall, where a
+# broken intra-doc link fails, and the markdown link check), release
+# build, full workspace test suite in release and in debug (debug builds
+# verify every pushed and replayed instruction, so that run doubles as
+# the stream-soundness proof), the
 # golden cycle-count snapshots (the bit-exactness contract for the
 # timing model), the via-verify static sweep over every shipped kernel's
 # instruction streams, the quick auto-tune (gated on soundness and on the
@@ -27,6 +29,12 @@ cargo fmt --check
 
 echo "==> cargo clippy --all-targets (-D warnings)"
 cargo clippy --all-targets -- -D warnings
+
+echo "==> cargo doc (workspace, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+echo "==> markdown link check"
+sh scripts/check_links.sh
 
 echo "==> cargo build --release (workspace)"
 cargo build --release --workspace
