@@ -12,7 +12,7 @@
 //! ```
 
 use via_bench::report::banner;
-use via_bench::{flag_arg, multicore_sweep, write_or_exit, ExperimentScale};
+use via_bench::{flag_arg, multicore_sweep, writable_or_exit, write_or_exit, ExperimentScale};
 
 /// Acceptance floor: geomean speedup at 4 cores across the partitioned
 /// kernels and backends (nnz-balanced bands over a shared LLC).
@@ -20,8 +20,8 @@ const FOUR_CORE_FLOOR: f64 = 1.7;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path: String =
-        flag_arg(&args, "--out").unwrap_or_else(|| "BENCH_multicore.json".into());
+    let out_path =
+        writable_or_exit(flag_arg(&args, "--out").unwrap_or_else(|| "BENCH_multicore.json".into()));
     let scale = ExperimentScale::quick().from_args(&args);
 
     print!(

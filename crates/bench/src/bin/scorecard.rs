@@ -49,7 +49,6 @@ fn main() {
     }
     measured.push(("via/energy", spmv.energy_ratio));
     measured.push(("via/bandwidth", spmv.bandwidth_ratio));
-    let _ = experiments::csb_row(&spmv);
 
     let (_, spma_mean) = fig11_spma(&scale);
     measured.push(("fig11/spma", spma_mean));

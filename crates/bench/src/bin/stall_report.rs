@@ -13,15 +13,14 @@
 
 use via_bench::experiments::stall_sweep;
 use via_bench::report::{banner, stall_table};
-use via_bench::{flag_arg, write_or_exit, ExperimentScale, Suite};
-use via_formats::{gen, Csb};
-use via_kernels::{spmv, SimContext, TraceOptions};
+use via_bench::{flag_arg, writable_or_exit, write_or_exit, ExperimentScale, KernelKind, Suite};
+use via_kernels::{SimContext, TraceOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = ExperimentScale::default().from_args(&args);
     let top = flag_arg(&args, "--top").unwrap_or(8);
-    let chrome_path: Option<String> = flag_arg(&args, "--chrome");
+    let chrome_path = flag_arg(&args, "--chrome").map(writable_or_exit);
 
     print!(
         "{}",
@@ -71,9 +70,7 @@ fn print_static_bound(scale: &ExperimentScale) {
     let suite = Suite::generate(scale);
     let m = suite.matrices.first().expect("non-empty suite");
     let ctx = SimContext::default().with_recording();
-    let csb = Csb::from_csr(&m.csr, ctx.via.csb_block_size()).expect("power-of-two block");
-    let x = gen::dense_vector(m.csr.cols(), m.seed);
-    let run = spmv::via_csb(&csb, &x, &ctx);
+    let run = KernelKind::SpmvCsb.on(m, &ctx).via();
     let stream = run.compiled.as_ref().expect("recording context compiles");
     let bound = via_sim::analyze::static_bound(stream.insts(), &ctx.analyze_config(&run));
     println!(
@@ -96,9 +93,7 @@ fn write_chrome_trace(scale: &ExperimentScale, path: &str) {
     let suite = Suite::generate(scale);
     let m = suite.matrices.first().expect("non-empty suite");
     let ctx = SimContext::default().with_trace(TraceOptions::full(1 << 18));
-    let csb = Csb::from_csr(&m.csr, ctx.via.csb_block_size()).expect("power-of-two block");
-    let x = gen::dense_vector(m.csr.cols(), m.seed);
-    let run = spmv::via_csb(&csb, &x, &ctx);
+    let run = KernelKind::SpmvCsb.on(m, &ctx).via();
     let json = run.chrome.expect("event capture enabled");
     write_or_exit(path, &json);
     eprintln!(

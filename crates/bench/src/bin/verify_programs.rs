@@ -24,13 +24,14 @@
 //! `--quick`.
 
 use via_bench::experiments::{skewed_keys, uniform_keys};
-use via_bench::{flag_arg, write_or_exit, ExperimentScale, Suite};
+use via_bench::{flag_arg, writable_or_exit, write_or_exit, ExperimentScale, KernelKind, Suite};
 use via_core::ViaConfig;
-use via_formats::{gen, Csb, SellCSigma, Spc5};
+use via_formats::gen::{self, GenMatrix};
+use via_formats::Csb;
 use via_gen::{GenInputs, Kernel, KernelVariant};
 use via_kernels::spmspv::SparseVector;
 use via_kernels::{
-    histogram, spma, spmm, spmspv, spmv, sptrsv, stencil, symgs, KernelRun, Schedule, SimContext,
+    histogram, spmm, spmspv, spmv, sptrsv, stencil, symgs, KernelRun, Schedule, SimContext,
 };
 use via_sim::trace::json_string;
 use via_sim::verify::{self, Diag, Severity};
@@ -111,6 +112,15 @@ impl Analyzer<'_> {
         if let Err(e) = analyze::validate(stream, &report) {
             s.failures.push(format!("{name}: {e}"));
         }
+    }
+
+    /// Runs both legs of `kind`'s pair on a suite matrix, named like the
+    /// other targets' kernels (`spmv::csr_vec`).
+    fn pair(&mut self, kind: KernelKind, m: &GenMatrix) {
+        let pair = kind.on(m, self.ctx);
+        let (base, via) = kind.labels();
+        self.run(&base.replace('/', "::"), &pair.baseline());
+        self.run(&via.replace('/', "::"), &pair.via());
     }
 }
 
@@ -199,8 +209,8 @@ fn frontier(n: usize, k: usize, seed: u64) -> SparseVector {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let out_path: String =
-        flag_arg(&args, "--out").unwrap_or_else(|| "VERIFY_programs.json".into());
+    let out_path =
+        writable_or_exit(flag_arg(&args, "--out").unwrap_or_else(|| "VERIFY_programs.json".into()));
 
     let scale = if quick {
         ExperimentScale {
@@ -247,8 +257,6 @@ fn main() {
     let cache = AnalysisCache::default();
 
     for (cfg_name, ctx) in &ctxs {
-        let bs = ctx.via.csb_block_size();
-        let vl = ctx.vl();
         check(
             &format!("spmv/{cfg_name}"),
             &mut outcomes,
@@ -256,27 +264,18 @@ fn main() {
             ctx,
             |an| {
                 for m in &suite.matrices {
+                    for kind in KernelKind::SPMV {
+                        an.pair(kind, m);
+                    }
+                    // Two SpMV kernels outside the pairs, on the pairs' `x`.
                     let x = gen::dense_vector(m.csr.cols(), m.seed);
-                    let csb = Csb::from_csr(&m.csr, bs).expect("power-of-two block");
-                    let spc5_m = Spc5::from_csr(&m.csr, vl).expect("valid block height");
-                    let sell_m =
-                        SellCSigma::from_csr(&m.csr, vl, (vl * 8).min(m.csr.rows().max(vl)))
-                            .unwrap_or_else(|_| {
-                                SellCSigma::from_csr(&m.csr, vl, vl).expect("c=sigma")
-                            });
+                    let csb = Csb::from_csr(&m.csr, ctx.via.csb_block_size())
+                        .expect("power-of-two block");
                     an.run("spmv::scalar_csr", &spmv::scalar_csr(&m.csr, &x, ctx));
-                    an.run("spmv::csr_vec", &spmv::csr_vec(&m.csr, &x, ctx));
-                    an.run("spmv::via_csr", &spmv::via_csr(&m.csr, &x, ctx));
-                    an.run("spmv::spc5", &spmv::spc5(&spc5_m, &x, ctx));
-                    an.run("spmv::via_spc5", &spmv::via_spc5(&spc5_m, &x, ctx));
-                    an.run("spmv::sell", &spmv::sell(&sell_m, &x, ctx));
-                    an.run("spmv::via_sell", &spmv::via_sell(&sell_m, &x, ctx));
-                    an.run("spmv::csb_software", &spmv::csb_software(&csb, &x, ctx));
                     an.run(
                         "spmv::csb_software_vec",
                         &spmv::csb_software_vec(&csb, &x, ctx),
                     );
-                    an.run("spmv::via_csb", &spmv::via_csb(&csb, &x, ctx));
                 }
             },
         );
@@ -287,9 +286,7 @@ fn main() {
             ctx,
             |an| {
                 for m in &suite.matrices {
-                    let b = gen::perturb_structure(&m.csr, 0.6, 0.5, m.seed ^ 1);
-                    an.run("spma::merge_csr", &spma::merge_csr(&m.csr, &b, ctx));
-                    an.run("spma::via_cam", &spma::via_cam(&m.csr, &b, ctx));
+                    an.pair(KernelKind::Spma, m);
                 }
             },
         );
@@ -301,10 +298,7 @@ fn main() {
             |an| {
                 // SpMM cost is quadratic in rows — cap like ExperimentScale::spmm.
                 for m in suite.matrices.iter().filter(|m| m.csr.rows() <= 384) {
-                    let b = gen::uniform(m.csr.cols(), m.csr.cols(), m.csr.density(), m.seed ^ 2)
-                        .to_csc();
-                    an.run("spmm::inner_product", &spmm::inner_product(&m.csr, &b, ctx));
-                    an.run("spmm::via_cam", &spmm::via_cam(&m.csr, &b, ctx));
+                    an.pair(KernelKind::Spmm, m);
                     let b2 = gen::uniform(m.csr.cols(), m.csr.cols(), m.csr.density(), m.seed ^ 3);
                     an.run("spmm::gustavson", &spmm::gustavson(&m.csr, &b2, ctx));
                 }

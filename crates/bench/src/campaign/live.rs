@@ -8,10 +8,11 @@
 //! [`super::aggregate_report`] is the one-store case.
 
 use super::store::{load_quarantine, load_results, QuarantineRow, ResultRow};
+use crate::pair::buckets;
 use crate::report::{render_table, speedup};
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
-use via_formats::stats::{geomean, split_categories};
+use via_formats::stats::geomean;
 
 /// Per-kernel accumulator: the `(bucketing key, speedup)` points, plus
 /// the SSR rival-backend speedups of the rows that carried them
@@ -24,10 +25,11 @@ struct KernelAccum {
 
 /// Renders the Fig-10/11-style geomean tables: per kernel, speedups
 /// bucketed into four categories of the kernel's bucketing statistic
-/// (CSB block density for SpMV, nnz for SpMA, nnz/row for SpMM), plus the
-/// overall geomean and a store footer. Result rows count once per
-/// manifest key (the first occurrence wins) and quarantine rows once per
-/// job key; the second value is the number of duplicate rows dropped.
+/// (CSB block density for SpMV, nnz for SpMA, nnz/row for SpMM) by the
+/// figures' own [`buckets`], plus the overall geomean and a store footer.
+/// Result rows count once per manifest key (the first occurrence wins)
+/// and quarantine rows once per job key; the second value is the number
+/// of duplicate rows dropped.
 fn render_report(results: &[ResultRow], quarantined: &[QuarantineRow]) -> (String, usize) {
     let mut seen = HashSet::new();
     let mut kernels: BTreeMap<&str, KernelAccum> = BTreeMap::new();
@@ -57,23 +59,25 @@ fn render_report(results: &[ResultRow], quarantined: &[QuarantineRow]) -> (Strin
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let mut table = Vec::new();
-        if accum.points.len() >= 4 {
-            let cats = split_categories(&accum.points, 4, |p| p.0);
-            for c in &cats {
-                let sp: Vec<f64> = c.indices.iter().map(|&i| accum.points[i].1).collect();
-                table.push(vec![
-                    format!("{:.2}", c.median_key),
-                    c.indices.len().to_string(),
-                    speedup(geomean(&sp)),
-                ]);
-            }
+        let (mut cats, overall) = buckets(&accum.points);
+        // Fewer than four matrices cannot fill four categories.
+        if accum.points.len() < 4 {
+            cats.clear();
         }
-        let all: Vec<f64> = accum.points.iter().map(|p| p.1).collect();
+        let mut table: Vec<Vec<String>> = cats
+            .iter()
+            .map(|c| {
+                vec![
+                    format!("{:.2}", c.median_key),
+                    c.matrices.to_string(),
+                    speedup(c.speedup),
+                ]
+            })
+            .collect();
         table.push(vec![
             "overall".to_string(),
             accum.points.len().to_string(),
-            speedup(geomean(&all)),
+            speedup(overall),
         ]);
         out.push_str(&format!(
             "kernel {kernel} ({} matrices)\n",

@@ -63,6 +63,9 @@ pub use store::{
     quarantine_path, results_path, write_meta, CycleRow, QuarantineRow, ResultRow, StoreMeta,
 };
 
+pub use crate::pair::KernelKind;
+
+use crate::pair::check;
 use crate::report::{render_table, speedup};
 use crate::suite::default_threads;
 use std::collections::HashSet;
@@ -74,8 +77,8 @@ use std::time::Duration;
 use store::{rewrite_jsonl, Appender};
 use via_core::ViaConfig;
 use via_formats::gen::{self, MatrixSpec, StratifiedConfig};
-use via_formats::{Csb, Csr, FormatError, SellCSigma, Spc5};
-use via_kernels::{spma, spmm, spmv, ssr, SimContext};
+use via_formats::{Csr, FormatError};
+use via_kernels::SimContext;
 
 /// FNV-1a over a byte stream: the stable 64-bit content hash used for
 /// matrix fingerprints, per-row integrity hashes, and shard keys.
@@ -89,62 +92,6 @@ pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
 // ---------------------------------------------------------------------------
 // Kernels and jobs
 // ---------------------------------------------------------------------------
-
-/// The kernel×format pairs a campaign can sweep. Each runs a software
-/// baseline and its VIA counterpart and verifies the functional outputs
-/// agree before a row is logged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum KernelKind {
-    /// SpMV, vectorized CSR baseline vs VIA-CSR (Fig. 10 first group).
-    SpmvCsr,
-    /// SpMV, SPC5 baseline vs VIA-SPC5.
-    SpmvSpc5,
-    /// SpMV, Sell-C-σ baseline vs VIA-Sell.
-    SpmvSell,
-    /// SpMV, software CSB vs VIA-CSB (`vldxblkmult`; the paper's 4.22×).
-    SpmvCsb,
-    /// SpMA, scalar two-pointer merge vs CAM merge (Fig. 11).
-    Spma,
-    /// SpMM, inner-product index matching vs CAM matching (§VII-C).
-    /// Quadratic in matrix size — budget accordingly.
-    Spmm,
-}
-
-impl KernelKind {
-    /// Every kernel, in a fixed order.
-    pub const ALL: [KernelKind; 6] = [
-        KernelKind::SpmvCsr,
-        KernelKind::SpmvSpc5,
-        KernelKind::SpmvSell,
-        KernelKind::SpmvCsb,
-        KernelKind::Spma,
-        KernelKind::Spmm,
-    ];
-
-    /// Stable machine name (used in logs and `--kernels`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelKind::SpmvCsr => "spmv_csr",
-            KernelKind::SpmvSpc5 => "spmv_spc5",
-            KernelKind::SpmvSell => "spmv_sell",
-            KernelKind::SpmvCsb => "spmv_csb",
-            KernelKind::Spma => "spma",
-            KernelKind::Spmm => "spmm",
-        }
-    }
-
-    /// Parses a machine name back into a kernel.
-    pub fn parse(name: &str) -> Option<KernelKind> {
-        KernelKind::ALL.iter().copied().find(|k| k.name() == name)
-    }
-}
-
-impl std::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Where a job's matrix comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -367,16 +314,6 @@ pub fn run_with_budget<T: Send + 'static>(
     }
 }
 
-/// Structural + approximate-value equality for two canonical CSR results.
-fn csr_approx_eq(a: &Csr, b: &Csr, tol: f64) -> bool {
-    if a.rows() != b.rows() || a.cols() != b.cols() || a.nnz() != b.nnz() {
-        return false;
-    }
-    a.iter()
-        .zip(b.iter())
-        .all(|((ra, ca, va), (rb, cb, vb))| ra == rb && ca == cb && (va - vb).abs() <= tol)
-}
-
 /// `(cycles, instructions, stream hash)` of one finished kernel run — the
 /// slice of a [`via_kernels::KernelRun`] the cycle memo records.
 fn run_meta<T>(run: &via_kernels::KernelRun<T>) -> (u64, u64, u64) {
@@ -389,14 +326,14 @@ fn run_meta<T>(run: &via_kernels::KernelRun<T>) -> (u64, u64, u64) {
 
 /// Executes one job end to end: materialize the matrix, run the
 /// baseline/VIA kernel pair under stream recording (the compile phase),
-/// verify functional agreement, build the result row and its cycle-memo
-/// row. Pure function of its inputs — the determinism the resume and
-/// shard contracts lean on.
+/// verify functional agreement, and build the job's cycle-memo row (its
+/// result row is [`CycleRow::to_result_row`], exactly as for a memo hit).
+/// Pure function of its inputs — the determinism the resume and shard
+/// contracts lean on.
 ///
-/// With `backends`, the SSR rival kernel runs as a third leg where one
-/// exists (SpMV streams the CSR regardless of the baseline's format; SpMM
-/// streams Gustavson) and its cycles land in the rows' optional SSR
-/// fields; SpMA has no SSR variant and records nothing extra.
+/// With `backends`, the pair's SSR leg runs as a third leg where one exists
+/// and its cycles land in the rows' optional SSR fields; SpMA has no SSR
+/// leg and records nothing extra.
 fn execute_job(
     source: JobSource,
     kernel: KernelKind,
@@ -404,8 +341,7 @@ fn execute_job(
     fingerprint: u64,
     config_hash: u64,
     backends: bool,
-) -> Result<(ResultRow, CycleRow), JobFailure> {
-    const TOL: f64 = 1e-6;
+) -> Result<CycleRow, JobFailure> {
     let (name, csr, seed) = match &source {
         JobSource::Synthetic(spec) => {
             let m = spec.build();
@@ -414,7 +350,8 @@ fn execute_job(
         JobSource::File(path) => {
             let coo =
                 via_formats::mm::read_matrix_market_file(path).map_err(JobFailure::from_format)?;
-            (path.display().to_string(), Csr::from_coo(&coo), fingerprint)
+            let csr = Csr::try_from_coo(&coo).map_err(JobFailure::from_format)?;
+            (path.display().to_string(), csr, fingerprint)
         }
     };
     if csr.rows() == 0 || csr.cols() == 0 || csr.nnz() == 0 {
@@ -429,134 +366,44 @@ fn execute_job(
         });
     }
     let ctx = SimContext::with_via(via).with_recording();
-    let config = ctx.via.name();
-    let verify_vec = |base: &[f64], via_out: &[f64]| -> Result<(), JobFailure> {
-        if via_formats::vec_approx_eq(base, via_out, TOL) {
-            Ok(())
-        } else {
-            Err(JobFailure {
-                kind: FailureKind::VerifyMismatch,
-                chain: vec!["baseline and VIA outputs disagree beyond 1e-6".into()],
-            })
-        }
+    let pair = kernel
+        .pair(&csr, seed, &ctx)
+        .map_err(JobFailure::from_format)?;
+    let mismatch = |message: &str| JobFailure {
+        kind: FailureKind::VerifyMismatch,
+        chain: vec![message.to_string()],
     };
-    let verify_csr = |base: &Csr, via_out: &Csr| -> Result<(), JobFailure> {
-        if csr_approx_eq(base, via_out, TOL) {
-            Ok(())
-        } else {
-            Err(JobFailure {
-                kind: FailureKind::VerifyMismatch,
-                chain: vec!["baseline and VIA sparse outputs disagree beyond 1e-6".into()],
-            })
+    let base = pair.baseline();
+    let via_run = pair.via();
+    check(&base.output, &via_run.output).map_err(mismatch)?;
+    let ssr_meta = match backends.then(|| pair.ssr()).flatten() {
+        Some(ssr_run) => {
+            check(&base.output, &ssr_run.output).map_err(mismatch)?;
+            Some(run_meta(&ssr_run))
         }
+        None => None,
     };
-    let (key, base_meta, via_meta, ssr_meta) = match kernel {
-        KernelKind::SpmvCsr | KernelKind::SpmvSpc5 | KernelKind::SpmvSell | KernelKind::SpmvCsb => {
-            let x = gen::dense_vector(csr.cols(), seed);
-            let bs = ctx.via.csb_block_size();
-            let csb = Csb::from_csr(&csr, bs).map_err(JobFailure::from_format)?;
-            let key = csb.mean_block_density();
-            let (base, via_run) = match kernel {
-                KernelKind::SpmvCsr => {
-                    (spmv::csr_vec(&csr, &x, &ctx), spmv::via_csr(&csr, &x, &ctx))
-                }
-                KernelKind::SpmvSpc5 => {
-                    let m = Spc5::from_csr(&csr, ctx.vl()).map_err(JobFailure::from_format)?;
-                    (spmv::spc5(&m, &x, &ctx), spmv::via_spc5(&m, &x, &ctx))
-                }
-                KernelKind::SpmvSell => {
-                    let vl = ctx.vl();
-                    let sigma = (vl * 8).min(csr.rows().max(vl));
-                    let m = SellCSigma::from_csr(&csr, vl, sigma)
-                        .or_else(|_| SellCSigma::from_csr(&csr, vl, vl))
-                        .map_err(JobFailure::from_format)?;
-                    (spmv::sell(&m, &x, &ctx), spmv::via_sell(&m, &x, &ctx))
-                }
-                KernelKind::SpmvCsb => (
-                    spmv::csb_software(&csb, &x, &ctx),
-                    spmv::via_csb(&csb, &x, &ctx),
-                ),
-                _ => unreachable!(),
-            };
-            verify_vec(&base.output, &via_run.output)?;
-            // The SSR backend streams the CSR whatever the baseline's
-            // format — the rival architecture has no SPC5/Sell/CSB
-            // variants, so every SpMV kind gets the same third column.
-            let ssr_meta = if backends {
-                let ssr_run = ssr::spmv_csr(&csr, &x, &ctx);
-                verify_vec(&base.output, &ssr_run.output)?;
-                Some(run_meta(&ssr_run))
-            } else {
-                None
-            };
-            (key, run_meta(&base), run_meta(&via_run), ssr_meta)
-        }
-        KernelKind::Spma => {
-            let b = gen::perturb_structure(&csr, 0.6, 0.5, seed ^ 1);
-            let base = spma::merge_csr(&csr, &b, &ctx);
-            let via_run = spma::via_cam(&csr, &b, &ctx);
-            verify_csr(&base.output, &via_run.output)?;
-            // No SSR SpMA model — the column stays empty for this kernel.
-            (csr.nnz() as f64, run_meta(&base), run_meta(&via_run), None)
-        }
-        KernelKind::Spmm => {
-            let b_csr = gen::uniform(csr.cols(), csr.cols(), csr.density(), seed ^ 2);
-            let b = b_csr.to_csc();
-            let base = spmm::inner_product(&csr, &b, &ctx);
-            let via_run = spmm::via_cam(&csr, &b, &ctx);
-            verify_csr(&base.output, &via_run.output)?;
-            let ssr_meta = if backends {
-                let ssr_run = ssr::spmm_gustavson(&csr, &b_csr, &ctx);
-                verify_csr(&base.output, &ssr_run.output)?;
-                Some(run_meta(&ssr_run))
-            } else {
-                None
-            };
-            (
-                csr.nnz() as f64 / csr.rows().max(1) as f64,
-                run_meta(&base),
-                run_meta(&via_run),
-                ssr_meta,
-            )
-        }
-    };
-    let (base_cycles, base_instructions, base_stream) = base_meta;
-    let (via_cycles, via_instructions, via_stream) = via_meta;
-    let ssr_cycles = ssr_meta.map(|m| m.0);
-    let ssr_instructions = ssr_meta.map(|m| m.1);
-    let result = ResultRow {
+    let (base_cycles, base_instructions, base_stream) = run_meta(&base);
+    let (via_cycles, via_instructions, via_stream) = run_meta(&via_run);
+    Ok(CycleRow {
         matrix: name,
         fingerprint,
         kernel: kernel.name().to_string(),
-        config: config.clone(),
-        rows: csr.rows(),
-        cols: csr.cols(),
-        nnz: csr.nnz(),
-        key,
-        base_cycles,
-        via_cycles,
-        ssr_cycles,
-    };
-    let memo = CycleRow {
-        matrix: result.matrix.clone(),
-        fingerprint,
-        kernel: result.kernel.clone(),
-        config,
+        config: ctx.via.name(),
         config_hash,
         base_stream,
         via_stream,
-        rows: result.rows,
-        cols: result.cols,
-        nnz: result.nnz,
-        key,
+        rows: csr.rows(),
+        cols: csr.cols(),
+        nnz: csr.nnz(),
+        key: pair.key,
         base_cycles,
         via_cycles,
         base_instructions,
         via_instructions,
-        ssr_cycles,
-        ssr_instructions,
-    };
-    Ok((result, memo))
+        ssr_cycles: ssr_meta.map(|m| m.0),
+        ssr_instructions: ssr_meta.map(|m| m.1),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -839,187 +686,138 @@ pub fn run_campaign(
     let budget = Duration::from_millis(cfg.budget_ms.max(1));
     let total = jobs.len();
 
-    let record_io_err = |e: std::io::Error| {
-        stop.store(true, Ordering::Relaxed);
-        let mut slot = io_error.lock().expect("io_error poisoned");
-        slot.get_or_insert(e);
+    // A failed append stops the run; the first error is returned.
+    let append = |log: &Appender, line: String| {
+        if let Err(e) = log.append(&line) {
+            stop.store(true, Ordering::Relaxed);
+            io_error.lock().expect("io_error poisoned").get_or_insert(e);
+        }
+    };
+    let skip_quarantined = mode != Mode::RetryQuarantined;
+
+    // What one claimed job comes to: `None` when it is skipped or belongs
+    // to another shard, else quarantined, or done with its cycle-memo row
+    // and whether it was simulated (`false`: answered by the memo).
+    let resolve = |job: &Job| -> Option<Result<(CycleRow, bool), JobFailure>> {
+        let (kernel_name, config) = (job.kernel.name().to_string(), config_name.clone());
+        // Previously quarantined jobs are only re-attempted in retry mode
+        // (where the schedule contains nothing else); a plain resume
+        // leaves them quarantined rather than re-burning their budget on
+        // every restart.
+        if skip_quarantined
+            && quarantined_keys.contains(&(job.source.name(), kernel_name.clone(), config.clone()))
+        {
+            skipped.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let fingerprint = match job.source.fingerprint() {
+            Ok(fp) => fp,
+            Err(e) => {
+                return Some(Err(JobFailure {
+                    kind: FailureKind::Io,
+                    chain: vec![format!("cannot read input: {e}")],
+                }))
+            }
+        };
+        // Shard partition: a job whose content key this shard does not
+        // own is someone else's work — never executed, never logged here.
+        // Pure function of the job identity, so the partition is stable
+        // across worker counts and kills.
+        if !cfg
+            .shard
+            .owns(shard_key(fingerprint, &kernel_name, &config))
+        {
+            foreign.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let key = (fingerprint, kernel_name, config);
+        if manifest.contains(&key) {
+            skipped.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        // Level-two memo: a prior campaign already simulated this (matrix,
+        // kernel, config) under the same timing config — rebuild the
+        // result row from `cycles.jsonl` and skip the simulator entirely.
+        let memo_hit = cycle_memo
+            .get(&key)
+            .filter(|c| c.config_hash == timing_hash)
+            // A backends run needs the SSR column; memo rows from plain
+            // campaigns lack it (except SpMA, which has no SSR leg) and
+            // fall through to the simulator.
+            .filter(|c| !cfg.backends || c.ssr_cycles.is_some() || job.kernel == KernelKind::Spma);
+        via_sim::telemetry::record_cycle_cache(memo_hit.is_some());
+        if let Some(c) = memo_hit {
+            via_sim::telemetry::record_skipped_instructions(
+                c.base_instructions + c.via_instructions + c.ssr_instructions.unwrap_or(0),
+            );
+            return Some(Ok(((*c).clone(), false)));
+        }
+        let (source, kernel, via, backends) =
+            (job.source.clone(), job.kernel, cfg.via, cfg.backends);
+        let simulated = run_with_budget(budget, &job.source.name(), move || {
+            execute_job(source, kernel, via, fingerprint, timing_hash, backends)
+        });
+        Some(simulated.and_then(|inner| inner).map(|memo| (memo, true)))
     };
 
+    let worker = |w: usize| loop {
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(job) = jobs.get(i) else { break };
+        let (name, kernel) = (job.source.name(), job.kernel);
+        match resolve(job) {
+            None => {}
+            Some(Ok((memo, simulated))) => {
+                let row = memo.to_result_row();
+                append(&results_log, row.to_jsonl());
+                if simulated {
+                    simulated_cycles.fetch_add(
+                        row.base_cycles + row.via_cycles + row.ssr_cycles.unwrap_or(0),
+                        Ordering::Relaxed,
+                    );
+                    append(&cycles_log, memo.to_jsonl());
+                } else {
+                    cycle_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                per_worker[w].fetch_add(1, Ordering::Relaxed);
+                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                if cfg.progress {
+                    println!(
+                        "[{done}/{total}] {name} x {kernel}: {} ({}base {} / via {})",
+                        speedup(row.speedup()),
+                        if simulated { "" } else { "memo hit, " },
+                        row.base_cycles,
+                        row.via_cycles
+                    );
+                }
+                if cfg.max_jobs.is_some_and(|limit| done >= limit) {
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+            Some(Err(fail)) => {
+                let row = QuarantineRow {
+                    matrix: name.clone(),
+                    kernel: kernel.name().to_string(),
+                    config: config_name.clone(),
+                    kind: fail.kind.name().to_string(),
+                    chain: fail.chain,
+                };
+                append(&quarantine_log, row.to_jsonl());
+                quarantined.fetch_add(1, Ordering::Relaxed);
+                if cfg.progress {
+                    println!(
+                        "[{i}/{total}] {name} x {kernel}: quarantined ({})",
+                        row.kind
+                    );
+                }
+            }
+        }
+    };
     std::thread::scope(|scope| {
         for w in 0..threads {
-            let jobs = &jobs;
-            let manifest = &manifest;
-            let quarantined_keys = &quarantined_keys;
-            let cycle_memo = &cycle_memo;
-            let results_log = &results_log;
-            let quarantine_log = &quarantine_log;
-            let cycles_log = &cycles_log;
-            let next = &next;
-            let stop = &stop;
-            let completed = &completed;
-            let skipped = &skipped;
-            let foreign = &foreign;
-            let quarantined = &quarantined;
-            let cycle_hits = &cycle_hits;
-            let simulated_cycles = &simulated_cycles;
-            let per_worker = &per_worker;
-            let record_io_err = &record_io_err;
-            let config_name = config_name.clone();
-            let via = cfg.via;
-            let shard = cfg.shard;
-            let skip_quarantined = mode != Mode::RetryQuarantined;
-            let (progress, max_jobs) = (cfg.progress, cfg.max_jobs);
-            let backends = cfg.backends;
-            scope.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let job = &jobs[i];
-                let name = job.source.name();
-                let kernel = job.kernel;
-                // Previously quarantined jobs are only re-attempted in
-                // retry mode (where the schedule contains nothing else);
-                // a plain resume leaves them quarantined rather than
-                // re-burning their budget on every restart.
-                if skip_quarantined
-                    && quarantined_keys.contains(&(
-                        name.clone(),
-                        kernel.name().to_string(),
-                        config_name.clone(),
-                    ))
-                {
-                    skipped.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let fingerprint = match job.source.fingerprint() {
-                    Ok(fp) => fp,
-                    Err(e) => {
-                        let row = QuarantineRow {
-                            matrix: name.clone(),
-                            kernel: kernel.name().to_string(),
-                            config: config_name.clone(),
-                            kind: FailureKind::Io.name().to_string(),
-                            chain: vec![format!("cannot read input: {e}")],
-                        };
-                        if let Err(e) = quarantine_log.append(&row.to_jsonl()) {
-                            record_io_err(e);
-                        }
-                        quarantined.fetch_add(1, Ordering::Relaxed);
-                        if progress {
-                            println!("[{i}/{total}] {name} x {kernel}: quarantined (io)");
-                        }
-                        continue;
-                    }
-                };
-                // Shard partition: a job whose content key this shard does
-                // not own is someone else's work — never executed, never
-                // logged here. Pure function of the job identity, so the
-                // partition is stable across worker counts and kills.
-                if !shard.owns(shard_key(fingerprint, kernel.name(), &config_name)) {
-                    foreign.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if manifest.contains(&(fingerprint, kernel.name().to_string(), config_name.clone()))
-                {
-                    skipped.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                // Level-two memo: a prior campaign already simulated this
-                // (matrix, kernel, config) under the same timing config —
-                // rebuild the result row from `cycles.jsonl` and skip the
-                // simulator entirely.
-                let memo_hit = cycle_memo
-                    .get(&(fingerprint, kernel.name().to_string(), config_name.clone()))
-                    .filter(|c| c.config_hash == timing_hash)
-                    // A backends run needs the SSR column; memo rows from
-                    // plain campaigns lack it (except SpMA, which has no
-                    // SSR leg) and fall through to the simulator.
-                    .filter(|c| !backends || c.ssr_cycles.is_some() || kernel == KernelKind::Spma);
-                via_sim::telemetry::record_cycle_cache(memo_hit.is_some());
-                if let Some(c) = memo_hit {
-                    via_sim::telemetry::record_skipped_instructions(
-                        c.base_instructions + c.via_instructions + c.ssr_instructions.unwrap_or(0),
-                    );
-                    let row = c.to_result_row();
-                    if let Err(e) = results_log.append(&row.to_jsonl()) {
-                        record_io_err(e);
-                    }
-                    per_worker[w].fetch_add(1, Ordering::Relaxed);
-                    cycle_hits.fetch_add(1, Ordering::Relaxed);
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    if progress {
-                        println!(
-                            "[{done}/{total}] {name} x {kernel}: {} (memo hit, base {} / via {})",
-                            speedup(row.speedup()),
-                            row.base_cycles,
-                            row.via_cycles
-                        );
-                    }
-                    if let Some(limit) = max_jobs {
-                        if done >= limit {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    continue;
-                }
-                let source = job.source.clone();
-                let outcome = run_with_budget(budget, &name, move || {
-                    execute_job(source, kernel, via, fingerprint, timing_hash, backends)
-                })
-                .and_then(|inner| inner);
-                match outcome {
-                    Ok((row, memo)) => {
-                        simulated_cycles.fetch_add(
-                            row.base_cycles + row.via_cycles + row.ssr_cycles.unwrap_or(0),
-                            Ordering::Relaxed,
-                        );
-                        if let Err(e) = results_log.append(&row.to_jsonl()) {
-                            record_io_err(e);
-                        }
-                        if let Err(e) = cycles_log.append(&memo.to_jsonl()) {
-                            record_io_err(e);
-                        }
-                        per_worker[w].fetch_add(1, Ordering::Relaxed);
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        if progress {
-                            println!(
-                                "[{done}/{total}] {name} x {kernel}: {} (base {} / via {})",
-                                speedup(row.speedup()),
-                                row.base_cycles,
-                                row.via_cycles
-                            );
-                        }
-                        if let Some(limit) = max_jobs {
-                            if done >= limit {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    Err(fail) => {
-                        let row = QuarantineRow {
-                            matrix: name.clone(),
-                            kernel: kernel.name().to_string(),
-                            config: config_name.clone(),
-                            kind: fail.kind.name().to_string(),
-                            chain: fail.chain,
-                        };
-                        if let Err(e) = quarantine_log.append(&row.to_jsonl()) {
-                            record_io_err(e);
-                        }
-                        quarantined.fetch_add(1, Ordering::Relaxed);
-                        if progress {
-                            println!(
-                                "[{i}/{total}] {name} x {kernel}: quarantined ({})",
-                                row.kind
-                            );
-                        }
-                    }
-                }
-            });
+            scope.spawn(move || worker(w));
         }
     });
 

@@ -1,15 +1,16 @@
 //! One runner per paper table/figure.
 
+use crate::pair::{buckets, speedup, CategoryRow, KernelKind};
 use crate::suite::{parallel_map, ExperimentScale, Suite};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use via_core::ViaConfig;
 use via_energy::{AreaModel, EnergyModel, SynthesisPoint, PAPER_SYNTHESIS};
-use via_formats::stats::{geomean, split_categories};
-use via_formats::{gen, Csb, SellCSigma, Spc5};
+use via_formats::gen;
+use via_formats::stats::geomean;
 use via_kernels::spmspv::{self, SparseVector};
-use via_kernels::{histogram, spma, spmm, spmv, stencil, KernelRun, SimContext, TraceOptions};
+use via_kernels::{histogram, spmm, stencil, KernelRun, SimContext, TraceOptions};
 use via_sim::{analyze, fnv1a64, Engine, RunStats, StallCause, StallReport, StreamCache};
 
 /// One row of the Figure 9 design-space exploration: the speedup of each
@@ -273,31 +274,25 @@ pub fn fig9_dse(scale: &ExperimentScale) -> (Vec<DseRow>, Vec<BoundAuditRow>) {
         (run.stats.cycles, bound.lower_cycles)
     }
 
+    // The three kernels' VIA legs, in the order of the rows' fields.
+    let kinds = [KernelKind::SpmvCsb, KernelKind::Spma, KernelKind::Spmm];
     let configs = ViaConfig::dse_points();
     // points[config][kernel][matrix] = (simulated cycles, static bound).
     let points: Vec<[Vec<(u64, u64)>; 3]> = configs
         .iter()
         .map(|&config| {
-            // All three kernels run on the VIA engine, recording on.
+            // All three kernels run on the VIA engine, recording on; the
+            // SpMV CSB blocks fit this config's scratchpad.
             let rec = SimContext::with_via(config).with_recording();
-            // SpMV with CSB tuned to this config's scratchpad.
-            let bs = config.csb_block_size();
-            [
-                parallel_map(&spmv_suite.matrices, scale.threads, |m| {
-                    let csb = Csb::from_csr(&m.csr, bs).expect("power-of-two block");
-                    let x = gen::dense_vector(m.csr.cols(), m.seed);
-                    cycles_and_bound(&rec, spmv::via_csb(&csb, &x, &rec))
-                }),
-                parallel_map(&spmv_suite.matrices, scale.threads, |m| {
-                    let b = gen::perturb_structure(&m.csr, 0.6, 0.5, m.seed ^ 1);
-                    cycles_and_bound(&rec, spma::via_cam(&m.csr, &b, &rec))
-                }),
-                parallel_map(&spmm_suite.matrices, spmm_scale.threads, |m| {
-                    let b = gen::uniform(m.csr.cols(), m.csr.cols(), m.csr.density(), m.seed ^ 2)
-                        .to_csc();
-                    cycles_and_bound(&rec, spmm::via_cam(&m.csr, &b, &rec))
-                }),
-            ]
+            kinds.map(|kind| {
+                let (suite, threads) = match kind {
+                    KernelKind::Spmm => (&spmm_suite, spmm_scale.threads),
+                    _ => (&spmv_suite, scale.threads),
+                };
+                parallel_map(&suite.matrices, threads, |m| {
+                    cycles_and_bound(&rec, kind.on(m, &rec).via())
+                })
+            })
         })
         .collect();
 
@@ -325,12 +320,12 @@ pub fn fig9_dse(scale: &ExperimentScale) -> (Vec<DseRow>, Vec<BoundAuditRow>) {
         .collect();
 
     // Audit each kernel × matrix group of configs against its winner.
-    let audit = ["spmv/via_csb", "spma/via_cam", "spmm/via_cam"]
+    let audit = kinds
         .iter()
         .enumerate()
-        .map(|(k, kernel)| {
+        .map(|(k, kind)| {
             let mut row = BoundAuditRow {
-                kernel: kernel.to_string(),
+                kernel: kind.labels().1.to_string(),
                 ..BoundAuditRow::default()
             };
             for m in 0..points[0][k].len() {
@@ -433,10 +428,12 @@ pub fn kernel_bound_tightness(seed: u64) -> Vec<TightnessRow> {
         }
     }
 
+    // SpMV and SpMA run their pairs' VIA legs on `a`.
     let a = gen::uniform(192, 192, 0.02, seed);
-    let x = gen::dense_vector(a.cols(), seed);
-    let csb = Csb::from_csr(&a, ctx.via.csb_block_size()).expect("power-of-two block");
-    let b = gen::perturb_structure(&a, 0.6, 0.5, seed ^ 1);
+    let via_leg = |kind: KernelKind| {
+        let pair = kind.pair(&a, seed, &ctx).expect("uniform matrices convert");
+        row(kind.labels().1, &ctx, &pair.via())
+    };
     let small = gen::uniform(96, 96, 0.04, seed ^ 2);
     let small_b = gen::uniform(96, 96, 0.04, seed ^ 3).to_csc();
     let a_csc = gen::rmat(200, 1200, seed ^ 4).to_csc();
@@ -450,8 +447,8 @@ pub fn kernel_bound_tightness(seed: u64) -> Vec<TightnessRow> {
     let filter = stencil::gaussian4();
 
     vec![
-        row("spmv/via_csb", &ctx, &spmv::via_csb(&csb, &x, &ctx)),
-        row("spma/via_cam", &ctx, &spma::via_cam(&a, &b, &ctx)),
+        via_leg(KernelKind::SpmvCsb),
+        via_leg(KernelKind::Spma),
         row("spmm/via_cam", &ctx, &spmm::via_cam(&small, &small_b, &ctx)),
         row(
             "spmspv/via_cam",
@@ -510,145 +507,80 @@ pub struct SpmvResult {
 pub fn fig10_spmv(scale: &ExperimentScale) -> SpmvResult {
     let suite = Suite::generate(scale);
     let ctx = SimContext::default();
-    let bs = ctx.via.csb_block_size();
-    let vl = ctx.vl();
 
     struct PerMatrix {
-        block_density: f64,
-        speedups: [f64; 4], // csr, spc5, sell, csb
+        points: [(f64, f64); 4], // (block density, speedup): csr, spc5, sell, csb
         energy_ratio: f64,
         bandwidth_ratio: f64,
     }
 
     let runs: Vec<PerMatrix> = parallel_map(&suite.matrices, scale.threads, |m| {
-        let x = gen::dense_vector(m.csr.cols(), m.seed);
-        let csb = Csb::from_csr(&m.csr, bs).expect("power-of-two block");
-        let spc5_m = Spc5::from_csr(&m.csr, vl).expect("valid block height");
-        let sell_m = SellCSigma::from_csr(&m.csr, vl, (vl * 8).min(m.csr.rows().max(vl)))
-            .unwrap_or_else(|_| SellCSigma::from_csr(&m.csr, vl, vl).expect("c=sigma"));
-
-        let base_csr = spmv::csr_vec(&m.csr, &x, &ctx);
-        let via_csr = spmv::via_csr(&m.csr, &x, &ctx);
-        let base_spc5 = spmv::spc5(&spc5_m, &x, &ctx);
-        let via_spc5 = spmv::via_spc5(&spc5_m, &x, &ctx);
-        let base_sell = spmv::sell(&sell_m, &x, &ctx);
-        let via_sell = spmv::via_sell(&sell_m, &x, &ctx);
-        let base_csb = spmv::csb_software(&csb, &x, &ctx);
-        let via_csb = spmv::via_csb(&csb, &x, &ctx);
-
-        let energy = EnergyModel::default();
-        let energy_ratio = energy.energy_ratio(
+        let legs = KernelKind::SPMV.map(|kind| {
+            let pair = kind.on(m, &ctx);
+            (pair.key, pair.baseline(), pair.via())
+        });
+        let (_, base_csb, via_csb) = &legs[3];
+        let energy_ratio = EnergyModel::default().energy_ratio(
             &base_csb.stats,
             &via_csb.stats,
-            &via_csb.sspm_events.expect("via run"),
+            via_csb.sspm_events.as_ref().expect("via run"),
             &ctx.via,
         );
         let bandwidth_ratio =
             via_csb.stats.dram_bandwidth() / base_csb.stats.dram_bandwidth().max(1e-12);
         PerMatrix {
-            block_density: csb.mean_block_density(),
-            speedups: [
-                base_csr.cycles() as f64 / via_csr.cycles() as f64,
-                base_spc5.cycles() as f64 / via_spc5.cycles() as f64,
-                base_sell.cycles() as f64 / via_sell.cycles() as f64,
-                base_csb.cycles() as f64 / via_csb.cycles() as f64,
-            ],
+            points: legs.map(|(key, base, via)| (key, speedup(&base, &via))),
             energy_ratio,
             bandwidth_ratio,
         }
     });
 
-    let cats = split_categories(&runs, 4, |r| r.block_density);
     let formats = ["CSR", "SPC5", "Sell-C-sigma", "CSB"];
     let paper_means = [1.25, 1.24, 1.31, 4.22];
+    // Every format shares the matrix's key, so all four split alike.
+    let bucketed: Vec<(Vec<CategoryRow>, f64)> = (0..formats.len())
+        .map(|f| buckets(&runs.iter().map(|r| r.points[f]).collect::<Vec<_>>()))
+        .collect();
     let rows = formats
         .iter()
-        .enumerate()
-        .map(|(f, name)| {
-            let categories = cats
-                .iter()
-                .map(|c| {
-                    geomean(
-                        &c.indices
-                            .iter()
-                            .map(|&i| runs[i].speedups[f])
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
-            let mean = geomean(&runs.iter().map(|r| r.speedups[f]).collect::<Vec<_>>());
-            SpmvFormatRow {
-                format: name.to_string(),
-                categories,
-                mean,
-                paper_mean: paper_means[f],
-            }
+        .zip(paper_means)
+        .zip(&bucketed)
+        .map(|((name, paper_mean), (cats, mean))| SpmvFormatRow {
+            format: name.to_string(),
+            categories: cats.iter().map(|c| c.speedup).collect(),
+            mean: *mean,
+            paper_mean,
         })
         .collect();
     SpmvResult {
         rows,
-        category_medians: cats.iter().map(|c| c.median_key).collect(),
+        category_medians: bucketed[0].0.iter().map(|c| c.median_key).collect(),
         energy_ratio: geomean(&runs.iter().map(|r| r.energy_ratio).collect::<Vec<_>>()),
         bandwidth_ratio: geomean(&runs.iter().map(|r| r.bandwidth_ratio).collect::<Vec<_>>()),
     }
 }
 
-/// One category bucket of Figure 11 (SpMA) or the SpMM series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CategoryRow {
-    /// Category label (median sort-key value).
-    pub median_key: f64,
-    /// Geomean speedup in this category.
-    pub speedup: f64,
-}
-
 /// Figure 11 (SpMA): VIA-CSR-SpMA speedup over the scalar merge, bucketed
 /// into four nnz categories (paper §VII-B; average 6.14×).
 pub fn fig11_spma(scale: &ExperimentScale) -> (Vec<CategoryRow>, f64) {
-    let suite = Suite::generate(scale);
-    let ctx = SimContext::default();
-    let runs: Vec<(f64, f64)> = parallel_map(&suite.matrices, scale.threads, |m| {
-        let b = gen::perturb_structure(&m.csr, 0.6, 0.5, m.seed ^ 1);
-        let base = spma::merge_csr(&m.csr, &b, &ctx);
-        let via = spma::via_cam(&m.csr, &b, &ctx);
-        (
-            m.csr.nnz() as f64,
-            base.cycles() as f64 / via.cycles() as f64,
-        )
-    });
-    bucket_speedups(runs)
+    bucketed_speedups(KernelKind::Spma, scale)
 }
 
 /// Figure 11 companion (SpMM, §VII-C): VIA speedup over the inner-product
 /// baseline, bucketed by average non-zeros per row (the statistic the paper
 /// says constrains the kernel); average 6.00×.
 pub fn fig11_spmm(scale: &ExperimentScale) -> (Vec<CategoryRow>, f64) {
-    let spmm_scale = scale.spmm();
-    let suite = Suite::generate(&spmm_scale);
-    let ctx = SimContext::default();
-    let runs: Vec<(f64, f64)> = parallel_map(&suite.matrices, spmm_scale.threads, |m| {
-        let b = gen::uniform(m.csr.cols(), m.csr.cols(), m.csr.density(), m.seed ^ 2).to_csc();
-        let base = spmm::inner_product(&m.csr, &b, &ctx);
-        let via = spmm::via_cam(&m.csr, &b, &ctx);
-        (
-            m.csr.nnz() as f64 / m.csr.rows().max(1) as f64,
-            base.cycles() as f64 / via.cycles() as f64,
-        )
-    });
-    bucket_speedups(runs)
+    bucketed_speedups(KernelKind::Spmm, &scale.spmm())
 }
 
-fn bucket_speedups(runs: Vec<(f64, f64)>) -> (Vec<CategoryRow>, f64) {
-    let cats = split_categories(&runs, 4, |r| r.0);
-    let rows = cats
-        .iter()
-        .map(|c| CategoryRow {
-            median_key: c.median_key,
-            speedup: geomean(&c.indices.iter().map(|&i| runs[i].1).collect::<Vec<_>>()),
-        })
-        .collect();
-    let mean = geomean(&runs.iter().map(|r| r.1).collect::<Vec<_>>());
-    (rows, mean)
+/// One pair's speedups over the suite of `scale`, bucketed by its key.
+fn bucketed_speedups(kind: KernelKind, scale: &ExperimentScale) -> (Vec<CategoryRow>, f64) {
+    let ctx = SimContext::default();
+    let points = parallel_map(&Suite::generate(scale).matrices, scale.threads, |m| {
+        let pair = kind.on(m, &ctx);
+        (pair.key, speedup(&pair.baseline(), &pair.via()))
+    });
+    buckets(&points)
 }
 
 /// One Figure 12.a histogram workload.
@@ -840,81 +772,39 @@ impl StallRow {
 pub fn stall_sweep(scale: &ExperimentScale) -> Vec<StallRow> {
     let suite = Suite::generate(scale);
     let ctx = SimContext::default().with_trace(TraceOptions::accounting());
-    let bs = ctx.via.csb_block_size();
-
-    fn merged(reports: Vec<StallReport>) -> StallReport {
-        let mut it = reports.into_iter();
-        let mut acc = it.next().expect("non-empty sweep");
-        for r in it {
-            acc.merge(&r);
+    let row = |kernel: &str, stalls: Vec<Option<StallReport>>| {
+        let mut reports = stalls.into_iter().map(|r| r.expect("accounting on"));
+        let mut report = reports.next().expect("non-empty sweep");
+        reports.for_each(|r| report.merge(&r));
+        StallRow {
+            kernel: kernel.to_string(),
+            report,
         }
-        acc
-    }
-    let row = |kernel: &str, reports: Vec<StallReport>| StallRow {
-        kernel: kernel.to_string(),
-        report: merged(reports),
     };
-
-    let mut rows = Vec::new();
-    rows.push(row(
-        "spmv/csr_vec",
-        parallel_map(&suite.matrices, scale.threads, |m| {
-            let x = gen::dense_vector(m.csr.cols(), m.seed);
-            spmv::csr_vec(&m.csr, &x, &ctx)
-                .stall
-                .expect("accounting on")
-        }),
-    ));
-    rows.push(row(
-        "spmv/via_csb",
-        parallel_map(&suite.matrices, scale.threads, |m| {
-            let x = gen::dense_vector(m.csr.cols(), m.seed);
-            let csb = Csb::from_csr(&m.csr, bs).expect("power-of-two block");
-            spmv::via_csb(&csb, &x, &ctx).stall.expect("accounting on")
-        }),
-    ));
-    rows.push(row(
-        "spma/merge_csr",
-        parallel_map(&suite.matrices, scale.threads, |m| {
-            let b = gen::perturb_structure(&m.csr, 0.6, 0.5, m.seed ^ 1);
-            spma::merge_csr(&m.csr, &b, &ctx)
-                .stall
-                .expect("accounting on")
-        }),
-    ));
-    rows.push(row(
-        "spma/via_cam",
-        parallel_map(&suite.matrices, scale.threads, |m| {
-            let b = gen::perturb_structure(&m.csr, 0.6, 0.5, m.seed ^ 1);
-            spma::via_cam(&m.csr, &b, &ctx)
-                .stall
-                .expect("accounting on")
-        }),
-    ));
+    // One leg of a pair (its VIA leg if `via`) over the whole suite.
+    let leg = |kind: KernelKind, via: bool| {
+        let (base_label, via_label) = kind.labels();
+        let stalls = parallel_map(&suite.matrices, scale.threads, |m| {
+            let pair = kind.on(m, &ctx);
+            (if via { pair.via() } else { pair.baseline() }).stall
+        });
+        row(if via { via_label } else { base_label }, stalls)
+    };
     let keys = uniform_keys(8_000, 256, scale.seed ^ 0x57A11);
-    rows.push(row(
-        "histogram/vector_cd",
-        vec![histogram::vector_cd(&keys, 256, &ctx)
-            .stall
-            .expect("accounting on")],
-    ));
-    rows.push(row(
-        "histogram/via",
-        vec![histogram::via(&keys, 256, &ctx)
-            .stall
-            .expect("accounting on")],
-    ));
-    rows
-}
-
-/// Convenience accessor used by tests: the CSB speedup row of a
-/// [`SpmvResult`].
-pub fn csb_row(result: &SpmvResult) -> &SpmvFormatRow {
-    result
-        .rows
-        .iter()
-        .find(|r| r.format == "CSB")
-        .expect("CSB row present")
+    vec![
+        leg(KernelKind::SpmvCsr, false),
+        leg(KernelKind::SpmvCsb, true),
+        leg(KernelKind::Spma, false),
+        leg(KernelKind::Spma, true),
+        row(
+            "histogram/vector_cd",
+            vec![histogram::vector_cd(&keys, 256, &ctx).stall],
+        ),
+        row(
+            "histogram/via",
+            vec![histogram::via(&keys, 256, &ctx).stall],
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -948,8 +838,7 @@ mod tests {
             assert_eq!(row.categories.len(), 4);
             assert!(row.mean.is_finite() && row.mean > 0.0);
         }
-        let csb = csb_row(&result);
-        let csr = result.rows.iter().find(|r| r.format == "CSR").unwrap();
+        let (csr, csb) = (&result.rows[0], &result.rows[3]);
         assert!(
             csb.mean > csr.mean,
             "CSB ({:.2}) should benefit more than CSR ({:.2})",
@@ -958,22 +847,59 @@ mod tests {
         );
         assert!(csb.mean > 1.0, "VIA-CSB must win: {:.2}", csb.mean);
         assert!(result.energy_ratio > 1.0);
+        // Pinned exactly (a `{:?}` f64 round-trips): the figures and the
+        // campaign run the same kernel pairs.
+        assert_eq!(
+            format!("{result:?}"),
+            "SpmvResult { rows: [SpmvFormatRow { format: \"CSR\", categories: [1.1458118705231115, \
+             1.2458363504706733, 1.243276283618582, 1.1766389177939647], \
+             mean: 1.1906378873794374, paper_mean: 1.25 }, SpmvFormatRow { format: \"SPC5\", \
+             categories: [1.2211683613569182, 1.0013492241960873, 0.9954238396164742, \
+             1.0059772032249097], mean: 1.0837935598708721, paper_mean: 1.24 }, \
+             SpmvFormatRow { format: \"Sell-C-sigma\", categories: [1.4798881662059282, \
+             2.0335195530726256, 1.3867461430575034, 1.7017228079197737], \
+             mean: 1.6007311147186007, paper_mean: 1.31 }, SpmvFormatRow { format: \"CSB\", \
+             categories: [3.7225950027512105, 4.076225045372051, 5.350541746335245, \
+             5.538116591928252], mean: 4.413081184090808, paper_mean: 4.22 }], \
+             category_medians: [237.0, 365.0, 719.0, 817.0], energy_ratio: 2.1544936024766677, \
+             bandwidth_ratio: 4.508148430524095 }"
+        );
+    }
+
+    /// `(median key, speedup)` per category plus the mean: the pinned
+    /// view of a Figure 11 result.
+    fn category_points((rows, mean): &(Vec<CategoryRow>, f64)) -> String {
+        let points: Vec<(f64, f64)> = rows.iter().map(|r| (r.median_key, r.speedup)).collect();
+        format!("{:?}", (points, mean))
     }
 
     #[test]
     fn fig11_spma_speedups_positive() {
-        let (rows, mean) = fig11_spma(&tiny());
+        let result = fig11_spma(&tiny());
+        let (rows, mean) = &result;
         assert_eq!(rows.len(), 4);
-        assert!(mean > 1.0, "SpMA mean speedup {mean:.2}");
+        assert!(*mean > 1.0, "SpMA mean speedup {mean:.2}");
         // Categories are sorted by nnz.
         assert!(rows[0].median_key <= rows[3].median_key);
+        assert_eq!(
+            category_points(&result),
+            "([(237.0, 2.2801853663885363), (365.0, 2.8289419514203376), (719.0, \
+             3.4329118081786825), (817.0, 3.7556333100069983)], 2.8548417188315147)"
+        );
     }
 
     #[test]
     fn fig11_spmm_speedups_positive() {
-        let (rows, mean) = fig11_spmm(&tiny());
+        let result = fig11_spmm(&tiny());
+        let (rows, mean) = &result;
         assert_eq!(rows.len(), 4);
-        assert!(mean > 1.0, "SpMM mean speedup {mean:.2}");
+        assert!(*mean > 1.0, "SpMM mean speedup {mean:.2}");
+        assert_eq!(
+            category_points(&result),
+            "([(1.3166666666666667, 6.760098158478997), (1.8159203980099503, \
+             11.344754293487503), (3.4472573839662446, 11.53351667946889), (3.7061855670103094, \
+             10.57327563234808)], 9.123773180658347)"
+        );
     }
 
     #[test]
@@ -1001,8 +927,7 @@ mod tests {
         let ctx = SimContext::default();
         let rec = ctx.clone().with_recording();
         let a = gen::uniform(64, 64, 0.05, 9);
-        let x = gen::dense_vector(a.cols(), 9);
-        let csb = Csb::from_csr(&a, ctx.via.csb_block_size()).expect("power-of-two block");
+        let pair = KernelKind::SpmvCsb.pair(&a, 9, &rec).expect("CSB converts");
         let cfg_hash = via_sim::config_hash(&ctx.core.clone().with_custom_unit(), &ctx.mem);
         let key = point_key("spmv/via_csb", "default", "uniform64", 9);
         let memo = SweepMemo::new();
@@ -1011,7 +936,7 @@ mod tests {
         let cycles = memo.cycles_for(
             key,
             cfg_hash,
-            || CompiledRun::from_run(spmv::via_csb(&csb, &x, &rec)),
+            || CompiledRun::from_run(pair.via()),
             || unreachable!("a first call compiles"),
         );
         assert!(cycles > 0);
@@ -1058,8 +983,22 @@ mod tests {
             seed: 17,
             threads: 2,
         };
-        let (_, rows) = fig9_dse(&scale);
-        assert_eq!(rows.len(), 3);
+        let result = fig9_dse(&scale);
+        // Pinned exactly, Figure 9 rows and audit rows alike.
+        assert_eq!(
+            format!("{result:?}"),
+            "([DseRow { config: \"4_2p\", spmv: 1.0, spma: 1.0, spmm: 1.0 }, \
+             DseRow { config: \"4_4p\", spmv: 1.0018294473590144, spma: 1.0, \
+             spmm: 1.0077731727897083 }, DseRow { config: \"16_2p\", spmv: 1.0, spma: 1.0, \
+             spmm: 1.0 }, DseRow { config: \"16_4p\", spmv: 1.0018294473590144, spma: 1.0, \
+             spmm: 1.0077731727897083 }], [BoundAuditRow { kernel: \"spmv/via_csb\", points: 8, \
+             bound_cycles: 1820, simulated_cycles: 4436, prunable: 0, violations: 0 }, \
+             BoundAuditRow { kernel: \"spma/via_cam\", points: 8, bound_cycles: 9780, \
+             simulated_cycles: 16800, prunable: 0, violations: 0 }, \
+             BoundAuditRow { kernel: \"spmm/via_cam\", points: 8, bound_cycles: 83430, \
+             simulated_cycles: 139130, prunable: 0, violations: 0 }])"
+        );
+        let rows = result.1;
         for row in &rows {
             // 4 configs x 2 matrices, every point audited.
             assert_eq!(row.points, 8, "{}: points audited", row.kernel);

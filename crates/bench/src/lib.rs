@@ -21,6 +21,7 @@ pub mod ablations;
 pub mod campaign;
 pub mod experiments;
 pub mod multicore;
+pub mod pair;
 pub mod paper;
 pub mod report;
 pub mod suite;
@@ -33,13 +34,13 @@ pub use campaign::{
 };
 pub use experiments::{
     fig10_spmv, fig11_spma, fig11_spmm, fig12a_histogram, fig12b_stencil, fig9_dse,
-    kernel_bound_tightness, point_key, stall_sweep, table2_area, BoundAuditRow, CategoryRow,
-    CompiledRun, DseRow, HistogramRow, SpmvFormatRow, StallRow, StencilRow, SweepMemo,
-    TightnessRow,
+    kernel_bound_tightness, point_key, stall_sweep, table2_area, BoundAuditRow, CompiledRun,
+    DseRow, HistogramRow, SpmvFormatRow, StallRow, StencilRow, SweepMemo, TightnessRow,
 };
 pub use multicore::{multicore_sweep, BakeoffRow, MulticoreOutcome, ScalingPoint, CORE_COUNTS};
+pub use pair::CategoryRow;
 pub use suite::{
     check_nonzero, check_suite_size, default_threads, flag_arg, next_flag_value, parallel_map,
-    write_or_exit, ExperimentScale, Suite,
+    writable_or_exit, write_or_exit, ExperimentScale, Suite,
 };
 pub use tune::{load_tuned, tune, tuned_path, write_tuned, TuneConfig, TuneOutcome, TunedRow};

@@ -196,6 +196,25 @@ fn or_exit<T>(parsed: Result<T, String>) -> T {
     })
 }
 
+/// Checks an output path when its flag is parsed, before any work runs:
+/// its parent must be an existing directory. Otherwise prints
+/// `cannot write <path>: <error>` and exits with status 1, so a mistyped
+/// path does not throw a finished sweep away. [`write_or_exit`] still
+/// reports a failure at write time.
+pub fn writable_or_exit(path: String) -> String {
+    let parent = std::path::Path::new(&path)
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .unwrap_or(std::path::Path::new("."));
+    let error = match std::fs::metadata(parent) {
+        Ok(meta) if meta.is_dir() => return path,
+        Ok(_) => format!("{} is not a directory", parent.display()),
+        Err(e) => e.to_string(),
+    };
+    eprintln!("cannot write {path}: {error}");
+    std::process::exit(1);
+}
+
 /// Writes a binary's output file, or prints `cannot write <path>: <error>`
 /// and exits with status 1.
 pub fn write_or_exit(path: &str, contents: &str) {

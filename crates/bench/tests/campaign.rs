@@ -4,9 +4,9 @@
 
 use std::path::PathBuf;
 use via_bench::campaign::{
-    aggregate_report, aggregate_report_dirs, canonical_sort, cycles_path, load_cycles, load_meta,
-    load_quarantine, load_results, merge_stores, quarantine_path, results_path, run_campaign,
-    CampaignConfig, CampaignError, Corpus, KernelKind, Mode, ShardSpec,
+    aggregate_report, aggregate_report_dirs, canonical_sort, cycles_path, fnv1a64, load_cycles,
+    load_meta, load_quarantine, load_results, merge_stores, quarantine_path, results_path,
+    run_campaign, CampaignConfig, CampaignError, Corpus, KernelKind, Mode, ShardSpec,
 };
 use via_formats::gen::StratifiedConfig;
 
@@ -242,6 +242,45 @@ fn backends_campaign_records_ssr_and_rejects_plain_memo() {
         "upgraded memo answers everything"
     );
     assert_eq!(warm.simulated_cycles, 0);
+}
+
+/// All six kernel pairs with the SSR leg on three matrices: the canonical
+/// `results.jsonl` and `cycles.jsonl` and the report are pinned by their
+/// FNV-1a hashes, so a change to any pair's operands, legs, key or output
+/// check shows here.
+#[test]
+fn six_pair_backends_store_is_pinned() {
+    let corpus = Corpus::Synthetic(StratifiedConfig {
+        count: 3,
+        min_rows: 48,
+        max_rows: 96,
+        density_range: (0.02, 0.08),
+        size_strata: 3,
+        density_strata: 1,
+        seed: 0x51C5,
+    });
+    let dir = Scratch::new("pinned");
+    let mut cfg = CampaignConfig::new(dir.path());
+    cfg.kernels = KernelKind::ALL.to_vec();
+    cfg.threads = 2;
+    cfg.backends = true;
+    let outcome = run_campaign(&cfg, &corpus, Mode::Fresh).expect("backends run");
+    assert_eq!((outcome.completed, outcome.quarantined), (18, 0));
+    let canon = Scratch::new("pinned_canon");
+    merge_stores(canon.path(), &[dir.path().to_path_buf()]).expect("canonicalize");
+    let report = aggregate_report(canon.path()).expect("report");
+    assert_eq!(
+        (
+            fnv1a64(file_bytes(&results_path(canon.path()))),
+            fnv1a64(file_bytes(&cycles_path(canon.path()))),
+            fnv1a64(report.into_bytes()),
+        ),
+        (
+            0xf3a9_5273_dbdd_3399,
+            0xcb50_8015_e56d_0a93,
+            0x02e8_480d_efce_99f1
+        )
+    );
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! The command lines of the built binaries: `campaign run` exit codes for
-//! usable, partly usable and unusable `.mtx` corpora; exit 2 naming the
-//! flag or path for bad, conflicting, degenerate or do-nothing arguments
-//! (`campaign tune`, `fig9_dse` and `fig12a_histogram` included); and
-//! exit 1 naming the path when an output file cannot be written.
+//! usable, partly usable and unusable `.mtx` corpora, and for one too large
+//! to allocate; exit 2 naming the flag or path for bad, conflicting,
+//! degenerate or do-nothing arguments (`campaign tune`, `fig9_dse` and
+//! `fig12a_histogram` included); and exit 1 naming the path when an output
+//! file cannot be written (before any work when its directory is missing).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use via_bench::campaign::load_quarantine;
+use via_bench::campaign::{load_quarantine, load_results};
 
 /// A unique scratch directory, removed on drop.
 struct Scratch(PathBuf);
@@ -79,6 +80,44 @@ fn a_corrupt_file_beside_a_valid_one_is_quarantined_and_the_run_succeeds() {
     let quarantine = load_quarantine(&store).expect("load quarantine");
     assert_eq!(quarantine.len(), 1, "{quarantine:?}");
     assert!(quarantine[0].matrix.ends_with("corrupt.mtx"));
+}
+
+#[test]
+fn an_oversized_matrix_is_quarantined_while_the_rest_completes() {
+    let scratch = Scratch::new("oversized");
+    // 2^32 rows, the most the reader accepts: the row pointers alone need
+    // 32 GiB, more than the campaign's address space is capped at below.
+    let oversized = (
+        "oversized.mtx",
+        "%%MatrixMarket matrix coordinate real general\n4294967296 4 1\n1 1 1.0\n",
+    );
+    let manifest = scratch.corpus(&[oversized, VALID]);
+    let store = scratch.0.join("store");
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -v 4000000; exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_campaign"))
+        .args(["run", "--dir", store.to_str().unwrap()])
+        .args([
+            "--corpus",
+            manifest.to_str().unwrap(),
+            "--threads",
+            "1",
+            "--quiet",
+        ])
+        .output()
+        .expect("run the campaign binary under an address-space cap");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let quarantine = load_quarantine(&store).expect("load quarantine");
+    assert_eq!(quarantine.len(), 1, "{quarantine:?}");
+    assert!(quarantine[0].matrix.ends_with("oversized.mtx"));
+    assert_eq!(quarantine[0].kind, "too_large");
+    assert_eq!(
+        quarantine[0].chain,
+        ["a 4294967296x4 matrix does not fit in memory"]
+    );
+    let results = load_results(&store).expect("load results");
+    assert_eq!(results.len(), 1, "{results:?}");
+    assert!(results[0].matrix.ends_with("valid.mtx"));
 }
 
 #[test]
@@ -237,14 +276,15 @@ fn an_unwritable_output_or_a_missed_floor_exits_1() {
         env!("CARGO_BIN_EXE_multicore"),
     );
     let cannot = format!("cannot write {missing}: ");
-    for (bin, out, error) in [
-        (report, format!("--chrome {missing}"), cannot.as_str()),
-        (multicore, format!("--out {missing}"), &cannot),
+    for (bin, out, error, before_any_output) in [
+        (report, format!("--chrome {missing}"), cannot.as_str(), true),
+        (multicore, format!("--out {missing}"), &cannot, true),
         // At this scale 4 cores miss the floor; the grid is written first.
         (
             multicore,
             format!("--out {written}"),
             "under the 1.7x acceptance floor",
+            false,
         ),
     ] {
         let tiny = format!("--matrices 1 --min-rows 48 --max-rows 48 {out}");
@@ -255,6 +295,27 @@ fn an_unwritable_output_or_a_missed_floor_exits_1() {
             err.contains(error) && !err.contains("panicked"),
             "{out}: {err}"
         );
+        // A missing directory is found when the flag is parsed: nothing
+        // runs and nothing prints, not even the banner.
+        if before_any_output {
+            assert_eq!(
+                String::from_utf8_lossy(&output.stdout),
+                "",
+                "{out}: ran before failing"
+            );
+        }
     }
     assert!(Path::new(&written).exists());
+    // `verify_programs` prints its banner on stderr; the path error must
+    // be all there is.
+    let output = run(
+        env!("CARGO_BIN_EXE_verify_programs"),
+        &format!("--quick --out {missing}"),
+    );
+    let err = stderr(&output);
+    assert_eq!(output.status.code(), Some(1), "{err}");
+    assert!(
+        err.starts_with(&cannot) && err.lines().count() == 1,
+        "{err}"
+    );
 }

@@ -33,7 +33,24 @@ pub struct Csr {
 impl Csr {
     /// Builds a CSR matrix from a COO matrix (a canonical copy is made if
     /// needed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row pointers cannot be allocated
+    /// ([`Csr::try_from_coo`] returns that as an error).
     pub fn from_coo(coo: &Coo) -> Self {
+        Csr::try_from_coo(coo).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Csr::from_coo`] with the `rows + 1` row pointers reserved
+    /// fallibly, so a matrix that declares more rows than memory holds (a
+    /// Matrix Market header may declare up to 2^32) is an error instead of
+    /// an allocation abort.
+    ///
+    /// # Errors
+    ///
+    /// [`FormatError::TooLarge`] if the row pointers cannot be allocated.
+    pub fn try_from_coo(coo: &Coo) -> Result<Self, FormatError> {
         let canonical;
         let coo = if coo.is_canonical() {
             coo
@@ -41,7 +58,14 @@ impl Csr {
             canonical = coo.clone().into_canonical();
             &canonical
         };
-        let mut row_ptr = vec![0usize; coo.rows() + 1];
+        let mut row_ptr = Vec::new();
+        row_ptr
+            .try_reserve_exact(coo.rows() + 1)
+            .map_err(|_| FormatError::TooLarge {
+                rows: coo.rows(),
+                cols: coo.cols(),
+            })?;
+        row_ptr.resize(coo.rows() + 1, 0usize);
         for &(r, _, _) in coo.entries() {
             row_ptr[r as usize + 1] += 1;
         }
@@ -54,13 +78,13 @@ impl Csr {
             col_idx.push(c);
             data.push(v);
         }
-        Csr {
+        Ok(Csr {
             rows: coo.rows(),
             cols: coo.cols(),
             row_ptr,
             col_idx,
             data,
-        }
+        })
     }
 
     /// Builds a CSR matrix directly from its raw arrays.
@@ -252,6 +276,17 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unallocatable_row_pointers_are_an_error_naming_the_dimensions() {
+        // 2^60 row pointers overflow any allocation request.
+        let err = Csr::try_from_coo(&Coo::new(1 << 60, 4)).unwrap_err();
+        assert_eq!(err.kind(), "too_large");
+        assert_eq!(
+            err.to_string(),
+            "a 1152921504606846976x4 matrix does not fit in memory"
+        );
+    }
 
     fn sample() -> Csr {
         // [1 0 2]

@@ -38,6 +38,14 @@ pub enum FormatError {
     },
     /// An underlying I/O operation failed.
     Io(std::io::Error),
+    /// A matrix's arrays could not be allocated (e.g. the row pointers of
+    /// a Matrix Market file that declares billions of rows).
+    TooLarge {
+        /// Declared number of rows.
+        rows: usize,
+        /// Declared number of columns.
+        cols: usize,
+    },
 }
 
 impl fmt::Display for FormatError {
@@ -62,6 +70,9 @@ impl fmt::Display for FormatError {
                 None => write!(f, "parse error at line {line}: {message}"),
             },
             FormatError::Io(err) => write!(f, "i/o error: {err}"),
+            FormatError::TooLarge { rows, cols } => {
+                write!(f, "a {rows}x{cols} matrix does not fit in memory")
+            }
         }
     }
 }
@@ -77,6 +88,7 @@ impl FormatError {
             FormatError::InvalidStructure(_) => "invalid_structure",
             FormatError::Parse { .. } => "parse",
             FormatError::Io(_) => "io",
+            FormatError::TooLarge { .. } => "too_large",
         }
     }
 

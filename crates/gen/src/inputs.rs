@@ -81,8 +81,9 @@ impl GenInputs {
     }
 }
 
-/// A generated kernel's functional result — vector-valued for
-/// SpMV/SpTRSV/SymGS, matrix-valued for SpMM.
+/// A kernel's functional result — vector-valued for SpMV/SpTRSV/SymGS,
+/// matrix-valued for SpMA/SpMM (a generated variant's, or a leg of one of
+/// `via-bench`'s paper kernel pairs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum GenOutput {
     /// A dense output vector.

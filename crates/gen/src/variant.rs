@@ -283,65 +283,43 @@ impl KernelVariant {
             } => {
                 let csb = Csb::from_csr(&inputs.a, ctx.via.csb_block_size())
                     .expect("corpus matrix converts to CSB");
-                map_run(
-                    spmv::via_csb_with(&csb, &inputs.x, ctx, flush_group, unroll),
-                    GenOutput::Vector,
-                )
+                spmv::via_csb_with(&csb, &inputs.x, ctx, flush_group, unroll).map(GenOutput::Vector)
             }
             KernelVariant::Spmv {
                 format: SpmvFormat::Csr,
                 flush_group,
                 ..
-            } => map_run(
-                spmv::via_csr_with(&inputs.a, &inputs.x, ctx, flush_group),
-                GenOutput::Vector,
-            ),
+            } => spmv::via_csr_with(&inputs.a, &inputs.x, ctx, flush_group).map(GenOutput::Vector),
             KernelVariant::Spmv {
                 format: SpmvFormat::Ssr,
                 ..
-            } => map_run(ssr::spmv_csr(&inputs.a, &inputs.x, ctx), GenOutput::Vector),
-            KernelVariant::Spmm { col_tile } => map_run(
-                spmm::via_cam_with(&inputs.a, &inputs.b_mat, ctx, col_tile),
-                GenOutput::Matrix,
-            ),
+            } => ssr::spmv_csr(&inputs.a, &inputs.x, ctx).map(GenOutput::Vector),
+            KernelVariant::Spmm { col_tile } => {
+                spmm::via_cam_with(&inputs.a, &inputs.b_mat, ctx, col_tile).map(GenOutput::Matrix)
+            }
             KernelVariant::Sptrsv {
                 schedule,
                 flush_group,
-            } => map_run(
-                sptrsv::via_sspm_with(&inputs.l, &inputs.rhs, ctx, schedule, flush_group),
-                GenOutput::Vector,
-            ),
+            } => sptrsv::via_sspm_with(&inputs.l, &inputs.rhs, ctx, schedule, flush_group)
+                .map(GenOutput::Vector),
             KernelVariant::Symgs {
                 schedule,
                 flush_group,
-            } => map_run(
-                symgs::via_sspm_with(
-                    &inputs.sym,
-                    &inputs.rhs,
-                    &inputs.x0,
-                    ctx,
-                    schedule,
-                    flush_group,
-                ),
-                GenOutput::Vector,
-            ),
+            } => symgs::via_sspm_with(
+                &inputs.sym,
+                &inputs.rhs,
+                &inputs.x0,
+                ctx,
+                schedule,
+                flush_group,
+            )
+            .map(GenOutput::Vector),
         }
     }
 }
 
 fn numeric(part: &str, prefix: &str) -> Option<usize> {
     part.strip_prefix(prefix)?.parse().ok()
-}
-
-fn map_run<T>(run: KernelRun<T>, wrap: impl FnOnce(T) -> GenOutput) -> KernelRun<GenOutput> {
-    KernelRun {
-        output: wrap(run.output),
-        stats: run.stats,
-        sspm_events: run.sspm_events,
-        stall: run.stall,
-        chrome: run.chrome,
-        compiled: run.compiled,
-    }
 }
 
 trait DedupStable {

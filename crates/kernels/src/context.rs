@@ -257,6 +257,18 @@ impl<T> KernelRun<T> {
     pub fn cycles(&self) -> u64 {
         self.stats.cycles
     }
+
+    /// The same run with its output passed through `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> KernelRun<U> {
+        KernelRun {
+            output: f(self.output),
+            stats: self.stats,
+            sspm_events: self.sspm_events,
+            stall: self.stall,
+            chrome: self.chrome,
+            compiled: self.compiled,
+        }
+    }
 }
 
 #[cfg(test)]

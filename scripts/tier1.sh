@@ -12,7 +12,8 @@
 # timing model), the via-verify static sweep over every shipped kernel's
 # instruction streams, the quick auto-tune (gated on soundness and on the
 # 1.10x tuned-over-default geomean floor), the campaign kill-and-resume
-# smoke, and the repository benchmark's self-test (every perfbench
+# smoke over all six kernel pairs (results, cycle memo and quarantine
+# compared), and the repository benchmark's self-test (every perfbench
 # workload at a tiny scale, so a crate change that breaks the benchmark
 # fails here). Wall-clock performance is measured separately, by the
 # repository benchmark (`python3 perfbench/run.py`).
@@ -65,7 +66,7 @@ cargo run --release -p via-bench --bin campaign -- \
     tune --dir "$SMOKE_DIR/tune" --quick --expect-geomean 1.10 >/dev/null
 
 echo "==> campaign kill-and-resume smoke"
-CAMPAIGN_ARGS="--synthetic 6 --min-rows 48 --max-rows 128 --quiet"
+CAMPAIGN_ARGS="--synthetic 6 --min-rows 48 --max-rows 128 --kernels all --quiet"
 # Kill a sweep after 2 jobs, resume it, and demand the resumed store
 # is byte-identical to an uninterrupted run's (canonical sort).
 cargo run --release -p via-bench --bin campaign -- \
@@ -74,10 +75,12 @@ cargo run --release -p via-bench --bin campaign -- \
     run --dir "$SMOKE_DIR/killed" $CAMPAIGN_ARGS --resume >/dev/null
 cargo run --release -p via-bench --bin campaign -- \
     run --dir "$SMOKE_DIR/straight" $CAMPAIGN_ARGS >/dev/null
-LC_ALL=C sort "$SMOKE_DIR/killed/results.jsonl" >"$SMOKE_DIR/a"
-LC_ALL=C sort "$SMOKE_DIR/straight/results.jsonl" >"$SMOKE_DIR/b"
-cmp "$SMOKE_DIR/a" "$SMOKE_DIR/b"
-echo "    resume smoke OK (stores byte-identical)"
+for f in results cycles quarantine; do
+    LC_ALL=C sort "$SMOKE_DIR/killed/$f.jsonl" >"$SMOKE_DIR/a"
+    LC_ALL=C sort "$SMOKE_DIR/straight/$f.jsonl" >"$SMOKE_DIR/b"
+    cmp "$SMOKE_DIR/a" "$SMOKE_DIR/b"
+done
+echo "    resume smoke OK (results, cycles and quarantine byte-identical)"
 
 echo "==> perfbench selftest (every benchmark workload at a tiny scale)"
 python3 perfbench/run.py selftest
