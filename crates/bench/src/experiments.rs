@@ -1025,7 +1025,19 @@ mod tests {
     #[test]
     fn kernel_tightness_covers_six_kernels_with_sound_bounds() {
         let rows = kernel_bound_tightness(0x71);
-        assert_eq!(rows.len(), 6);
+        // Pinned exactly, so a drift in any bound term shows.
+        assert_eq!(
+            format!("{rows:?}"),
+            "[TightnessRow { kernel: \"spmv/via_csb\", bound_cycles: 1015, \
+             simulated_cycles: 1703, dead_stores: 0 }, TightnessRow { kernel: \"spma/via_cam\", \
+             bound_cycles: 3622, simulated_cycles: 6456, dead_stores: 0 }, \
+             TightnessRow { kernel: \"spmm/via_cam\", bound_cycles: 53778, \
+             simulated_cycles: 69045, dead_stores: 0 }, TightnessRow { kernel: \"spmspv/via_cam\", \
+             bound_cycles: 240, simulated_cycles: 579, dead_stores: 0 }, \
+             TightnessRow { kernel: \"histogram/via\", bound_cycles: 2139, \
+             simulated_cycles: 7163, dead_stores: 0 }, TightnessRow { kernel: \"stencil/via\", \
+             bound_cycles: 28790, simulated_cycles: 30551, dead_stores: 0 }]"
+        );
         for row in &rows {
             assert!(row.bound_cycles > 0, "{}: vacuous bound", row.kernel);
             assert!(

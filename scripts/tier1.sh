@@ -10,7 +10,10 @@
 # the stream-soundness proof), the
 # golden cycle-count snapshots (the bit-exactness contract for the
 # timing model), the via-verify static sweep over every shipped kernel's
-# instruction streams, the quick auto-tune (gated on soundness and on the
+# instruction streams and the socket sweep (each JSON report compared
+# byte for byte with the committed VERIFY_programs.json and
+# BENCH_multicore.json, so a moved bound or cycle count fails), the
+# quick auto-tune (gated on soundness and on the
 # 1.10x tuned-over-default geomean floor), the campaign kill-and-resume
 # smoke over all six kernel pairs (results, cycle memo and quarantine
 # compared), and the repository benchmark's self-test (every perfbench
@@ -55,11 +58,16 @@ cargo test -p via-kernels --release -q --test golden_stalls
 echo "==> compiled-vs-interpreted golden equivalence"
 cargo test -p via-kernels --release -q --test compiled_equivalence
 
-echo "==> verify_programs --quick (via-verify static sweep)"
-cargo run --release -p via-bench --bin verify_programs -- --quick
-
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+echo "==> verify_programs --quick (via-verify static sweep, equal to VERIFY_programs.json)"
+cargo run --release -p via-bench --bin verify_programs -- --quick --out "$SMOKE_DIR/verify.json"
+cmp "$SMOKE_DIR/verify.json" VERIFY_programs.json
+
+echo "==> multicore (socket sweep, equal to BENCH_multicore.json)"
+cargo run --release -p via-bench --bin multicore -- --out "$SMOKE_DIR/multicore.json" >/dev/null
+cmp "$SMOKE_DIR/multicore.json" BENCH_multicore.json
 
 echo "==> campaign tune --quick (auto-tuner smoke, prune audit on, 1.10x geomean floor)"
 cargo run --release -p via-bench --bin campaign -- \
