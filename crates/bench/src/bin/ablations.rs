@@ -3,10 +3,10 @@
 
 use via_bench::ablations;
 use via_bench::report::{banner, render_table};
-use via_bench::ExperimentScale;
+use via_bench::{cli_args, ExperimentScale, SCALE_FLAGS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(SCALE_FLAGS, &[]);
     let scale = ExperimentScale::default().from_args(&args);
     print!(
         "{}",

@@ -32,7 +32,7 @@ use via_bench::campaign::{
 };
 use via_bench::report::banner;
 use via_bench::tune::{tune, tuned_path, write_tuned, TuneConfig};
-use via_bench::{check_nonzero, check_suite_size, next_flag_value, SweepMemo};
+use via_bench::{check_nonzero, check_suite_size, next_flag_value, SweepMemo, SCALE_FLAGS};
 use via_formats::gen::StratifiedConfig;
 
 struct Cli {
@@ -388,7 +388,7 @@ fn cmd_tune(args: &[String]) {
             }
             "--help" | "-h" => usage(),
             // Corpus-scale flags: their values are parsed below.
-            "--matrices" | "--min-rows" | "--max-rows" | "--seed" | "--threads" => {
+            flag if SCALE_FLAGS.contains(&flag) => {
                 it.next();
             }
             other => {

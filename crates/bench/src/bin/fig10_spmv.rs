@@ -1,10 +1,10 @@
 //! Figure 10: VIA-SpMV speedups per format and CSB block-density category.
 
 use via_bench::report::{banner, render_table, speedup};
-use via_bench::{fig10_spmv, ExperimentScale};
+use via_bench::{cli_args, fig10_spmv, ExperimentScale, SCALE_FLAGS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(SCALE_FLAGS, &[]);
     let scale = ExperimentScale::default().from_args(&args);
     print!(
         "{}",

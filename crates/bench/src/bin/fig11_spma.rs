@@ -1,10 +1,10 @@
 //! Figure 11: VIA SpMA speedup over the Eigen-style merge.
 
 use via_bench::report::{banner, render_table, speedup};
-use via_bench::{fig11_spma, ExperimentScale};
+use via_bench::{cli_args, fig11_spma, ExperimentScale, SCALE_FLAGS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(SCALE_FLAGS, &[]);
     let scale = ExperimentScale::default().from_args(&args);
     print!(
         "{}",

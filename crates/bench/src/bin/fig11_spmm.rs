@@ -1,10 +1,10 @@
 //! SpMM evaluation (paper §VII-C): VIA vs the inner-product baseline.
 
 use via_bench::report::{banner, render_table, speedup};
-use via_bench::{fig11_spmm, ExperimentScale};
+use via_bench::{cli_args, fig11_spmm, ExperimentScale, SCALE_FLAGS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(SCALE_FLAGS, &[]);
     let scale = ExperimentScale::default().from_args(&args);
     print!(
         "{}",

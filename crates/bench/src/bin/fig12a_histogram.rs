@@ -1,11 +1,11 @@
 //! Figure 12.a: histogram speedups.
 
 use via_bench::report::{banner, render_table, speedup};
-use via_bench::{check_nonzero, fig12a_histogram, flag_arg};
+use via_bench::{check_nonzero, cli_args, fig12a_histogram, flag_arg};
 use via_formats::stats::geomean;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(&["--keys"], &[]);
     let keys = flag_arg(&args, "--keys").unwrap_or(20_000);
     check_nonzero("--keys", keys, "key");
     print!(

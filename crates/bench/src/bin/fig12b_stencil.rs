@@ -1,11 +1,11 @@
 //! Figure 12.b: 4x4 Gaussian filter stencil speedups.
 
-use via_bench::fig12b_stencil;
 use via_bench::report::{banner, render_table, speedup};
+use via_bench::{cli_args, fig12b_stencil};
 use via_formats::stats::geomean;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(&[], &["--full"]);
     let full = args.iter().any(|a| a == "--full");
     // The paper evaluates 128/256/512-pixel images; 512 px simulates ~40M
     // instructions, so the default skips it (enable with --full).

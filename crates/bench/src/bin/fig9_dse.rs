@@ -1,10 +1,10 @@
 //! Figure 9: design-space exploration of SSPM size and ports.
 
 use via_bench::report::{banner, render_table, speedup};
-use via_bench::{fig9_dse, ExperimentScale};
+use via_bench::{cli_args, fig9_dse, ExperimentScale, SCALE_FLAGS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(SCALE_FLAGS, &[]);
     // The DSE suite by default; explicit scale flags override it.
     let scale = ExperimentScale::default().dse().from_args(&args);
     print!(

@@ -12,14 +12,17 @@
 //! ```
 
 use via_bench::report::banner;
-use via_bench::{flag_arg, multicore_sweep, writable_or_exit, write_or_exit, ExperimentScale};
+use via_bench::{
+    cli_args, flag_arg, multicore_sweep, writable_or_exit, write_or_exit, ExperimentScale,
+    SCALE_FLAGS,
+};
 
 /// Acceptance floor: geomean speedup at 4 cores across the partitioned
 /// kernels and backends (nnz-balanced bands over a shared LLC).
 const FOUR_CORE_FLOOR: f64 = 1.7;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(&[SCALE_FLAGS, &["--out"]].concat(), &[]);
     let out_path =
         writable_or_exit(flag_arg(&args, "--out").unwrap_or_else(|| "BENCH_multicore.json".into()));
     let scale = ExperimentScale::quick().from_args(&args);

@@ -8,15 +8,15 @@
 use via_bench::paper::{claim, verdict, Verdict};
 use via_bench::report::{banner, render_table, stall_table};
 use via_bench::{
-    experiments, fig10_spmv, fig11_spma, fig11_spmm, fig12a_histogram, fig12b_stencil, flag_arg,
-    stall_sweep, ExperimentScale,
+    cli_args, experiments, fig10_spmv, fig11_spma, fig11_spmm, fig12a_histogram, fig12b_stencil,
+    flag_arg, stall_sweep, ExperimentScale, SCALE_FLAGS,
 };
 use via_core::ViaConfig;
 use via_energy::AreaModel;
 use via_formats::stats::geomean;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(&[SCALE_FLAGS, &["--tuned"]].concat(), &["--backends"]);
     let scale = ExperimentScale::default().from_args(&args);
     let tuned_dir: Option<String> = flag_arg(&args, "--tuned");
     print!(

@@ -13,11 +13,14 @@
 
 use via_bench::experiments::stall_sweep;
 use via_bench::report::{banner, stall_table};
-use via_bench::{flag_arg, writable_or_exit, write_or_exit, ExperimentScale, KernelKind, Suite};
+use via_bench::{
+    cli_args, flag_arg, writable_or_exit, write_or_exit, ExperimentScale, KernelKind, Suite,
+    SCALE_FLAGS,
+};
 use via_kernels::{SimContext, TraceOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(&[SCALE_FLAGS, &["--top", "--chrome"]].concat(), &[]);
     let scale = ExperimentScale::default().from_args(&args);
     let top = flag_arg(&args, "--top").unwrap_or(8);
     let chrome_path = flag_arg(&args, "--chrome").map(writable_or_exit);

@@ -1,10 +1,12 @@
 //! Table I: simulation parameters of the reproduction.
 
+use via_bench::cli_args;
 use via_bench::report::{banner, render_table};
 use via_core::ViaConfig;
 use via_kernels::SimContext;
 
 fn main() {
+    cli_args(&[], &[]);
     print!(
         "{}",
         banner(

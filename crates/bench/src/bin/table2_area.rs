@@ -1,11 +1,12 @@
 //! Table II: SSPM area and leakage per configuration.
 
 use via_bench::report::{banner, render_table};
-use via_bench::table2_area;
+use via_bench::{cli_args, table2_area};
 use via_core::ViaConfig;
 use via_energy::{AreaModel, HASWELL_CORE_MM2};
 
 fn main() {
+    cli_args(&[], &[]);
     print!(
         "{}",
         banner(

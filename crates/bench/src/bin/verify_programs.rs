@@ -24,7 +24,9 @@
 //! `--quick`.
 
 use via_bench::experiments::{skewed_keys, uniform_keys};
-use via_bench::{flag_arg, writable_or_exit, write_or_exit, ExperimentScale, KernelKind, Suite};
+use via_bench::{
+    cli_args, flag_arg, writable_or_exit, write_or_exit, ExperimentScale, KernelKind, Suite,
+};
 use via_core::ViaConfig;
 use via_formats::gen::{self, GenMatrix};
 use via_formats::Csb;
@@ -207,7 +209,7 @@ fn frontier(n: usize, k: usize, seed: u64) -> SparseVector {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli_args(&["--out"], &["--quick"]);
     let quick = args.iter().any(|a| a == "--quick");
     let out_path =
         writable_or_exit(flag_arg(&args, "--out").unwrap_or_else(|| "VERIFY_programs.json".into()));

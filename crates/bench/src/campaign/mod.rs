@@ -676,6 +676,8 @@ pub fn run_campaign(
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let completed = AtomicUsize::new(0);
+    // Numbers the progress lines: jobs completed or quarantined so far.
+    let finished = AtomicUsize::new(0);
     let skipped = AtomicUsize::new(0);
     let foreign = AtomicUsize::new(0);
     let quarantined = AtomicUsize::new(0);
@@ -783,9 +785,10 @@ pub fn run_campaign(
                 }
                 per_worker[w].fetch_add(1, Ordering::Relaxed);
                 let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                let n = finished.fetch_add(1, Ordering::Relaxed) + 1;
                 if cfg.progress {
                     println!(
-                        "[{done}/{total}] {name} x {kernel}: {} ({}base {} / via {})",
+                        "[{n}/{total}] {name} x {kernel}: {} ({}base {} / via {})",
                         speedup(row.speedup()),
                         if simulated { "" } else { "memo hit, " },
                         row.base_cycles,
@@ -806,9 +809,10 @@ pub fn run_campaign(
                 };
                 append(&quarantine_log, row.to_jsonl());
                 quarantined.fetch_add(1, Ordering::Relaxed);
+                let n = finished.fetch_add(1, Ordering::Relaxed) + 1;
                 if cfg.progress {
                     println!(
-                        "[{i}/{total}] {name} x {kernel}: quarantined ({})",
+                        "[{n}/{total}] {name} x {kernel}: quarantined ({})",
                         row.kind
                     );
                 }

@@ -40,7 +40,7 @@ pub use experiments::{
 pub use multicore::{multicore_sweep, BakeoffRow, MulticoreOutcome, ScalingPoint, CORE_COUNTS};
 pub use pair::CategoryRow;
 pub use suite::{
-    check_nonzero, check_suite_size, default_threads, flag_arg, next_flag_value, parallel_map,
-    writable_or_exit, write_or_exit, ExperimentScale, Suite,
+    check_nonzero, check_suite_size, cli_args, default_threads, flag_arg, next_flag_value,
+    parallel_map, writable_or_exit, write_or_exit, ExperimentScale, Suite, SCALE_FLAGS,
 };
 pub use tune::{load_tuned, tune, tuned_path, write_tuned, TuneConfig, TuneOutcome, TunedRow};

@@ -111,6 +111,38 @@ impl ExperimentScale {
     }
 }
 
+/// The flags [`ExperimentScale::from_args`] reads, each followed by its
+/// value.
+pub const SCALE_FLAGS: &[&str] = &[
+    "--matrices",
+    "--max-rows",
+    "--min-rows",
+    "--threads",
+    "--seed",
+];
+
+/// A binary's command line, checked against the flags it declares before
+/// it does any work or prints anything: each of `flags` takes a value (the
+/// next argument) and each of `switches` stands alone. Any other argument
+/// prints `unknown argument "<arg>"` and exits with status 2.
+pub fn cli_args(flags: &[&str], switches: &[&str]) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    or_exit(known_args(&args, flags, switches));
+    args
+}
+
+fn known_args(args: &[String], flags: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if flags.contains(&arg.as_str()) {
+            it.next();
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown argument {arg:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// Checks the size flags of a generated suite: `count` matrices (set by
 /// `count_flag`) with rows in `min_rows..=max_rows`. An empty suite, fewer
 /// than 2 rows, or an inverted range prints the flag(s) and value(s) and
@@ -373,6 +405,30 @@ mod tests {
         assert_eq!(dse("--matrices 16"), Ok((16, 2048, 3072)));
         let error = "--min-rows 2048 exceeds --max-rows 1024";
         assert_eq!(dse("--max-rows 1024"), Err(error.to_string()));
+    }
+
+    #[test]
+    fn undeclared_arguments_are_named() {
+        let args = |a: &str| -> Vec<String> { a.split_whitespace().map(String::from).collect() };
+        let check = |a: &str| known_args(&args(a), &["--out", "--seed"], &["--quick"]);
+        assert_eq!(check(""), Ok(()));
+        // A flag's value is never taken for an argument of its own.
+        assert_eq!(check("--quick --out --bogus --seed 3"), Ok(()));
+        assert_eq!(check("--out"), Ok(()));
+        for (line, unknown) in [
+            ("--qiuck", "--qiuck"),
+            ("--out x.json --ot y.json", "--ot"),
+            ("--seed 3 7", "7"),
+        ] {
+            assert_eq!(check(line), Err(format!("unknown argument \"{unknown}\"")));
+        }
+        // `from_args` reads every scale flag, each with a value.
+        for flag in SCALE_FLAGS {
+            let error = ExperimentScale::default()
+                .try_from_args(&args(&format!("{flag} banana")))
+                .unwrap_err();
+            assert!(error.starts_with(flag), "{error}");
+        }
     }
 
     #[test]

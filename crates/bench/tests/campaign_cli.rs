@@ -1,13 +1,16 @@
-//! The command lines of the built binaries: `campaign run` exit codes for
-//! usable, partly usable and unusable `.mtx` corpora, and for one too large
-//! to allocate; exit 2 naming the flag or path for bad, conflicting,
-//! degenerate or do-nothing arguments (`campaign tune`, `fig9_dse` and
-//! `fig12a_histogram` included); and exit 1 naming the path when an output
-//! file cannot be written (before any work when its directory is missing).
+//! The command lines of the built binaries: `campaign run` exit codes and
+//! progress lines for usable, partly usable and unusable `.mtx` corpora,
+//! and for matrices whose rows or operands are too large to allocate; exit
+//! 2 naming the flag or path for bad, conflicting, degenerate, do-nothing
+//! or unknown arguments (`campaign tune`, `fig9_dse`, `fig10_spmv`,
+//! `fig12a_histogram`, `multicore` and `verify_programs` included); and
+//! exit 1 naming the path when an output file cannot be written (before
+//! any work when its directory is missing).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use via_bench::campaign::{load_quarantine, load_results};
+use via_bench::KernelKind;
 
 /// A unique scratch directory, removed on drop.
 struct Scratch(PathBuf);
@@ -91,7 +94,13 @@ fn an_oversized_matrix_is_quarantined_while_the_rest_completes() {
         "oversized.mtx",
         "%%MatrixMarket matrix coordinate real general\n4294967296 4 1\n1 1 1.0\n",
     );
-    let manifest = scratch.corpus(&[oversized, VALID]);
+    // 2^32 columns: the matrix itself is small, but SpMV's dense x and
+    // SpMM's cols x cols B are not.
+    let wide = (
+        "wide.mtx",
+        "%%MatrixMarket matrix coordinate real general\n4 4294967296 1\n1 1 1.0\n",
+    );
+    let manifest = scratch.corpus(&[oversized, wide, VALID]);
     let store = scratch.0.join("store");
     let out = Command::new("sh")
         .args(["-c", "ulimit -v 4000000; exec \"$0\" \"$@\""])
@@ -100,6 +109,8 @@ fn an_oversized_matrix_is_quarantined_while_the_rest_completes() {
         .args([
             "--corpus",
             manifest.to_str().unwrap(),
+            "--kernels",
+            "all",
             "--threads",
             "1",
             "--quiet",
@@ -108,16 +119,67 @@ fn an_oversized_matrix_is_quarantined_while_the_rest_completes() {
         .expect("run the campaign binary under an address-space cap");
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let quarantine = load_quarantine(&store).expect("load quarantine");
-    assert_eq!(quarantine.len(), 1, "{quarantine:?}");
-    assert!(quarantine[0].matrix.ends_with("oversized.mtx"));
-    assert_eq!(quarantine[0].kind, "too_large");
-    assert_eq!(
-        quarantine[0].chain,
-        ["a 4294967296x4 matrix does not fit in memory"]
-    );
     let results = load_results(&store).expect("load results");
-    assert_eq!(results.len(), 1, "{results:?}");
-    assert!(results[0].matrix.ends_with("valid.mtx"));
+    let rows_of = |file: &str| {
+        let done: Vec<&str> = results
+            .iter()
+            .filter(|r| r.matrix.ends_with(file))
+            .map(|r| r.kernel.as_str())
+            .collect();
+        let failed: Vec<_> = quarantine
+            .iter()
+            .filter(|q| q.matrix.ends_with(file))
+            .collect();
+        (done, failed)
+    };
+    let all: Vec<&str> = KernelKind::ALL.iter().map(|k| k.name()).collect();
+    let (done, failed) = rows_of("valid.mtx");
+    assert_eq!((&done, failed.len()), (&all, 0), "{quarantine:?}");
+    let (done, failed) = rows_of("oversized.mtx");
+    assert!(done.is_empty(), "{done:?}");
+    assert_eq!(failed.len(), 6, "{failed:?}");
+    for q in failed {
+        assert_eq!(q.kind, "too_large");
+        assert_eq!(q.chain, ["a 4294967296x4 matrix does not fit in memory"]);
+    }
+    // Every job on the wide matrix completes or is quarantined as too
+    // large; none aborts the run or panics.
+    let (done, failed) = rows_of("wide.mtx");
+    assert_eq!(done.len() + failed.len(), 6, "{done:?} {failed:?}");
+    for q in failed {
+        assert_eq!(q.kind, "too_large", "{q:?}");
+    }
+}
+
+#[test]
+fn progress_lines_number_every_finished_job_once() {
+    let scratch = Scratch::new("progress");
+    let manifest = scratch.corpus(&[VALID, CORRUPT]);
+    let mut listed = std::fs::read_to_string(&manifest).unwrap();
+    listed.push_str("missing.mtx\n");
+    std::fs::write(&manifest, listed).unwrap();
+    let store = scratch.0.join("store");
+    let out = campaign_run(&[
+        "--dir",
+        store.to_str().unwrap(),
+        "--corpus",
+        manifest.to_str().unwrap(),
+        "--kernels",
+        "all",
+        "--threads",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // Completed and quarantined jobs share one count: 6 results for the
+    // valid file, 12 quarantined jobs for the corrupt and missing ones.
+    let numbers: Vec<String> = stdout
+        .lines()
+        .filter_map(|line| line.strip_prefix('[')?.split_once(']'))
+        .map(|(n, _)| n.to_string())
+        .collect();
+    let expected: Vec<String> = (1..=18).map(|n| format!("{n}/18")).collect();
+    assert_eq!(numbers, expected, "{stdout}");
 }
 
 #[test]
@@ -144,6 +206,43 @@ fn a_bad_flag_value_or_an_unknown_argument_exits_2_naming_it() {
         "{}",
         stderr(&out)
     );
+}
+
+#[test]
+fn an_unknown_argument_exits_2_before_any_work_or_output() {
+    let scratch = Scratch::new("unknown");
+    let tiny = "--matrices 1 --min-rows 48 --max-rows 48";
+    for (bin, args, unknown) in [
+        (
+            env!("CARGO_BIN_EXE_fig10_spmv"),
+            format!("{tiny} --bogus 7"),
+            "--bogus",
+        ),
+        (
+            env!("CARGO_BIN_EXE_verify_programs"),
+            "--qiuck".into(),
+            "--qiuck",
+        ),
+        (
+            env!("CARGO_BIN_EXE_multicore"),
+            format!("{tiny} --ot y.json"),
+            "--ot",
+        ),
+    ] {
+        let out = Command::new(bin)
+            .args(args.split(' '))
+            .current_dir(&scratch.0)
+            .output()
+            .expect("run the binary");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args}: {err}");
+        assert_eq!(err, format!("unknown argument \"{unknown}\"\n"), "{args}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{args}");
+        // Neither the default report (VERIFY_programs.json,
+        // BENCH_multicore.json) nor the misspelled output is written.
+        let written: Vec<_> = std::fs::read_dir(&scratch.0).unwrap().collect();
+        assert!(written.is_empty(), "{args}: wrote {written:?}");
+    }
 }
 
 #[test]

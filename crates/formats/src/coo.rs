@@ -42,6 +42,24 @@ impl Coo {
         }
     }
 
+    /// An empty `rows` x `cols` matrix with room for `capacity` entries,
+    /// reserved fallibly.
+    ///
+    /// # Errors
+    ///
+    /// [`FormatError::TooLarge`] if the entries cannot be allocated.
+    pub fn try_with_capacity(
+        rows: usize,
+        cols: usize,
+        capacity: usize,
+    ) -> Result<Self, FormatError> {
+        let mut coo = Coo::new(rows, cols);
+        coo.entries
+            .try_reserve_exact(capacity)
+            .map_err(|_| FormatError::TooLarge { rows, cols })?;
+        Ok(coo)
+    }
+
     /// Creates a matrix from raw triplets.
     ///
     /// # Errors

@@ -14,8 +14,9 @@
 //! It also contains deterministic synthetic matrix [`gen`]erators standing in
 //! for the SuiteSparse collection (documented substitution — see DESIGN.md),
 //! [Matrix Market](mm) I/O so real SuiteSparse files can be used when
-//! available, structure [`stats`], and dense [`reference`](mod@reference) kernels that every
-//! simulated kernel is validated against.
+//! available, category bucketing and geomeans in [`stats`], and dense
+//! [`reference`](mod@reference) kernels that every simulated kernel is
+//! validated against.
 //!
 //! # Example
 //!

@@ -1,67 +1,9 @@
-//! Structure statistics and category bucketing.
+//! Category bucketing and speedup averaging.
 //!
 //! The paper sorts its 1,024-matrix suite into four categories — by CSB
 //! block density for Figure 10 and by non-zero count for Figure 11 — and
-//! reports one bar per category. This module computes those statistics and
-//! performs the same even four-way split.
-
-use crate::{Csb, Csr};
-
-/// Summary statistics of a sparse matrix's structure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatrixStats {
-    /// Number of rows.
-    pub rows: usize,
-    /// Number of columns.
-    pub cols: usize,
-    /// Number of structural non-zeros.
-    pub nnz: usize,
-    /// `nnz / (rows * cols)`.
-    pub density: f64,
-    /// Mean non-zeros per row.
-    pub avg_nnz_per_row: f64,
-    /// Maximum non-zeros in any row.
-    pub max_nnz_per_row: usize,
-    /// Number of empty rows.
-    pub empty_rows: usize,
-}
-
-impl MatrixStats {
-    /// Computes statistics for a CSR matrix.
-    pub fn of(csr: &Csr) -> Self {
-        let rows = csr.rows();
-        let mut max_nnz = 0usize;
-        let mut empty = 0usize;
-        for r in 0..rows {
-            let n = csr.row_nnz(r);
-            max_nnz = max_nnz.max(n);
-            if n == 0 {
-                empty += 1;
-            }
-        }
-        MatrixStats {
-            rows,
-            cols: csr.cols(),
-            nnz: csr.nnz(),
-            density: csr.density(),
-            avg_nnz_per_row: if rows == 0 {
-                0.0
-            } else {
-                csr.nnz() as f64 / rows as f64
-            },
-            max_nnz_per_row: max_nnz,
-            empty_rows: empty,
-        }
-    }
-}
-
-/// Mean non-zeros per occupied CSB block at the given block size — the
-/// statistic Figure 10's x-axis categories are sorted by.
-pub fn csb_block_density(csr: &Csr, block_size: usize) -> f64 {
-    Csb::from_csr(csr, block_size)
-        .map(|csb| csb.mean_block_density())
-        .unwrap_or(0.0)
-}
+//! reports one bar per category. This module performs the same even
+//! four-way split and averages speedups by geometric mean.
 
 /// Sorts items by a key and splits them evenly into `n` categories
 /// (quantile buckets), returning for each category the item indices and the
@@ -123,19 +65,6 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Coo;
-
-    #[test]
-    fn stats_basic() {
-        let csr = Csr::from_coo(
-            &Coo::from_triplets(4, 4, [(0, 0, 1.0), (0, 1, 1.0), (2, 3, 1.0)]).unwrap(),
-        );
-        let s = MatrixStats::of(&csr);
-        assert_eq!(s.nnz, 3);
-        assert_eq!(s.max_nnz_per_row, 2);
-        assert_eq!(s.empty_rows, 2);
-        assert!((s.avg_nnz_per_row - 0.75).abs() < 1e-12);
-    }
 
     #[test]
     fn split_four_even() {
@@ -181,17 +110,5 @@ mod tests {
         // geomean(1, 4) = 2
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!(geomean(&[]).is_nan());
-    }
-
-    #[test]
-    fn block_density_of_dense_block() {
-        let mut coo = Coo::new(4, 4);
-        for r in 0..2 {
-            for c in 0..2 {
-                coo.push(r, c, 1.0);
-            }
-        }
-        let csr = Csr::from_coo(&coo.into_canonical());
-        assert!((csb_block_density(&csr, 2) - 4.0).abs() < 1e-12);
     }
 }

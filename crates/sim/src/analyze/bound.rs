@@ -1,5 +1,5 @@
-//! The static cycle **lower bound**: a relaxed deterministic replica of the
-//! engine's `push_core`, plus standalone resource- and traffic-occupancy
+//! The static cycle **lower bound**: the engine's own pipeline driven by a
+//! relaxed execute stage, plus standalone resource- and traffic-occupancy
 //! terms. Every term is provably `<=` the simulated cycle count for the
 //! same `(stream, config)` pair, so `max` over all of them is too.
 //!
@@ -9,8 +9,9 @@
 //! admission, fences, branch redirects, the in-order commit automaton and
 //! the commit-serialized custom-op gate all interact. Re-deriving a closed
 //! form that stays sound against that machine is fragile; instead the bound
-//! *runs the same automata* with every non-monotone component relaxed to
-//! its cheapest possible outcome:
+//! *runs the same automata*: it drives the crate's pipeline module, the
+//! one [`Engine`](crate::Engine) drives, and relaxes only the execute stage
+//! to its cheapest possible outcome:
 //!
 //! * **functional units** (scalar/vector ALUs, load/store ports) are
 //!   infinite — the engine's gap-filling [`Calendar`](crate::calendar)
@@ -22,12 +23,14 @@
 //!   `ready + l1.latency`, a gather/scatter at
 //!   `ready + l1.latency + gather_overhead` — the cheapest completion the
 //!   hierarchy can produce.
-//! * everything whose relaxed inputs provably yield relaxed outputs is
-//!   replicated **exactly**: the fetch/ROB/fence frontier, the branch
-//!   predictor (its state depends only on the `(taken, site)` sequence,
-//!   never on timing, so the mispredict set is identical), the in-order
-//!   width-limited commit automaton, and the custom (FIVU) pool's min-free
-//!   model (monotone by sorted-multiset domination).
+//!
+//! Everything the pipeline module decides turns relaxed (earlier) inputs
+//! into relaxed outputs, so sharing it exactly keeps the replica a lower
+//! bound: the fetch/ROB/fence frontier, the branch predictor (its state
+//! depends only on the `(taken, site)` sequence, never on timing, so the
+//! mispredict set is identical), the in-order width-limited commit
+//! automaton, and the custom (FIVU) pool's min-free model (monotone by
+//! sorted-multiset domination of the pool).
 //!
 //! # Standalone occupancy terms
 //!
@@ -49,7 +52,8 @@
 use std::collections::HashSet;
 
 use crate::config::CoreConfig;
-use crate::prog::{AluKind, Inst, Op, Reg, VecOpKind};
+use crate::pipeline::Pipeline;
+use crate::prog::{Inst, Op};
 
 use super::AnalyzeConfig;
 
@@ -117,213 +121,6 @@ impl PoolCount {
     }
 }
 
-/// The relaxed engine replica (see the module docs): same automata as
-/// `Engine::push_core`, with infinite calendars and all-L1-hit memory.
-struct Replica {
-    core: CoreConfig,
-    l1_latency: u64,
-    ready: Vec<u64>,
-    fetch_cycle: u64,
-    fetch_in_cycle: u32,
-    commit_cycle: u64,
-    commit_in_cycle: u32,
-    last_commit: u64,
-    rob_window: Vec<u64>,
-    rob_head: usize,
-    rob_filled: usize,
-    all_complete_max: u64,
-    noncustom_complete_max: u64,
-    fence_until: u64,
-    custom_units: Vec<u64>,
-    predictor: Vec<u8>,
-}
-
-impl Replica {
-    fn new(cfg: &AnalyzeConfig) -> Self {
-        let core = cfg.core.clone();
-        Replica {
-            l1_latency: cfg.mem.l1.latency as u64,
-            ready: Vec::new(),
-            fetch_cycle: 0,
-            fetch_in_cycle: 0,
-            commit_cycle: 0,
-            commit_in_cycle: 0,
-            last_commit: 0,
-            rob_window: vec![0; core.rob_size.max(1)],
-            rob_head: 0,
-            rob_filled: 0,
-            all_complete_max: 0,
-            noncustom_complete_max: 0,
-            fence_until: 0,
-            // A custom op on a zero-unit core cannot be simulated at all
-            // (the engine panics); model one unit so the analysis of such a
-            // stream stays total. The bound is only claimed for runnable
-            // (stream, config) pairs.
-            custom_units: vec![0; (core.custom_units as usize).max(1)],
-            predictor: Vec::new(),
-            core,
-        }
-    }
-
-    fn reg_ready(&self, r: Reg) -> u64 {
-        self.ready.get(r as usize).copied().unwrap_or(0)
-    }
-
-    fn set_ready(&mut self, r: Reg, t: u64) {
-        let idx = r as usize;
-        if idx >= self.ready.len() {
-            self.ready.resize(idx + 1, 0);
-        }
-        self.ready[idx] = t;
-    }
-
-    /// Mirrors `Engine::acquire_custom` exactly (the min-free model is
-    /// monotone: sorted-multiset domination of the pool is preserved when
-    /// both sides replace their minimum with a dominated start + occupancy).
-    fn acquire_custom(&mut self, t: u64, occupancy: u64) -> u64 {
-        let (idx, &free) = self
-            .custom_units
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &f)| f)
-            .expect("replica custom pool is never empty");
-        let start = t.max(free);
-        self.custom_units[idx] = start + occupancy;
-        start
-    }
-
-    fn push(&mut self, inst: &Inst) {
-        // Fetch: width and ROB admission, exactly as the engine.
-        let rob_ready = if self.rob_filled == self.core.rob_size {
-            self.rob_window[self.rob_head]
-        } else {
-            0
-        };
-        let earliest_fetch = rob_ready.max(self.fence_until);
-        if self.fetch_cycle < earliest_fetch {
-            self.fetch_cycle = earliest_fetch;
-            self.fetch_in_cycle = 0;
-        }
-        if self.fetch_in_cycle >= self.core.fetch_width {
-            self.fetch_cycle += 1;
-            self.fetch_in_cycle = 0;
-        }
-        self.fetch_in_cycle += 1;
-        let fetch_t = self.fetch_cycle;
-
-        let mut dep_t = 0u64;
-        for &r in inst.srcs.as_slice() {
-            dep_t = dep_t.max(self.reg_ready(r));
-        }
-        let ready_t = fetch_t.max(dep_t);
-
-        // Execute, relaxed: no unit waits, all-hit memory.
-        let complete = match &inst.op {
-            Op::Scalar { kind } => {
-                let lat = match kind {
-                    AluKind::Int => self.core.scalar_latency,
-                    AluKind::FpAdd | AluKind::FpMul => self.core.vec_alu_latency,
-                    AluKind::FpFma => self.core.vec_fma_latency,
-                } as u64;
-                ready_t + lat
-            }
-            Op::Vec { kind } => {
-                let lat = match kind {
-                    VecOpKind::Add | VecOpKind::Mul => self.core.vec_alu_latency,
-                    VecOpKind::Fma => self.core.vec_fma_latency,
-                    VecOpKind::Reduce => self.core.vec_reduce_latency,
-                    VecOpKind::Permute | VecOpKind::Blend => self.core.vec_permute_latency,
-                    VecOpKind::Compare => self.core.vec_alu_latency,
-                    VecOpKind::ConflictDetect => self.core.vec_conflict_latency,
-                } as u64;
-                ready_t + lat
-            }
-            Op::Load { .. } | Op::Store { .. } => ready_t + self.l1_latency,
-            Op::Gather { addrs, .. } | Op::Scatter { addrs, .. } => {
-                let mem = if addrs.is_empty() { 0 } else { self.l1_latency };
-                ready_t + mem + self.core.gather_overhead as u64
-            }
-            Op::Custom {
-                occupancy,
-                latency,
-                at_commit,
-            } => {
-                let gate = if *at_commit {
-                    ready_t.max(self.noncustom_complete_max)
-                } else {
-                    ready_t
-                };
-                let occ = (*occupancy).max(1) as u64;
-                let start = self.acquire_custom(gate, occ);
-                start + (*latency).max(1) as u64
-            }
-            Op::Branch { taken, site } => {
-                // Identical predictor: its state depends only on the
-                // (taken, site) sequence, so the mispredict set matches the
-                // engine's bit for bit.
-                let idx = *site as usize;
-                if idx >= self.predictor.len() {
-                    self.predictor.resize(idx + 1, 2);
-                }
-                let counter = &mut self.predictor[idx];
-                let predicted = *counter >= 2;
-                if *taken {
-                    *counter = (*counter + 1).min(3);
-                } else {
-                    *counter = counter.saturating_sub(1);
-                }
-                let resolve = ready_t + self.core.scalar_latency as u64;
-                if predicted != *taken {
-                    self.fence_until = self
-                        .fence_until
-                        .max(resolve + self.core.mispredict_penalty as u64);
-                }
-                resolve
-            }
-            Op::Delay { cycles } => ready_t + *cycles as u64,
-            Op::Fence => {
-                self.fence_until = self.all_complete_max.max(fetch_t);
-                fetch_t.max(self.all_complete_max)
-            }
-        };
-
-        if let Some(dst) = inst.dst {
-            self.set_ready(dst, complete);
-        }
-        self.all_complete_max = self.all_complete_max.max(complete);
-        if !matches!(inst.op, Op::Custom { .. }) {
-            self.noncustom_complete_max = self.noncustom_complete_max.max(complete);
-        }
-
-        // Commit: in order, width-limited, exactly as the engine.
-        let mut commit_t = complete.max(self.last_commit);
-        if commit_t > self.commit_cycle {
-            self.commit_cycle = commit_t;
-            self.commit_in_cycle = 0;
-        }
-        if self.commit_in_cycle >= self.core.commit_width {
-            self.commit_cycle += 1;
-            self.commit_in_cycle = 0;
-            commit_t = self.commit_cycle;
-        }
-        self.commit_in_cycle += 1;
-        commit_t = commit_t.max(self.commit_cycle);
-        self.last_commit = commit_t;
-        self.rob_window[self.rob_head] = commit_t;
-        self.rob_head += 1;
-        if self.rob_head == self.core.rob_size {
-            self.rob_head = 0;
-        }
-        if self.rob_filled < self.core.rob_size {
-            self.rob_filled += 1;
-        }
-    }
-
-    fn cycles(&self) -> u64 {
-        self.last_commit.max(self.all_complete_max)
-    }
-}
-
 /// Number of cache lines a unit-stride access spans (the engine's
 /// `access_span` piece walk).
 fn line_pieces(addr: u64, bytes: u32, line: u64) -> u64 {
@@ -336,7 +133,14 @@ fn line_pieces(addr: u64, bytes: u32, line: u64) -> u64 {
 /// configuration. See the module docs for the soundness argument of each
 /// term.
 pub fn static_bound(insts: &[Inst], cfg: &AnalyzeConfig) -> StaticBound {
-    let mut replica = Replica::new(cfg);
+    // A custom op on a zero-unit core cannot be simulated at all (the
+    // engine panics); the replica models one unit so the analysis of such
+    // a stream stays total. The bound is only claimed for runnable
+    // (stream, config) pairs.
+    let mut pipe = Pipeline::new(CoreConfig {
+        custom_units: cfg.core.custom_units.max(1),
+        ..cfg.core.clone()
+    });
     let mut scalar = PoolCount::new();
     let mut vector = PoolCount::new();
     let mut load = PoolCount::new();
@@ -346,76 +150,66 @@ pub fn static_bound(insts: &[Inst], cfg: &AnalyzeConfig) -> StaticBound {
     let l1_lat = cfg.mem.l1.latency as u64;
     let mut seen_lines: HashSet<u64> = HashSet::new();
     let mut demand_read_lines = 0u64;
-    let mut first_touch = |line_id: u64, is_read: bool, count: &mut u64| {
+    let mut touch = |line_id: u64, is_read: bool| {
         if seen_lines.insert(line_id) && is_read {
-            *count += 1;
+            demand_read_lines += 1;
         }
     };
 
     for inst in insts {
-        match &inst.op {
+        let fetch = pipe.fetch().cycle;
+        let ready = pipe.ready_at(fetch, inst.srcs.as_slice());
+        // Execute, relaxed (no unit waits, all-hit memory), counting each
+        // op's unit slots and line touches for the standalone terms.
+        let complete = match &inst.op {
             Op::Scalar { kind } => {
-                let lat = match kind {
-                    AluKind::Int => cfg.core.scalar_latency,
-                    AluKind::FpAdd | AluKind::FpMul => cfg.core.vec_alu_latency,
-                    AluKind::FpFma => cfg.core.vec_fma_latency,
-                } as u64;
+                let lat = pipe.alu_latency(*kind);
                 scalar.add(1, lat);
+                ready + lat
             }
-            Op::Branch { .. } => scalar.add(1, cfg.core.scalar_latency as u64),
             Op::Vec { kind } => {
-                let lat = match kind {
-                    VecOpKind::Add | VecOpKind::Mul => cfg.core.vec_alu_latency,
-                    VecOpKind::Fma => cfg.core.vec_fma_latency,
-                    VecOpKind::Reduce => cfg.core.vec_reduce_latency,
-                    VecOpKind::Permute | VecOpKind::Blend => cfg.core.vec_permute_latency,
-                    VecOpKind::Compare => cfg.core.vec_alu_latency,
-                    VecOpKind::ConflictDetect => cfg.core.vec_conflict_latency,
-                } as u64;
+                let lat = pipe.vec_latency(*kind);
                 vector.add(1, lat);
+                ready + lat
             }
-            Op::Load { addr, bytes } => {
+            Op::Load { addr, bytes } | Op::Store { addr, bytes } => {
+                let is_read = matches!(inst.op, Op::Load { .. });
                 let pieces = line_pieces(*addr, *bytes, line);
-                load.add(pieces, l1_lat);
                 for p in 0..pieces {
-                    first_touch(
-                        (*addr >> line.trailing_zeros()) + p,
-                        true,
-                        &mut demand_read_lines,
-                    );
+                    touch((*addr >> line.trailing_zeros()) + p, is_read);
                 }
+                let pool = if is_read { &mut load } else { &mut store };
+                pool.add(pieces, l1_lat);
+                ready + l1_lat
             }
-            Op::Store { addr, bytes } => {
-                let pieces = line_pieces(*addr, *bytes, line);
-                store.add(pieces, l1_lat);
-                for p in 0..pieces {
-                    first_touch(
-                        (*addr >> line.trailing_zeros()) + p,
-                        false,
-                        &mut demand_read_lines,
-                    );
-                }
-            }
-            Op::Gather { addrs, .. } => {
-                load.add(addrs.len() as u64, l1_lat);
+            Op::Gather { addrs, .. } | Op::Scatter { addrs, .. } => {
+                let is_read = matches!(inst.op, Op::Gather { .. });
                 for &a in addrs.as_slice() {
-                    first_touch(a / line, true, &mut demand_read_lines);
+                    touch(a / line, is_read);
                 }
-            }
-            Op::Scatter { addrs, .. } => {
-                store.add(addrs.len() as u64, l1_lat);
-                for &a in addrs.as_slice() {
-                    first_touch(a / line, false, &mut demand_read_lines);
-                }
+                let n = addrs.len() as u64;
+                let pool = if is_read { &mut load } else { &mut store };
+                pool.add(n, l1_lat);
+                let mem = if n == 0 { 0 } else { l1_lat };
+                ready + mem + cfg.core.gather_overhead as u64
             }
             Op::Custom {
-                occupancy, latency, ..
+                occupancy,
+                latency,
+                at_commit,
             } => {
                 custom_busy += ((*occupancy).max(1) as u64).min((*latency).max(1) as u64);
+                pipe.custom(ready, *occupancy, *latency, *at_commit)
+                    .complete
             }
-            Op::Delay { .. } | Op::Fence => {}
-        }
-        replica.push(inst);
+            Op::Branch { taken, site } => {
+                scalar.add(1, cfg.core.scalar_latency as u64);
+                pipe.branch(*taken, *site, ready).0
+            }
+            Op::Delay { cycles } => ready + *cycles as u64,
+            Op::Fence => pipe.fence(fetch),
+        };
+        pipe.retire(inst, complete);
     }
 
     let transfer = {
@@ -439,7 +233,7 @@ pub fn static_bound(insts: &[Inst], cfg: &AnalyzeConfig) -> StaticBound {
     };
 
     let mut bound = StaticBound {
-        replica_cycles: replica.cycles(),
+        replica_cycles: pipe.cycles(),
         scalar_term: scalar.term(cfg.core.scalar_alus),
         vector_term: vector.term(cfg.core.vector_alus),
         load_term: load.term(cfg.core.load_ports),

@@ -19,6 +19,11 @@
 //!   custom ops (VIA instructions, paper §IV-E) issue only once every older
 //!   non-custom instruction has completed, while still pipelining among
 //!   themselves through the custom unit.
+//!
+//! Fetch, operand readiness, branch prediction, the custom-unit pool,
+//! fences and commit live in the crate's pipeline module, which the static
+//! cycle bound ([`crate::analyze::bound`]) drives too; this module adds the
+//! unit calendars, the cache hierarchy, statistics and stall attribution.
 
 use std::sync::Arc;
 
@@ -27,6 +32,7 @@ use crate::calendar::Calendar;
 use crate::compile::{CompiledStream, StreamEvent};
 use crate::config::{CoreConfig, MemConfig};
 use crate::mem::Hierarchy;
+use crate::pipeline::{CustomIssue, Pipeline};
 use crate::prog::{AluKind, Inst, Op, Reg, VecOpKind};
 use crate::stats::RunStats;
 use crate::trace::{
@@ -64,42 +70,16 @@ struct Recording {
 /// [`RunStats`] with [`Engine::finish`].
 #[derive(Debug)]
 pub struct Engine {
-    core: CoreConfig,
+    /// Fetch/ROB/commit, operand readiness, branch prediction and the
+    /// custom-unit pool (shared with the static bound's replica).
+    pipe: Pipeline,
     hier: Hierarchy,
     alloc: AddressSpace,
     next_reg: Reg,
-    /// Completion cycle of each register's producer.
-    ready: Vec<u64>,
-    fetch_cycle: u64,
-    fetch_in_cycle: u32,
-    commit_cycle: u64,
-    commit_in_cycle: u32,
-    last_commit: u64,
-    /// Commit times of the most recent `rob_size` instructions, as a ring:
-    /// `rob_window[rob_head]` is the oldest entry once the ring is full
-    /// (`rob_filled == rob_size`). A flat ring beats a `VecDeque` here —
-    /// this is touched on every single push.
-    rob_window: Vec<u64>,
-    rob_head: usize,
-    rob_filled: usize,
-    /// Max completion time over all instructions so far.
-    all_complete_max: u64,
-    /// Max completion time over all *non-custom* instructions so far.
-    noncustom_complete_max: u64,
-    /// Instructions may not fetch before this (set by fences).
-    fence_until: u64,
     scalar_units: Calendar,
     vector_units: Calendar,
     load_ports: Calendar,
     store_ports: Calendar,
-    /// The custom (FIVU) units keep a monotonic next-free model: custom ops
-    /// are commit-gated, so their ready times are already monotone.
-    custom_units: Vec<u64>,
-    /// 2-bit saturating counters per data-dependent branch site, indexed by
-    /// site id (kernels use small dense ids, so a flat table beats hashing
-    /// on the per-branch hot path). Entries start at 2 (weakly taken);
-    /// the table grows lazily to the highest site seen.
-    predictor: Vec<u8>,
     pushes_since_prune: u32,
     /// Stall-cause accounting and event-trace state (`via-trace`). Always
     /// present; disabled it costs one branch per push and never perturbs
@@ -143,38 +123,24 @@ impl Engine {
             hier: Hierarchy::new(mem),
             alloc: AddressSpace::new(),
             next_reg: 0,
-            ready: Vec::new(),
-            fetch_cycle: 0,
-            fetch_in_cycle: 0,
-            commit_cycle: 0,
-            commit_in_cycle: 0,
-            last_commit: 0,
-            rob_window: vec![0; core.rob_size.max(1)],
-            rob_head: 0,
-            rob_filled: 0,
-            all_complete_max: 0,
-            noncustom_complete_max: 0,
-            fence_until: 0,
             scalar_units: Calendar::new(core.scalar_alus),
             vector_units: Calendar::new(core.vector_alus),
             load_ports: Calendar::new(core.load_ports),
             store_ports: Calendar::new(core.store_ports),
-            custom_units: vec![0; core.custom_units as usize],
-            predictor: Vec::new(),
             pushes_since_prune: 0,
             trace: TraceState::default(),
             verifier,
             verify_capture,
             recording: None,
             emit_only: false,
-            core,
+            pipe: Pipeline::new(core),
             stats: RunStats::default(),
         }
     }
 
     /// The core configuration.
     pub fn core_config(&self) -> &CoreConfig {
-        &self.core
+        self.pipe.core()
     }
 
     /// The simulated address space (for allocating kernel arrays).
@@ -203,31 +169,6 @@ impl Engine {
         let r = self.next_reg;
         self.next_reg += 1;
         r
-    }
-
-    fn reg_ready(&self, r: Reg) -> u64 {
-        self.ready.get(r as usize).copied().unwrap_or(0)
-    }
-
-    fn set_ready(&mut self, r: Reg, t: u64) {
-        let idx = r as usize;
-        if idx >= self.ready.len() {
-            self.ready.resize(idx + 1, 0);
-        }
-        self.ready[idx] = t;
-    }
-
-    /// Earliest-available custom unit (monotonic model); reserves it for
-    /// `occupancy` cycles starting no earlier than `t`. Returns the start.
-    fn acquire_custom(pool: &mut [u64], t: u64, occupancy: u64) -> u64 {
-        let (idx, &free) = pool
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &f)| f)
-            .expect("unit pool must not be empty");
-        let start = t.max(free);
-        pool[idx] = start + occupancy;
-        start
     }
 
     /// Pushes one instruction through the model and returns its completion
@@ -283,26 +224,10 @@ impl Engine {
         // --- via-trace: pre-push snapshots ------------------------------
         // One branch when tracing is off; none of this feeds timing.
         let tracing = self.trace.enabled();
-        let prev_commit = self.last_commit;
+        let prev_commit = self.pipe.last_commit();
 
-        // --- fetch: width and ROB admission ----------------------------
-        let rob_ready = if self.rob_filled == self.core.rob_size {
-            self.rob_window[self.rob_head]
-        } else {
-            0
-        };
-        let fence_dominates = self.fence_until >= rob_ready;
-        let earliest_fetch = rob_ready.max(self.fence_until);
-        if self.fetch_cycle < earliest_fetch {
-            self.fetch_cycle = earliest_fetch;
-            self.fetch_in_cycle = 0;
-        }
-        if self.fetch_in_cycle >= self.core.fetch_width {
-            self.fetch_cycle += 1;
-            self.fetch_in_cycle = 0;
-        }
-        self.fetch_in_cycle += 1;
-        let fetch_t = self.fetch_cycle;
+        let fetch = self.pipe.fetch();
+        let fetch_t = fetch.cycle;
 
         // Periodically discard calendar history below the fetch frontier
         // (no later instruction can issue before its fetch time).
@@ -316,15 +241,9 @@ impl Engine {
             self.hier.prune_below(fetch_t);
         }
 
-        // --- dependences ------------------------------------------------
-        let mut dep_t = 0u64;
-        for &r in inst.srcs.as_slice() {
-            dep_t = dep_t.max(self.reg_ready(r));
-        }
-        let ready_t = fetch_t.max(dep_t);
+        let ready_t = self.pipe.ready_at(fetch_t, inst.srcs.as_slice());
 
         // --- issue + execute --------------------------------------------
-        let front_gate = earliest_fetch.min(fetch_t);
         let (dram_wait0, port_wait0) = if tracing {
             self.hier.clear_level_mark();
             (self.hier.dram_wait_cycles(), self.hier.port_wait_cycles())
@@ -338,28 +257,13 @@ impl Engine {
         let complete = match &inst.op {
             Op::Scalar { kind } => {
                 self.stats.scalar_ops += 1;
-                let lat = match kind {
-                    AluKind::Int => self.core.scalar_latency,
-                    AluKind::FpAdd | AluKind::FpMul => self.core.vec_alu_latency,
-                    AluKind::FpFma => self.core.vec_fma_latency,
-                } as u64;
-                let start = self.scalar_units.book(ready_t);
-                tr_issue = start;
-                start + lat
+                tr_issue = self.scalar_units.book(ready_t);
+                tr_issue + self.pipe.alu_latency(*kind)
             }
             Op::Vec { kind } => {
                 self.stats.vector_ops += 1;
-                let lat = match kind {
-                    VecOpKind::Add | VecOpKind::Mul => self.core.vec_alu_latency,
-                    VecOpKind::Fma => self.core.vec_fma_latency,
-                    VecOpKind::Reduce => self.core.vec_reduce_latency,
-                    VecOpKind::Permute | VecOpKind::Blend => self.core.vec_permute_latency,
-                    VecOpKind::Compare => self.core.vec_alu_latency,
-                    VecOpKind::ConflictDetect => self.core.vec_conflict_latency,
-                } as u64;
-                let start = self.vector_units.book(ready_t);
-                tr_issue = start;
-                start + lat
+                tr_issue = self.vector_units.book(ready_t);
+                tr_issue + self.pipe.vec_latency(*kind)
             }
             Op::Load { addr, bytes } => {
                 self.stats.loads += 1;
@@ -382,104 +286,37 @@ impl Engine {
                 latency,
                 at_commit,
             } => {
-                assert!(
-                    !self.custom_units.is_empty(),
-                    "custom op pushed on a core with no custom unit (baseline \
-                     cores have no FIVU)"
-                );
+                let CustomIssue {
+                    gate,
+                    start,
+                    occupancy,
+                    complete,
+                } = self.pipe.custom(ready_t, *occupancy, *latency, *at_commit);
                 self.stats.custom_ops += 1;
-                let gate = if *at_commit {
-                    // Commit-time execution (paper §IV-E): all older
-                    // non-custom instructions must have completed. Older
-                    // custom ops gate through unit occupancy, which lets
-                    // back-to-back VIA instructions pipeline.
-                    ready_t.max(self.noncustom_complete_max)
-                } else {
-                    ready_t
-                };
-                let occ = (*occupancy).max(1) as u64;
-                let start = Self::acquire_custom(&mut self.custom_units, gate, occ);
+                self.stats.custom_busy_cycles += occupancy;
                 tr_gate = gate;
                 tr_issue = start;
-                self.stats.custom_busy_cycles += occ;
-                start + (*latency).max(1) as u64
+                complete
             }
             Op::Branch { taken, site } => {
                 self.stats.branches += 1;
-                // 2-bit saturating counter, initialized weakly taken.
-                let idx = *site as usize;
-                if idx >= self.predictor.len() {
-                    self.predictor.resize(idx + 1, 2);
-                }
-                let counter = &mut self.predictor[idx];
-                let predicted = *counter >= 2;
-                if *taken {
-                    *counter = (*counter + 1).min(3);
-                } else {
-                    *counter = counter.saturating_sub(1);
-                }
-                // The branch resolves one cycle after its sources are ready
-                // (compare + redirect decision).
-                let start = self.scalar_units.book(ready_t);
-                tr_issue = start;
-                let resolve = start + self.core.scalar_latency as u64;
-                if predicted != *taken {
-                    self.stats.mispredicts += 1;
-                    // Redirect: younger instructions fetch only after the
-                    // resolve plus the front-end refill penalty.
-                    self.fence_until = self
-                        .fence_until
-                        .max(resolve + self.core.mispredict_penalty as u64);
-                }
+                tr_issue = self.scalar_units.book(ready_t);
+                let (resolve, mispredicted) = self.pipe.branch(*taken, *site, tr_issue);
+                self.stats.mispredicts += u64::from(mispredicted);
                 resolve
             }
             Op::Delay { cycles } => ready_t + *cycles as u64,
-            Op::Fence => {
-                self.fence_until = self.all_complete_max.max(fetch_t);
-                fetch_t.max(self.all_complete_max)
-            }
+            Op::Fence => self.pipe.fence(fetch_t),
         };
 
-        // --- bookkeeping --------------------------------------------------
-        if let Some(dst) = inst.dst {
-            self.set_ready(dst, complete);
-        }
-        self.all_complete_max = self.all_complete_max.max(complete);
-        if !matches!(inst.op, Op::Custom { .. }) {
-            self.noncustom_complete_max = self.noncustom_complete_max.max(complete);
-        }
-
-        // --- commit: in order, width-limited -----------------------------
-        let mut commit_t = complete.max(self.last_commit);
-        if commit_t > self.commit_cycle {
-            self.commit_cycle = commit_t;
-            self.commit_in_cycle = 0;
-        }
-        if self.commit_in_cycle >= self.core.commit_width {
-            self.commit_cycle += 1;
-            self.commit_in_cycle = 0;
-            commit_t = self.commit_cycle;
-        }
-        self.commit_in_cycle += 1;
-        commit_t = commit_t.max(self.commit_cycle);
-        self.last_commit = commit_t;
-        // Overwrite the oldest ring entry (which `rob_ready` above already
-        // consumed this push) and advance.
-        self.rob_window[self.rob_head] = commit_t;
-        self.rob_head += 1;
-        if self.rob_head == self.core.rob_size {
-            self.rob_head = 0;
-        }
-        if self.rob_filled < self.core.rob_size {
-            self.rob_filled += 1;
-        }
+        let commit_t = self.pipe.retire(inst, complete);
         if tracing {
             self.record_trace(
                 &inst.op,
                 TracePoints {
                     prev_commit,
-                    front_gate,
-                    fence_dominates,
+                    front_gate: fetch.front_gate,
+                    fence_dominates: fetch.fence_dominates,
                     fetch: fetch_t,
                     ready: ready_t,
                     gate: tr_gate,
@@ -618,7 +455,7 @@ impl Engine {
             done = done.max(start + effective);
             let _ = elem_bytes;
         }
-        done + self.core.gather_overhead as u64
+        done + self.pipe.core().gather_overhead as u64
     }
 
     // ---- via-trace: stall accounting and event traces ------------------
@@ -662,7 +499,7 @@ impl Engine {
         let id = self.trace.intern(name);
         self.trace.stack.push(self.trace.current);
         self.trace.current = id;
-        let at = self.last_commit;
+        let at = self.pipe.last_commit();
         if let Some(ring) = &mut self.trace.events {
             ring.record(TraceEvent::RegionBegin { region: id, at });
         }
@@ -678,7 +515,7 @@ impl Engine {
             return;
         }
         if let Some(prev) = self.trace.stack.pop() {
-            let at = self.last_commit;
+            let at = self.pipe.last_commit();
             let current = self.trace.current;
             if let Some(ring) = &mut self.trace.events {
                 ring.record(TraceEvent::RegionEnd {
@@ -697,7 +534,7 @@ impl Engine {
             rec.events
                 .push((rec.insts.len(), StreamEvent::Marker(name)));
         }
-        let at = self.last_commit;
+        let at = self.pipe.last_commit();
         if let Some(ring) = &mut self.trace.events {
             ring.record(TraceEvent::Marker { name, at });
         }
@@ -712,7 +549,7 @@ impl Engine {
             return None;
         }
         Some(StallReport {
-            total_cycles: self.last_commit.max(self.all_complete_max),
+            total_cycles: self.pipe.cycles(),
             by_class: self.trace.by_class,
             regions: self
                 .trace
@@ -855,7 +692,7 @@ impl Engine {
                 verify::submit_report(v.take_report());
             }
         }
-        self.stats.cycles = self.last_commit.max(self.all_complete_max);
+        self.stats.cycles = self.pipe.cycles();
         self.hier.fill_stats(&mut self.stats);
         self.stats
     }
@@ -863,7 +700,7 @@ impl Engine {
     /// A snapshot of the statistics so far (cycles = committed so far).
     pub fn stats_so_far(&self) -> RunStats {
         let mut stats = self.stats.clone();
-        stats.cycles = self.last_commit.max(self.all_complete_max);
+        stats.cycles = self.pipe.cycles();
         self.hier.fill_stats(&mut stats);
         stats
     }

@@ -49,6 +49,7 @@ pub mod compile;
 pub mod config;
 pub mod engine;
 pub mod mem;
+mod pipeline;
 pub mod prog;
 pub mod stats;
 pub mod telemetry;
