@@ -1,0 +1,132 @@
+//! Golden stream snapshots for every VIA kernel that reads its SSPM out.
+//!
+//! Each VIA kernel ends a segment by reading the scratchpad back with
+//! batched `vldxmov.d` reads (in CAM mode, `vldxcount` then
+//! `vldxloadidx`/`vldxmov.d` pairs) ahead of the stores that consume them.
+//! These pins cover every such read-out: each kernel runs on small fixed
+//! inputs under the default 16 KB SSPM and under a 4 KB SSPM (where a
+//! segment is read out more than once), and the tunable flush groups run
+//! at 1 and 3 as well as 8, so a batch boundary that moves shows up. Every
+//! run is recorded, and one FNV-1a over the `{:?}` of every run's
+//! `(stream_hash, cycles)` is pinned: a changed instruction, order,
+//! register or cycle count anywhere moves it.
+//!
+//! If a change is *meant* to alter an emitted stream, update the pin in
+//! the same commit and say so; an unexplained diff here is a regression.
+
+use via_core::ViaConfig;
+use via_formats::{gen, Csb, Csr, SellCSigma, Spc5};
+use via_kernels::spmspv::SparseVector;
+use via_kernels::{histogram, spma, spmm, spmspv, spmv, sptrsv, stencil, symgs};
+use via_kernels::{KernelRun, Schedule, SimContext};
+use via_rng::StdRng;
+use via_sim::fnv1a64;
+
+/// The recorded stream's hash and the run's cycle count.
+fn pin<T>(run: KernelRun<T>) -> (u64, u64) {
+    let stream = run.compiled.as_ref().expect("recording context compiles");
+    (stream.stream_hash(), run.cycles())
+}
+
+fn xvec(n: usize) -> Vec<f64> {
+    (0..n).map(|i| ((i % 13) as f64) * 0.25 - 1.5).collect()
+}
+
+fn frontier(n: usize, k: usize, seed: u64) -> SparseVector {
+    SparseVector::from_pairs((0..k).map(|i| {
+        let idx = ((i as u64 * 2_654_435_761 + seed) % n as u64) as usize;
+        (idx, 1.0 + i as f64 * 0.125)
+    }))
+}
+
+/// Every read-out kernel under `ctx`, as `(name, (stream_hash, cycles))`.
+fn runs(ctx: &SimContext) -> Vec<(String, (u64, u64))> {
+    let ctx = &ctx.clone().with_recording();
+    let vl = ctx.vl();
+    let mut out: Vec<(String, (u64, u64))> = Vec::new();
+
+    // SpMV: 600 rows outgrow a 4 KB SSPM's 512 entries.
+    let a: Csr = gen::uniform(600, 600, 0.01, 42);
+    let x = xvec(a.cols());
+    let csb = Csb::from_csr(&a, ctx.via.csb_block_size()).unwrap();
+    for group in [8, 1, 3] {
+        out.push((
+            format!("spmv::via_csb_with/{group}"),
+            pin(spmv::via_csb_with(&csb, &x, ctx, group, 1)),
+        ));
+        out.push((
+            format!("spmv::via_csr_with/{group}"),
+            pin(spmv::via_csr_with(&a, &x, ctx, group)),
+        ));
+    }
+    let spc5 = Spc5::from_csr(&a, vl).unwrap();
+    out.push(("spmv::via_spc5".into(), pin(spmv::via_spc5(&spc5, &x, ctx))));
+    let sell = SellCSigma::from_csr(&a, vl, 8 * vl).unwrap();
+    out.push(("spmv::via_sell".into(), pin(spmv::via_sell(&sell, &x, ctx))));
+
+    // Histogram: 700 bins take two passes on a 4 KB SSPM.
+    let mut rng = StdRng::seed_from_u64(0xC1);
+    let keys: Vec<u32> = (0..3000).map(|_| rng.random_range(0u32..700)).collect();
+    out.push((
+        "histogram::via".into(),
+        pin(histogram::via(&keys, 700, ctx)),
+    ));
+
+    // Stencil: 40-pixel rows, 3 output rows per segment on a 4 KB SSPM.
+    let image: Vec<f64> = gen::dense_vector(40 * 30, 5)
+        .into_iter()
+        .map(f64::abs)
+        .collect();
+    let filter = stencil::gaussian4();
+    out.push((
+        "stencil::via".into(),
+        pin(stencil::via(&image, 40, 30, &filter, ctx)),
+    ));
+
+    // SpTRSV and SymGS: both schedules, three flush groups each.
+    let l = gen::lower_triangular(600, 0.01, 42);
+    let b = gen::dense_vector(600, 43);
+    let s = gen::make_diagonally_dominant(&gen::uniform(600, 600, 0.01, 44));
+    let x0 = gen::dense_vector(600, 45);
+    for schedule in [Schedule::RowSerial, Schedule::Levels] {
+        for group in [8, 1, 3] {
+            out.push((
+                format!("sptrsv::via_sspm_with/{schedule:?}/{group}"),
+                pin(sptrsv::via_sspm_with(&l, &b, ctx, schedule, group)),
+            ));
+            out.push((
+                format!("symgs::via_sspm_with/{schedule:?}/{group}"),
+                pin(symgs::via_sspm_with(&s, &b, &x0, ctx, schedule, group)),
+            ));
+        }
+    }
+
+    // SpMA: ~250 merged entries per row outgrow a 4 KB CAM's 128.
+    let ma = gen::uniform(24, 2000, 0.08, 46);
+    let mb = gen::perturb_structure(&ma, 0.6, 0.5, 47);
+    out.push(("spma::via_cam".into(), pin(spma::via_cam(&ma, &mb, ctx))));
+
+    // SpMSpV: a hub-heavy graph whose frontier outgrows a 4 KB CAM.
+    let g = gen::rmat(600, 3600, 5).to_csc();
+    let f = frontier(600, 40, 6);
+    out.push(("spmspv::via_cam".into(), pin(spmspv::via_cam(&g, &f, ctx))));
+
+    // SpMM: 600 output columns span more than one chunk on a 4 KB SSPM.
+    let pa = gen::uniform(24, 64, 0.1, 48);
+    let pb = gen::uniform(64, 600, 0.05, 49).to_csc();
+    out.push(("spmm::via_cam".into(), pin(spmm::via_cam(&pa, &pb, ctx))));
+    out
+}
+
+#[test]
+fn read_out_streams_are_pinned() {
+    let mut all = runs(&SimContext::default());
+    all.extend(runs(&SimContext::with_via(ViaConfig::new(4, 2))));
+    assert_eq!(all.len(), 2 * 25, "every read-out run is pinned");
+    let pairs: Vec<(u64, u64)> = all.iter().map(|(_, p)| *p).collect();
+    let hash = fnv1a64(format!("{pairs:?}").bytes());
+    assert_eq!(
+        hash, 0xD9A2_E568_4287_5F36,
+        "VIA read-out streams moved; the runs were:\n{all:#?}"
+    );
+}
