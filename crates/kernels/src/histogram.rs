@@ -16,6 +16,7 @@
 //! paper's histogram uses the same `vldxadd` datapath as SpMV).
 
 use crate::context::{KernelRun, SimContext};
+use crate::readout::read_direct;
 use via_core::{AluOp, Dest, ViaUnit};
 use via_sim::{AluKind, Reg, VecOpKind};
 
@@ -180,27 +181,14 @@ pub fn via(keys: &[u32], nbins: usize, ctx: &SimContext) -> KernelRun<Vec<u64>> 
         // Flush this pass's bins to memory, batching SSPM reads ahead of
         // the stores.
         e.region("flush");
-        let mut bpos = lo;
-        while bpos < hi {
-            let mut group: Vec<(usize, usize, Reg)> = Vec::with_capacity(8);
-            for _ in 0..8 {
-                if bpos >= hi {
-                    break;
-                }
-                let len = vl.min(hi - bpos);
-                let idx: Vec<u32> = (0..len).map(|l| (bpos - lo + l) as u32).collect();
-                let (reg, vals) = via.vldx_mov_d(&mut e, &idx, &[]);
-                // Cross-check the SSPM counts against the software counts.
-                for (l, &v) in vals.iter().enumerate() {
-                    debug_assert_eq!(v as u64, bins[bpos + l], "SSPM bin mismatch");
-                }
-                group.push((bpos, len, reg));
-                bpos += len;
+        read_direct(&mut e, &mut via, 0, hi - lo, 8, |e, r, reg, vals| {
+            let at = lo + r;
+            // Cross-check the SSPM counts against the software counts.
+            for (&v, &count) in vals.iter().zip(&bins[at..]) {
+                debug_assert_eq!(v as u64, count, "SSPM bin mismatch");
             }
-            for (p, len, reg) in group {
-                e.store(hl.addr_of(p), (8 * len) as u32, &[reg]);
-            }
-        }
+            e.store(hl.addr_of(at), (8 * vals.len()) as u32, &[reg]);
+        });
         e.region_end();
     }
     let events = via.events();

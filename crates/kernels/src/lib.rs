@@ -35,6 +35,7 @@ mod context;
 pub mod histogram;
 mod layout;
 mod partition;
+mod readout;
 pub mod socket;
 pub mod spma;
 pub mod spmm;

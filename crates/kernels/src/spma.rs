@@ -19,6 +19,7 @@
 
 use crate::context::{KernelRun, SimContext};
 use crate::layout::{CsrLayout, VecLayout};
+use crate::readout::read_cam;
 use via_core::{AluOp, Dest, ViaUnit};
 use via_formats::{Coo, Csr};
 use via_sim::AluKind;
@@ -209,30 +210,14 @@ pub fn via_cam(a: &Csr, b: &Csr, ctx: &SimContext) -> KernelRun<Csr> {
             // index-table and SRAM reads are batched in register-bounded
             // groups so the VIA reads pipeline ahead of the stores.
             e.region("flush");
-            let (_, n) = via.vldx_count(&mut e);
-            let mut r = 0usize;
-            while r < n {
-                let mut group: Vec<(usize, via_sim::Reg, via_sim::Reg)> = Vec::with_capacity(4);
-                for _ in 0..4 {
-                    if r >= n {
-                        break;
-                    }
-                    let len = vl.min(n - r);
-                    let (idx_reg, cols) = via.vldx_load_idx(&mut e, r, len);
-                    let positions: Vec<u32> = (r..r + len).map(|p| p as u32).collect();
-                    let (val_reg, vals) = via.vldx_mov_d(&mut e, &positions, &[]);
-                    for (c, v) in cols.iter().zip(&vals) {
-                        coo.push(i, *c as usize, *v);
-                    }
-                    group.push((len, idx_reg, val_reg));
-                    r += len;
+            read_cam(&mut e, &mut via, |e, idx_reg, cols, val_reg, vals| {
+                for (&c, &v) in cols.iter().zip(vals) {
+                    coo.push(i, c as usize, v);
                 }
-                for (len, idx_reg, val_reg) in group {
-                    e.store(lc_col.addr_of(out_pos), (4 * len) as u32, &[idx_reg]);
-                    e.store(lc_val.addr_of(out_pos), (8 * len) as u32, &[val_reg]);
-                    out_pos += len;
-                }
-            }
+                e.store(lc_col.addr_of(out_pos), (4 * cols.len()) as u32, &[idx_reg]);
+                e.store(lc_val.addr_of(out_pos), (8 * cols.len()) as u32, &[val_reg]);
+                out_pos += cols.len();
+            });
             e.region_end();
             seg_a = end_a;
             seg_b = end_b;

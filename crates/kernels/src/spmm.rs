@@ -25,6 +25,7 @@
 
 use crate::context::{KernelRun, SimContext};
 use crate::layout::CsrLayout;
+use crate::readout::read_direct;
 use via_core::ViaUnit;
 use via_formats::{Coo, Csc, Csr};
 use via_sim::AluKind;
@@ -354,32 +355,30 @@ pub fn via_cam_with(a: &Csr, b: &Csc, ctx: &SimContext, col_tile: usize) -> Kern
             // Flush the finished column chunk: batched SSPM reads first
             // (they pipeline), then the compare/store consumers.
             e.region("flush");
-            let mut chunk_vals: Vec<(usize, via_sim::Reg, Vec<f64>)> = Vec::new();
-            let mut p = j_lo;
-            while p < j_hi {
-                let len = vl.min(j_hi - p);
-                let idx: Vec<u32> = (0..len)
-                    .map(|l| (acc_base + (p - j_lo) + l) as u32)
-                    .collect();
-                let (reg, vals) = via.vldx_mov_d(&mut e, &idx, &[]);
-                chunk_vals.push((p, reg, vals));
-                p += len;
-            }
-            for (p, reg, vals) in chunk_vals {
-                for (l, &v) in vals.iter().enumerate() {
-                    let j = p + l;
-                    let (br, _) = b.col(j);
-                    let matched = !br.is_empty() && ac.iter().any(|c| br.binary_search(c).is_ok());
-                    e.branch(matched, SITE_EMIT, &[reg]);
-                    if matched {
-                        let col = e.scalar_op(AluKind::Int, &[]);
-                        e.store(lc_col.addr_of(out_pos), 4, &[col]);
-                        e.store(lc_val.addr_of(out_pos), 8, &[reg]);
-                        coo.push(i, j, v);
-                        out_pos += 1;
+            let base = acc_base as u32;
+            read_direct(
+                &mut e,
+                &mut via,
+                base,
+                j_hi - j_lo,
+                usize::MAX,
+                |e, p, reg, vals| {
+                    for (l, &v) in vals.iter().enumerate() {
+                        let j = j_lo + p + l;
+                        let (br, _) = b.col(j);
+                        let matched =
+                            !br.is_empty() && ac.iter().any(|c| br.binary_search(c).is_ok());
+                        e.branch(matched, SITE_EMIT, &[reg]);
+                        if matched {
+                            let col = e.scalar_op(AluKind::Int, &[]);
+                            e.store(lc_col.addr_of(out_pos), 4, &[col]);
+                            e.store(lc_val.addr_of(out_pos), 8, &[reg]);
+                            coo.push(i, j, v);
+                            out_pos += 1;
+                        }
                     }
-                }
-            }
+                },
+            );
             e.region_end();
             j_lo = j_hi;
         }

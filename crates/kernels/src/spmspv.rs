@@ -17,6 +17,7 @@
 //!   the CAM are handled by row-range segmentation.
 
 use crate::context::{KernelRun, SimContext};
+use crate::readout::read_cam;
 use via_core::{AluOp, Dest, ViaUnit};
 use via_formats::{Csc, Index, Value};
 use via_sim::{AluKind, Reg};
@@ -243,30 +244,15 @@ pub fn via_cam(a: &Csc, x: &SparseVector, ctx: &SimContext) -> KernelRun<SparseV
         if any {
             // Read the merged frontier segment out.
             e.region("flush");
-            let (_, n) = via.vldx_count(&mut e);
-            let mut r = 0usize;
-            while r < n {
-                let mut group: Vec<(usize, Reg, Reg)> = Vec::with_capacity(4);
-                for _ in 0..4 {
-                    if r >= n {
-                        break;
-                    }
-                    let len = vl.min(n - r);
-                    let (idx_reg, idxs) = via.vldx_load_idx(&mut e, r, len);
-                    let positions: Vec<u32> = (r..r + len).map(|p| p as u32).collect();
-                    let (val_reg, vals) = via.vldx_mov_d(&mut e, &positions, &[]);
-                    for (i, v) in idxs.iter().zip(&vals) {
-                        pairs.push((range_lo + *i as usize, *v));
-                    }
-                    group.push((len, idx_reg, val_reg));
-                    r += len;
+            read_cam(&mut e, &mut via, |e, idx_reg, idxs, val_reg, vals| {
+                for (&i, &v) in idxs.iter().zip(vals) {
+                    pairs.push((range_lo + i as usize, v));
                 }
-                for (len, idx_reg, val_reg) in group {
-                    e.store(lay.y_idx.addr_of(out_pos), (4 * len) as u32, &[idx_reg]);
-                    e.store(lay.y_val.addr_of(out_pos), (8 * len) as u32, &[val_reg]);
-                    out_pos += len;
-                }
-            }
+                let n = idxs.len();
+                e.store(lay.y_idx.addr_of(out_pos), (4 * n) as u32, &[idx_reg]);
+                e.store(lay.y_val.addr_of(out_pos), (8 * n) as u32, &[val_reg]);
+                out_pos += n;
+            });
             e.region_end();
         }
         range_lo = range_hi;

@@ -27,6 +27,7 @@
 
 use crate::context::{KernelRun, SimContext};
 use crate::layout::{CsbLayout, CsrLayout, SellLayout, Spc5Layout, VecLayout};
+use crate::readout::read_direct;
 use via_core::{AluOp, Dest, ViaUnit};
 use via_formats::{Csb, Csr, SellCSigma, Spc5};
 use via_sim::{AluKind, Engine, Reg, VecOpKind};
@@ -518,24 +519,18 @@ pub fn via_csb_with(
         // (bounded by the architectural vector registers) so the
         // commit-serialized VIA reads pipeline; the stores drain after
         // each group.
-        let mut r = 0usize;
-        while r < rows_here {
-            let mut group: Vec<(usize, usize, via_sim::Reg)> = Vec::with_capacity(flush_group);
-            for _ in 0..flush_group {
-                if r >= rows_here {
-                    break;
-                }
-                let len = vl.min(rows_here - r);
-                let idx: Vec<u32> = (0..len).map(|l| offset + (r + l) as u32).collect();
-                let (reg, vals) = via.vldx_mov_d(&mut e, &idx, &[]);
-                y[row_base + r..row_base + r + len].copy_from_slice(&vals);
-                group.push((r, len, reg));
-                r += len;
-            }
-            for (gr, len, reg) in group {
-                e.store(yl.data.addr_of(row_base + gr), (8 * len) as u32, &[reg]);
-            }
-        }
+        read_direct(
+            &mut e,
+            &mut via,
+            offset,
+            rows_here,
+            flush_group,
+            |e, r, reg, vals| {
+                let at = row_base + r;
+                y[at..at + vals.len()].copy_from_slice(vals);
+                e.store(yl.data.addr_of(at), (8 * vals.len()) as u32, &[reg]);
+            },
+        );
         // Reset the y segment's accumulators for the next block row.
         via.vldx_clear_segment(&mut e, bs, rows_here);
         e.region_end();
@@ -605,24 +600,11 @@ where
         e.region_end();
         // Extract the segment, batching SSPM reads ahead of the stores.
         e.region("flush");
-        let mut r = 0usize;
-        while r < seg_rows {
-            let mut group: Vec<(usize, usize, Reg)> = Vec::with_capacity(flush_group);
-            for _ in 0..flush_group {
-                if r >= seg_rows {
-                    break;
-                }
-                let len = vl.min(seg_rows - r);
-                let idx: Vec<u32> = (0..len).map(|l| (r + l) as u32).collect();
-                let (reg, vals) = via.vldx_mov_d(e, &idx, &[]);
-                y[seg_start + r..seg_start + r + len].copy_from_slice(&vals);
-                group.push((r, len, reg));
-                r += len;
-            }
-            for (gr, len, reg) in group {
-                e.store(yl.data.addr_of(seg_start + gr), (8 * len) as u32, &[reg]);
-            }
-        }
+        read_direct(e, via, 0, seg_rows, flush_group, |e, r, reg, vals| {
+            let at = seg_start + r;
+            y[at..at + vals.len()].copy_from_slice(vals);
+            e.store(yl.data.addr_of(at), (8 * vals.len()) as u32, &[reg]);
+        });
         e.region_end();
         seg_start += seg_rows;
     }
@@ -769,24 +751,11 @@ pub fn via_spc5(m: &Spc5, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
         e.region_end();
         // Extract, batching SSPM reads ahead of the stores.
         e.region("flush");
-        let mut r = 0usize;
-        while r < seg_rows {
-            let mut group: Vec<(usize, usize, Reg)> = Vec::with_capacity(8);
-            for _ in 0..8 {
-                if r >= seg_rows {
-                    break;
-                }
-                let len = vl.min(seg_rows - r);
-                let idx: Vec<u32> = (0..len).map(|l| (r + l) as u32).collect();
-                let (reg, vals) = via.vldx_mov_d(&mut e, &idx, &[]);
-                y[seg_start + r..seg_start + r + len].copy_from_slice(&vals);
-                group.push((r, len, reg));
-                r += len;
-            }
-            for (gr, len, reg) in group {
-                e.store(yl.data.addr_of(seg_start + gr), (8 * len) as u32, &[reg]);
-            }
-        }
+        read_direct(&mut e, &mut via, 0, seg_rows, 8, |e, r, reg, vals| {
+            let at = seg_start + r;
+            y[at..at + vals.len()].copy_from_slice(vals);
+            e.store(yl.data.addr_of(at), (8 * vals.len()) as u32, &[reg]);
+        });
         e.region_end();
         seg_start += seg_rows;
     }
@@ -803,7 +772,6 @@ pub fn via_spc5(m: &Spc5, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
 /// Panics if `x.len() != m.cols()`.
 pub fn via_sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
     assert_eq!(x.len(), m.cols(), "x length must equal matrix columns");
-    let vl = ctx.vl();
     let c = m.chunk_height();
     let mut e = ctx.via_engine();
     let mut via = ViaUnit::new(ctx.via);
@@ -863,29 +831,14 @@ pub fn via_sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f6
         // Extract: batched SSPM reads of packed rows, then scatters to
         // y[perm[...]].
         e.region("flush");
-        let mut r = 0usize;
-        while r < seg_rows {
-            let mut group: Vec<(usize, usize, Reg)> = Vec::with_capacity(8);
-            for _ in 0..8 {
-                if r >= seg_rows {
-                    break;
-                }
-                let len = vl.min(seg_rows - r);
-                let idx: Vec<u32> = (0..len).map(|l| (r + l) as u32).collect();
-                let (reg, vals) = via.vldx_mov_d(&mut e, &idx, &[]);
-                for (l, &v) in vals.iter().enumerate() {
-                    y[m.perm()[seg_start + r + l] as usize] = v;
-                }
-                group.push((r, len, reg));
-                r += len;
+        read_direct(&mut e, &mut via, 0, seg_rows, 8, |e, r, reg, vals| {
+            let mut addrs = Vec::with_capacity(vals.len());
+            for (&row, &v) in m.perm()[seg_start + r..].iter().zip(vals) {
+                y[row as usize] = v;
+                addrs.push(yl.data.addr_of(row as usize));
             }
-            for (gr, len, reg) in group {
-                let addrs: Vec<u64> = (0..len)
-                    .map(|l| yl.data.addr_of(m.perm()[seg_start + gr + l] as usize))
-                    .collect();
-                e.scatter(&addrs, 8, &[reg]);
-            }
-        }
+            e.scatter(&addrs, 8, &[reg]);
+        });
         e.region_end();
         seg_start += seg_rows;
     }

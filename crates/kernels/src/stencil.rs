@@ -17,6 +17,7 @@
 //! as in [`via_formats::reference::convolve2d`].
 
 use crate::context::{KernelRun, SimContext};
+use crate::readout::read_direct;
 use via_core::ViaUnit;
 use via_sim::{AluKind, VecOpKind};
 
@@ -257,33 +258,19 @@ pub fn via(
         // Flush the output segment, batching SSPM reads ahead of stores.
         e.region("flush");
         for dy in 0..rows_here {
-            let mut x = 0usize;
-            while x < width {
-                let mut group: Vec<(usize, usize, via_sim::Reg)> = Vec::with_capacity(8);
-                for _ in 0..8 {
-                    if x >= width {
-                        break;
-                    }
-                    let len = vl.min(width - x);
-                    let idx: Vec<u32> = (0..len)
-                        .map(|l| out_base + (dy * width + x + l) as u32)
-                        .collect();
-                    let (reg, vals) = via.vldx_mov_d(&mut e, &idx, &[]);
-                    for (l, &v) in vals.iter().enumerate() {
-                        debug_assert!(
-                            (v - out[(y0 + dy) * width + x + l]).abs() < 1e-9,
-                            "SSPM convolution mismatch at ({}, {})",
-                            y0 + dy,
-                            x + l
-                        );
-                    }
-                    group.push((x, len, reg));
-                    x += len;
+            let row_base = out_base + (dy * width) as u32;
+            read_direct(&mut e, &mut via, row_base, width, 8, |e, x, reg, vals| {
+                let at = (y0 + dy) * width + x;
+                for (l, &v) in vals.iter().enumerate() {
+                    debug_assert!(
+                        (v - out[at + l]).abs() < 1e-9,
+                        "SSPM convolution mismatch at ({}, {})",
+                        y0 + dy,
+                        x + l
+                    );
                 }
-                for (gx, len, reg) in group {
-                    e.store(ol.addr_of((y0 + dy) * width + gx), (8 * len) as u32, &[reg]);
-                }
-            }
+                e.store(ol.addr_of(at), (8 * vals.len()) as u32, &[reg]);
+            });
         }
         e.region_end();
         y0 += rows_here;

@@ -25,6 +25,7 @@
 
 use crate::context::{KernelRun, SimContext};
 use crate::layout::{CsrLayout, VecLayout};
+use crate::readout::read_direct;
 use crate::sptrsv::{fold_tokens, row_groups, Schedule, DIV_EXTRA_CYCLES};
 use via_core::{AluOp, Dest, ViaUnit};
 use via_formats::{Csr, LevelSchedule};
@@ -484,25 +485,12 @@ fn via_sweep(
         // Publish the relaxed segment back to memory.
         e.region("flush");
         let mut flush_tokens: Vec<Reg> = Vec::new();
-        let mut r = 0usize;
-        while r < seg_rows {
-            let mut group: Vec<(usize, usize, Reg)> = Vec::with_capacity(flush_group);
-            for _ in 0..flush_group {
-                if r >= seg_rows {
-                    break;
-                }
-                let len = vl.min(seg_rows - r);
-                let idx: Vec<u32> = (0..len).map(|l| (r + l) as u32).collect();
-                let (reg, vals) = via.vldx_mov_d(e, &idx, &[]);
-                x[seg_start + r..seg_start + r + len].copy_from_slice(&vals);
-                group.push((r, len, reg));
-                r += len;
-            }
-            for (gr, len, reg) in group {
-                e.store(xl.data.addr_of(seg_start + gr), (8 * len) as u32, &[reg]);
-                flush_tokens.push(reg);
-            }
-        }
+        read_direct(e, via, 0, seg_rows, flush_group, |e, r, reg, vals| {
+            let at = seg_start + r;
+            x[at..at + vals.len()].copy_from_slice(vals);
+            e.store(xl.data.addr_of(at), (8 * vals.len()) as u32, &[reg]);
+            flush_tokens.push(reg);
+        });
         *guard = fold_tokens(e, *guard, &flush_tokens);
         e.region_end();
     }
