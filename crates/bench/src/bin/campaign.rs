@@ -25,6 +25,9 @@
 //! cargo run --release -p via-bench --bin campaign -- report shard0 shard2
 //! ```
 
+#[path = "../argv.rs"]
+mod argv;
+
 use std::path::PathBuf;
 use via_bench::campaign::{
     aggregate_report, aggregate_report_dirs, load_quarantine, merge_stores, quarantine_table,
@@ -442,7 +445,7 @@ fn cmd_tune(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = argv::args();
     match args.first().map(String::as_str) {
         Some("tune") => cmd_tune(&args[1..]),
         Some("merge") => cmd_merge(&args[1..]),

@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
+mod argv;
 pub mod campaign;
 pub mod experiments;
 pub mod multicore;

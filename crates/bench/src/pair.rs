@@ -95,9 +95,9 @@ impl KernelKind {
     /// # Errors
     ///
     /// [`FormatError::TooLarge`] when SpMV's dense `x` or SpMM's
-    /// `cols x cols` `B` does not fit in memory (`x` and `B`'s samples and
-    /// row pointers are reserved fallibly, so a declared width far beyond
-    /// memory is not an allocation abort), or
+    /// `cols x cols` `B` (or its CSC form) does not fit in memory (every
+    /// buffer of `x` and `B` is reserved fallibly, so a declared width far
+    /// beyond memory is not an allocation abort), or
     /// the [`FormatError`] of a format conversion that fails (the CSB
     /// conversion the SpMV key needs is tried first).
     pub fn pair<'a>(
@@ -113,7 +113,7 @@ impl KernelKind {
             ),
             KernelKind::Spmm => {
                 let b = gen::try_uniform(a.cols(), a.cols(), a.density(), seed ^ 2)?;
-                let b_csc = b.to_csc();
+                let b_csc = Csc::try_from_csr(&b)?;
                 (
                     a.nnz() as f64 / a.rows().max(1) as f64,
                     Operands::Spmm(b, b_csc),

@@ -126,7 +126,7 @@ pub const SCALE_FLAGS: &[&str] = &[
 /// next argument) and each of `switches` stands alone. Any other argument
 /// prints `unknown argument "<arg>"` and exits with status 2.
 pub fn cli_args(flags: &[&str], switches: &[&str]) -> Vec<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = crate::argv::args();
     or_exit(known_args(&args, flags, switches));
     args
 }

@@ -5,12 +5,17 @@
 //! or unknown arguments (`campaign tune`, `fig9_dse`, `fig10_spmv`,
 //! `fig12a_histogram`, `multicore` and `verify_programs` included); and
 //! exit 1 naming the path when an output file cannot be written (before
-//! any work when its directory is missing).
+//! any work when its directory is missing); exit 2 naming an argument that
+//! is not valid UTF-8; and exit 0, 1 or 2, never a panic, abort or hang,
+//! for deterministically mutated `campaign run` argument vectors.
 
+use std::ffi::OsStr;
+use std::os::unix::ffi::OsStrExt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use via_bench::campaign::{load_quarantine, load_results};
 use via_bench::KernelKind;
+use via_rng::{cases, mutate};
 
 /// A unique scratch directory, removed on drop.
 struct Scratch(PathBuf);
@@ -73,6 +78,18 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// Runs the campaign binary with `args` from `dir`, under a 4 GB
+/// address-space cap and a 60-second timeout (which exits 124).
+fn capped<A: AsRef<OsStr>>(dir: &Path, args: impl IntoIterator<Item = A>) -> Output {
+    Command::new("sh")
+        .args(["-c", "ulimit -v 4000000; exec timeout 60 \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_campaign"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("run the campaign binary under an address-space cap")
+}
+
 #[test]
 fn a_corrupt_file_beside_a_valid_one_is_quarantined_and_the_run_succeeds() {
     let scratch = Scratch::new("mixed");
@@ -102,11 +119,12 @@ fn an_oversized_matrix_is_quarantined_while_the_rest_completes() {
     );
     let manifest = scratch.corpus(&[oversized, wide, VALID]);
     let store = scratch.0.join("store");
-    let out = Command::new("sh")
-        .args(["-c", "ulimit -v 4000000; exec \"$0\" \"$@\""])
-        .arg(env!("CARGO_BIN_EXE_campaign"))
-        .args(["run", "--dir", store.to_str().unwrap()])
-        .args([
+    let out = capped(
+        &scratch.0,
+        [
+            "run",
+            "--dir",
+            store.to_str().unwrap(),
             "--corpus",
             manifest.to_str().unwrap(),
             "--kernels",
@@ -114,9 +132,8 @@ fn an_oversized_matrix_is_quarantined_while_the_rest_completes() {
             "--threads",
             "1",
             "--quiet",
-        ])
-        .output()
-        .expect("run the campaign binary under an address-space cap");
+        ],
+    );
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let quarantine = load_quarantine(&store).expect("load quarantine");
     let results = load_results(&store).expect("load results");
@@ -149,6 +166,134 @@ fn an_oversized_matrix_is_quarantined_while_the_rest_completes() {
     for q in failed {
         assert_eq!(q.kind, "too_large", "{q:?}");
     }
+}
+
+#[test]
+fn a_spmm_operand_too_wide_for_memory_is_quarantined_in_milliseconds() {
+    let scratch = Scratch::new("wide_spmm");
+    // 2^28 and 2^29 columns: SpMM's cols x cols B at A's density needs
+    // 1.2 or 2.4 GB of samples plus 2 or 4 GiB of row pointers, which the
+    // 4 GB cap cannot hold together. Every buffer of B is reserved before
+    // a sample is drawn, so each job fails at once.
+    let header = "%%MatrixMarket matrix coordinate real general\n";
+    let w28 = format!("{header}4 268435456 1\n1 1 1.0\n");
+    let w29 = format!("{header}4 536870912 1\n1 1 1.0\n");
+    let manifest = scratch.corpus(&[VALID, ("w28.mtx", &w28), ("w29.mtx", &w29)]);
+    let store = scratch.0.join("store");
+    let (store_arg, manifest_arg) = (store.to_str().unwrap(), manifest.to_str().unwrap());
+    let out = capped(
+        &scratch.0,
+        [
+            "run",
+            "--dir",
+            store_arg,
+            "--corpus",
+            manifest_arg,
+            "--kernels",
+            "spmm",
+            "--threads",
+            "1",
+            "--quiet",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let results = load_results(&store).expect("load results");
+    let done: Vec<(&str, &str)> = results
+        .iter()
+        .map(|r| (r.matrix.rsplit('/').next().unwrap(), r.kernel.as_str()))
+        .collect();
+    assert_eq!(done, [("valid.mtx", "spmm")]);
+    let quarantine = load_quarantine(&store).expect("load quarantine");
+    let failed: Vec<(&str, &str, &[String])> = quarantine
+        .iter()
+        .map(|q| {
+            let file = q.matrix.rsplit('/').next().unwrap();
+            (file, q.kind.as_str(), q.chain.as_slice())
+        })
+        .collect();
+    let too_large = |n: u64| vec![format!("a {n}x{n} matrix does not fit in memory")];
+    assert_eq!(
+        failed,
+        [
+            ("w28.mtx", "too_large", &too_large(1 << 28)[..]),
+            ("w29.mtx", "too_large", &too_large(1 << 29)[..]),
+        ]
+    );
+}
+
+#[test]
+fn a_non_utf8_argument_exits_2_naming_it() {
+    let scratch = Scratch::new("utf8");
+    for (bin, args, shown) in [
+        (
+            env!("CARGO_BIN_EXE_campaign"),
+            &[&b"run"[..], b"\xff"][..],
+            "\u{fffd}",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig10_spmv"),
+            &[&b"--matrices"[..], b"1\xff"],
+            "1\u{fffd}",
+        ),
+        (
+            env!("CARGO_BIN_EXE_verify_programs"),
+            &[&b"--qu\xffick"[..]],
+            "--qu\u{fffd}ick",
+        ),
+    ] {
+        let out = Command::new(bin)
+            .args(args.iter().map(|a| OsStr::from_bytes(a)))
+            .current_dir(&scratch.0)
+            .output()
+            .expect("run the binary");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{shown}: {err}");
+        assert_eq!(err, format!("argument \"{shown}\" is not valid UTF-8\n"));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{shown}");
+        let written: Vec<_> = std::fs::read_dir(&scratch.0).unwrap().collect();
+        assert!(written.is_empty(), "{shown}: wrote {written:?}");
+    }
+}
+
+#[test]
+fn mutated_run_arguments_exit_0_1_or_2() {
+    let scratch = Scratch::new("argv_fuzz");
+    // The store and the corpus stay out of the mutated part: a mutant
+    // without `--corpus` would start the default 64-matrix sweep.
+    let manifest = scratch.corpus(&[VALID]);
+    let options = [
+        "--kernels",
+        "spmv_csr",
+        "--threads",
+        "1",
+        "--budget-ms",
+        "60000",
+        "--max-jobs",
+        "4",
+        "--quiet",
+    ]
+    .join("\0");
+    // Joined with NUL and split back after the edits, so a mutant can
+    // merge, split or drop arguments and carry invalid UTF-8.
+    cases(200, 0xA76F, |case, rng| {
+        let mutant = mutate(options.as_bytes(), rng);
+        let store = scratch.0.join(format!("store{case}"));
+        let mut argv = vec![
+            OsStr::new("run"),
+            OsStr::new("--dir"),
+            store.as_os_str(),
+            OsStr::new("--corpus"),
+            manifest.as_os_str(),
+        ];
+        argv.extend(mutant.split(|&b| b == 0).map(OsStr::from_bytes));
+        let out = capped(&scratch.0, &argv);
+        assert!(
+            matches!(out.status.code(), Some(0..=2)),
+            "case {case}: {argv:?} ended with {:?}: {}",
+            out.status,
+            stderr(&out)
+        );
+    });
 }
 
 #[test]

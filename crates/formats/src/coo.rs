@@ -144,7 +144,8 @@ impl Coo {
         self.canonical
     }
 
-    /// Sorts entries row-major and sums duplicates in place.
+    /// Sorts entries row-major and sums duplicates (left to right) in
+    /// place, without a second entry buffer.
     ///
     /// Entries that sum to exactly `0.0` are kept: the *structure* of a
     /// sparse matrix is meaningful to the kernels independent of value (the
@@ -155,15 +156,20 @@ impl Coo {
         }
         self.entries
             .sort_unstable_by_key(|&(r, c, _)| ((r as u64) << 32) | c as u64);
-        let mut out: Vec<(Index, Index, Value)> = Vec::with_capacity(self.entries.len());
-        for &(r, c, v) in &self.entries {
-            match out.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 += v,
-                _ => out.push((r, c, v)),
+        self.entries.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
             }
-        }
-        self.entries = out;
+            same
+        });
         self.canonical = true;
+    }
+
+    /// The stored values, in entry order, for rewriting in place (the
+    /// structure stays as it is).
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        self.entries.iter_mut().map(|(_, _, v)| v)
     }
 
     /// Consumes `self` and returns the canonical (sorted, deduplicated) form.
@@ -249,6 +255,16 @@ mod tests {
         m.canonicalize();
         assert!(m.is_canonical());
         assert_eq!(m.entries(), &[(0, 0, 4.0), (0, 1, 2.0), (2, 2, 4.0)]);
+    }
+
+    #[test]
+    fn canonicalize_sums_duplicates_left_to_right() {
+        // 2^53 + 1 rounds back to 2^53, so only the left-to-right sum is 0.
+        let big = (1u64 << 53) as f64;
+        let mut m = Coo::from_triplets(1, 2, [(0, 0, big), (0, 0, 1.0), (0, 0, -big)]).unwrap();
+        m.push(0, 1, 1.0);
+        m.canonicalize();
+        assert_eq!(m.entries(), &[(0, 0, 0.0), (0, 1, 1.0)]);
     }
 
     #[test]

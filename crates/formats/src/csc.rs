@@ -57,6 +57,54 @@ impl Csc {
         }
     }
 
+    /// The CSC form of `csr` ([`Csr::to_csc`]) without intermediate
+    /// copies: the arrays are reserved fallibly, then filled by a counting
+    /// sort over `csr`'s column indices, so rows stay ascending within
+    /// each column.
+    ///
+    /// # Errors
+    ///
+    /// [`FormatError::TooLarge`] if the CSC arrays cannot be allocated.
+    pub fn try_from_csr(csr: &Csr) -> Result<Self, FormatError> {
+        let (rows, cols, nnz) = (csr.rows(), csr.cols(), csr.nnz());
+        let too_large = |_| FormatError::TooLarge { rows, cols };
+        let mut col_ptr = Vec::new();
+        col_ptr.try_reserve_exact(cols + 1).map_err(too_large)?;
+        let mut row_idx = Vec::new();
+        row_idx.try_reserve_exact(nnz).map_err(too_large)?;
+        let mut data = Vec::new();
+        data.try_reserve_exact(nnz).map_err(too_large)?;
+        col_ptr.resize(cols + 1, 0usize);
+        for &c in csr.col_idx() {
+            col_ptr[c as usize + 1] += 1;
+        }
+        for j in 0..cols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        row_idx.resize(nnz, 0);
+        data.resize(nnz, 0.0);
+        // While scattering, `col_ptr[c]` is column `c`'s next free slot; it
+        // ends at column `c + 1`'s start, so one shift restores the starts.
+        for r in 0..rows {
+            let (cs, vs) = csr.row(r);
+            for (&c, &v) in cs.iter().zip(vs) {
+                let slot = &mut col_ptr[c as usize];
+                row_idx[*slot] = r as Index;
+                data[*slot] = v;
+                *slot += 1;
+            }
+        }
+        col_ptr.copy_within(0..cols, 1);
+        col_ptr[0] = 0;
+        Ok(Csc {
+            rows,
+            cols,
+            col_ptr,
+            row_idx,
+            data,
+        })
+    }
+
     /// Builds a CSC matrix directly from its raw arrays.
     ///
     /// # Errors

@@ -89,15 +89,15 @@ pub fn uniform(rows: usize, cols: usize, density: f64, seed: u64) -> Csr {
     try_uniform(rows, cols, density, seed).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`uniform`] with its samples and row pointers reserved fallibly, so a
-/// shape whose samples or row pointers do not fit is an error instead of
-/// an allocation abort. The copies made while canonicalizing the samples
-/// are not reserved fallibly.
+/// [`uniform`] with every buffer it needs (the samples and the matrix's
+/// arrays) reserved fallibly before the first sample is drawn, and the
+/// samples canonicalized and re-randomized in place, so a shape that does
+/// not fit is an error within milliseconds instead of an allocation abort.
 ///
 /// # Errors
 ///
 /// [`FormatError::TooLarge`] if `rows * cols` overflows or the samples or
-/// row pointers cannot be allocated.
+/// the matrix cannot be allocated.
 ///
 /// # Panics
 ///
@@ -113,20 +113,18 @@ pub fn try_uniform(rows: usize, cols: usize, density: f64, seed: u64) -> Result<
     // to land near the target.
     let oversample = target + target / 8 + 4;
     let mut coo = Coo::try_with_capacity(rows, cols, oversample)?;
+    let csr = Csr::try_reserve(rows, cols, oversample)?;
     for _ in 0..oversample {
         let r = rng.random_range(0..rows);
         let c = rng.random_range(0..cols);
         coo.push(r, c, random_value(&mut rng));
     }
-    let mut coo = coo.into_canonical();
+    coo.canonicalize();
     // Re-randomize merged duplicate values so magnitudes stay in [-1,1].
-    let entries: Vec<_> = coo
-        .entries()
-        .iter()
-        .map(|&(r, c, _)| (r as usize, c as usize, random_value(&mut rng)))
-        .collect();
-    coo = Coo::from_triplets(rows, cols, entries).expect("entries in bounds");
-    Csr::try_from_coo(&coo)
+    for v in coo.values_mut() {
+        *v = random_value(&mut rng);
+    }
+    Ok(csr.filled(&coo))
 }
 
 /// Banded matrix: each row has up to `band_fill` non-zeros within

@@ -42,6 +42,7 @@ fn csc_represents_same_matrix() {
         let csr = Csr::from_coo(&coo);
         let csc = Csc::from_coo(&coo);
         assert_eq!(csc.to_csr(), csr, "case {i}");
+        assert_eq!(csr.to_csc(), csc, "case {i}: CSR's own conversion");
     });
 }
 
