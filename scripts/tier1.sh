@@ -7,9 +7,10 @@
 # broken intra-doc link fails, and the markdown link check), release
 # build, full workspace test suite in release and in debug (debug builds
 # verify every pushed and replayed instruction, so that run doubles as
-# the stream-soundness proof), the
-# golden cycle-count snapshots (the bit-exactness contract for the
-# timing model), the via-verify static sweep over every shipped kernel's
+# the stream-soundness proof), the golden cycle-count, stall and stream
+# snapshots (the bit-exactness contract for the timing model, and the
+# exact instruction stream of every VIA kernel's SSPM read-out), the
+# via-verify static sweep over every shipped kernel's
 # instruction streams and the socket sweep (each JSON report compared
 # byte for byte with the committed VERIFY_programs.json and
 # BENCH_multicore.json, so a moved bound or cycle count fails), the
@@ -49,11 +50,9 @@ cargo test --workspace --release -q
 echo "==> cargo test (workspace, debug: every pushed and replayed instruction verified)"
 cargo test --workspace -q
 
-echo "==> golden cycle snapshots"
-cargo test -p via-kernels --release -q --test golden_cycles
-
-echo "==> golden stall accounting"
-cargo test -p via-kernels --release -q --test golden_stalls
+echo "==> golden cycle, stall and stream snapshots"
+cargo test -p via-kernels --release -q \
+    --test golden_cycles --test golden_stalls --test golden_streams
 
 echo "==> compiled-vs-interpreted golden equivalence"
 cargo test -p via-kernels --release -q --test compiled_equivalence
