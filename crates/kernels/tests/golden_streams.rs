@@ -1,15 +1,19 @@
-//! Golden stream snapshots for every VIA kernel that reads its SSPM out.
+//! Golden stream snapshots for every VIA kernel that reads its SSPM out,
+//! and for the baseline and SSR kernels that share their idioms.
 //!
 //! Each VIA kernel ends a segment by reading the scratchpad back with
 //! batched `vldxmov.d` reads (in CAM mode, `vldxcount` then
 //! `vldxloadidx`/`vldxmov.d` pairs) ahead of the stores that consume them.
-//! These pins cover every such read-out: each kernel runs on small fixed
-//! inputs under the default 16 KB SSPM and under a 4 KB SSPM (where a
-//! segment is read out more than once), and the tunable flush groups run
-//! at 1 and 3 as well as 8, so a batch boundary that moves shows up. Every
-//! run is recorded, and one FNV-1a over the `{:?}` of every run's
-//! `(stream_hash, cycles)` is pinned: a changed instruction, order,
-//! register or cycle count anywhere moves it.
+//! The first pin covers every such read-out: each kernel runs on small
+//! fixed inputs under the default 16 KB SSPM and under a 4 KB SSPM (where
+//! a segment is read out more than once), and the tunable flush groups run
+//! at 1 and 3 as well as 8, so a batch boundary that moves shows up. The
+//! second pin covers the baseline and SSR kernels (x gathers, the
+//! Sell-C-σ and AVX-512CD store-buffer drain, Gustavson's sparse
+//! accumulator, the scalar SpTRSV and SymGS sweeps) under the default
+//! machine. Every run is recorded, and one FNV-1a over the `{:?}` of every
+//! run's `(stream_hash, cycles)` is pinned per test: a changed
+//! instruction, order, register, region or cycle count anywhere moves it.
 //!
 //! If a change is *meant* to alter an emitted stream, update the pin in
 //! the same commit and say so; an unexplained diff here is a regression.
@@ -17,7 +21,7 @@
 use via_core::ViaConfig;
 use via_formats::{gen, Csb, Csr, SellCSigma, Spc5};
 use via_kernels::spmspv::SparseVector;
-use via_kernels::{histogram, spma, spmm, spmspv, spmv, sptrsv, stencil, symgs};
+use via_kernels::{histogram, spma, spmm, spmspv, spmv, sptrsv, ssr, stencil, symgs};
 use via_kernels::{KernelRun, Schedule, SimContext};
 use via_rng::StdRng;
 use via_sim::fnv1a64;
@@ -128,5 +132,86 @@ fn read_out_streams_are_pinned() {
     assert_eq!(
         hash, 0xD9A2_E568_4287_5F36,
         "VIA read-out streams moved; the runs were:\n{all:#?}"
+    );
+}
+
+/// The baseline and SSR kernels that share the SPA, store-buffer drain and
+/// gather idioms with the VIA kernels, as `(name, (stream_hash, cycles))`.
+fn baseline_and_ssr_runs(ctx: &SimContext) -> Vec<(String, (u64, u64))> {
+    let ctx = &ctx.clone().with_recording();
+    let vl = ctx.vl();
+    let mut out: Vec<(String, (u64, u64))> = Vec::new();
+
+    // SpMV: the x gathers, and Sell-C-sigma's drained y gather/scatter.
+    let a: Csr = gen::uniform(600, 600, 0.01, 42);
+    let x = xvec(a.cols());
+    out.push(("spmv::csr_vec".into(), pin(spmv::csr_vec(&a, &x, ctx))));
+    let sell = SellCSigma::from_csr(&a, vl, 8 * vl).unwrap();
+    out.push(("spmv::sell".into(), pin(spmv::sell(&sell, &x, ctx))));
+    let csb = Csb::from_csr(&a, 64).unwrap();
+    out.push((
+        "spmv::csb_software_vec".into(),
+        pin(spmv::csb_software_vec(&csb, &x, ctx)),
+    ));
+    out.push(("ssr::spmv_csr".into(), pin(ssr::spmv_csr(&a, &x, ctx))));
+
+    // Gustavson SpMM: the baseline and SSR legs around one SPA.
+    let ga = gen::uniform(48, 64, 0.1, 50);
+    let gb = gen::uniform(64, 300, 0.05, 51);
+    out.push((
+        "spmm::gustavson".into(),
+        pin(spmm::gustavson(&ga, &gb, ctx)),
+    ));
+    out.push((
+        "ssr::spmm_gustavson".into(),
+        pin(ssr::spmm_gustavson(&ga, &gb, ctx)),
+    ));
+
+    // AVX-512CD histogram: uniform keys, and keys skewed into a few hot
+    // lines so most gathers wait for the previous scatter to drain.
+    let mut rng = StdRng::seed_from_u64(0xC2);
+    let uniform: Vec<u32> = (0..3000).map(|_| rng.random_range(0u32..700)).collect();
+    let skewed: Vec<u32> = (0..3000)
+        .map(|_| {
+            let u: f64 = rng.random_range(0.0..1.0);
+            (u * u * u * 700.0) as u32
+        })
+        .collect();
+    out.push((
+        "histogram::vector_cd/uniform".into(),
+        pin(histogram::vector_cd(&uniform, 700, ctx)),
+    ));
+    out.push((
+        "histogram::vector_cd/skewed".into(),
+        pin(histogram::vector_cd(&skewed, 700, ctx)),
+    ));
+
+    // The scalar SpTRSV and SymGS sweeps under both schedules.
+    let l = gen::lower_triangular(600, 0.01, 42);
+    let b = gen::dense_vector(600, 43);
+    let s = gen::make_diagonally_dominant(&gen::uniform(600, 600, 0.01, 44));
+    let x0 = gen::dense_vector(600, 45);
+    for schedule in [Schedule::RowSerial, Schedule::Levels] {
+        out.push((
+            format!("sptrsv::scalar_with/{schedule:?}"),
+            pin(sptrsv::scalar_with(&l, &b, ctx, schedule)),
+        ));
+        out.push((
+            format!("symgs::scalar_with/{schedule:?}"),
+            pin(symgs::scalar_with(&s, &b, &x0, ctx, schedule)),
+        ));
+    }
+    out
+}
+
+#[test]
+fn baseline_and_ssr_streams_are_pinned() {
+    let all = baseline_and_ssr_runs(&SimContext::default());
+    assert_eq!(all.len(), 12, "every baseline and SSR run is pinned");
+    let pairs: Vec<(u64, u64)> = all.iter().map(|(_, p)| *p).collect();
+    let hash = fnv1a64(format!("{pairs:?}").bytes());
+    assert_eq!(
+        hash, 0x6C2B_9797_A790_517F,
+        "baseline and SSR streams moved; the runs were:\n{all:#?}"
     );
 }
