@@ -16,6 +16,7 @@
 //! paper's histogram uses the same `vldxadd` datapath as SpMV).
 
 use crate::context::{KernelRun, SimContext};
+use crate::gather::{indices, Drain};
 use crate::readout::read_direct;
 use via_core::{AluOp, Dest, ViaUnit};
 use via_sim::{AluKind, Reg, VecOpKind};
@@ -69,17 +70,7 @@ pub fn vector_cd(keys: &[u32], nbins: usize, ctx: &SimContext) -> KernelRun<Vec<
     let hl = e.alloc_mut().alloc_f64(nbins.max(1));
 
     let mut bins = vec![0u64; nbins];
-    // The previous iteration's scatter value register and the cache lines
-    // it touched. Gathers cannot forward from the store buffer: a gather
-    // that reads a line with a pending scattered store stalls until the
-    // store drains to L1 (the store-load forwarding cost the paper calls
-    // out, §II-C). Conflict detection is line-granular.
-    const DRAIN_CYCLES: u32 = 20;
-    let mut prev_scatter: Option<Reg> = None;
-    // Scratch buffers reused across chunks (gathers/scatters borrow them).
-    let mut addrs: Vec<u64> = Vec::with_capacity(vl);
-    let mut lines: Vec<u64> = Vec::with_capacity(vl);
-    let mut prev_lines: Vec<u64> = Vec::with_capacity(vl);
+    let mut hg = Drain::with_capacity(vl);
     e.region("key loop");
     let mut t = 0usize;
     while t < keys.len() {
@@ -96,24 +87,9 @@ pub fn vector_cd(keys: &[u32], nbins: usize, ctx: &SimContext) -> KernelRun<Vec<
         let counts = e.vec_op(VecOpKind::Blend, &[merged, conflicts]);
         // Gather current bin values, stalled behind the previous scatter's
         // store-buffer drain when the line sets overlap.
-        addrs.clear();
-        addrs.extend(chunk.iter().map(|&k| hl.addr_of(k as usize)));
-        lines.clear();
-        lines.extend(addrs.iter().map(|a| a / 64));
-        let mut deps = [merged, merged];
-        let mut ndeps = 1;
-        if let Some(prev_reg) = prev_scatter {
-            if lines.iter().any(|l| prev_lines.contains(l)) {
-                let drained = e.delay(DRAIN_CYCLES, &[prev_reg]);
-                deps[1] = drained;
-                ndeps = 2;
-            }
-        }
-        let old = e.gather(&addrs, 8, &deps[..ndeps]);
+        let old = hg.gather(&mut e, &hl, indices(chunk), merged);
         let new = e.vec_op(VecOpKind::Add, &[old, counts]);
-        e.scatter(&addrs, 8, &[new]);
-        prev_scatter = Some(new);
-        std::mem::swap(&mut prev_lines, &mut lines);
+        hg.scatter(&mut e, &[new]);
         e.scalar_op(AluKind::Int, &[]);
         t += len;
     }

@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 mod context;
+mod gather;
 pub mod histogram;
 mod layout;
 mod partition;

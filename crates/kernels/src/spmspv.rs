@@ -18,9 +18,10 @@
 
 use crate::context::{KernelRun, SimContext};
 use crate::readout::read_cam;
+use crate::spmm::Spa;
 use via_core::{AluOp, Dest, ViaUnit};
 use via_formats::{Csc, Index, Value};
-use via_sim::{AluKind, Reg};
+use via_sim::AluKind;
 
 /// A sparse vector as parallel index/value arrays (indices strictly
 /// increasing).
@@ -113,12 +114,8 @@ fn layout(e: &mut via_sim::Engine, a: &Csc, x: &SparseVector) -> Layout {
 pub fn spa_dense(a: &Csc, x: &SparseVector, ctx: &SimContext) -> KernelRun<SparseVector> {
     let mut e = ctx.baseline_engine();
     let lay = layout(&mut e, a, x);
-    let ws = e.alloc_mut().alloc_f64(a.rows().max(1));
-    let flags = e.alloc_mut().alloc_u32(a.rows().max(1));
-
+    let mut spa = Spa::new(&mut e, a.rows());
     let out = reference(a, x);
-    let mut last_store: std::collections::HashMap<Index, Reg> = std::collections::HashMap::new();
-    let mut touched: Vec<Index> = Vec::new();
     e.region("spa update");
     for (t, (&j, _)) in x.indices.iter().zip(&x.values).enumerate() {
         assert!((j as usize) < a.cols(), "x index {j} out of bounds");
@@ -126,53 +123,19 @@ pub fn spa_dense(a: &Csc, x: &SparseVector, ctx: &SimContext) -> KernelRun<Spars
         let xv = e.load(lay.x_val.addr_of(t), 8);
         let cp = e.load(lay.col_ptr.addr_of(j as usize + 1), 8);
         e.scalar_op(AluKind::Int, &[xi, cp]);
-        let (rows, _) = a.col(j as usize);
         let pb = a.col_ptr()[j as usize];
-        for (q, &i) in rows.iter().enumerate() {
+        for (q, &i) in a.col(j as usize).0.iter().enumerate() {
             let ri = e.load(lay.row_idx.addr_of(pb + q), 4);
             let av = e.load(lay.data.addr_of(pb + q), 8);
-            // Occupancy check; first touch records the row.
-            let flag = e.load_dep(flags.addr_of(i as usize), 4, &[ri]);
-            e.scalar_op(AluKind::Int, &[flag]);
-            if !last_store.contains_key(&i) {
-                touched.push(i);
-                let set = e.scalar_op(AluKind::Int, &[flag]);
-                e.store(flags.addr_of(i as usize), 4, &[set]);
-            }
-            // Workspace update, chained per row through memory.
-            let mut deps = vec![ri];
-            if let Some(&prev) = last_store.get(&i) {
-                deps.push(prev);
-            }
-            let old = e.load_dep(ws.addr_of(i as usize), 8, &deps);
-            let new = e.scalar_op(AluKind::FpFma, &[av, xv, old]);
-            e.store(ws.addr_of(i as usize), 8, &[new]);
-            last_store.insert(i, new);
+            spa.update(&mut e, i, ri, av, xv);
         }
     }
     e.region_end();
-    // Sort the touched rows and compact.
+    // No flag reset: this kernel runs once per stream, so clearing the
+    // occupancy flags after their last (only) use would be dead stores
+    // (the analyzer's VIA102).
     e.region("compact");
-    touched.sort_unstable();
-    let sort_ops = touched.len() as u32 * (32 - (touched.len() as u32).max(1).leading_zeros());
-    for _ in 0..sort_ops {
-        e.scalar_op(AluKind::Int, &[]);
-    }
-    for (o, &i) in touched.iter().enumerate() {
-        let mut deps = Vec::new();
-        if let Some(&prev) = last_store.get(&i) {
-            deps.push(prev);
-        }
-        let v = e.load_dep(ws.addr_of(i as usize), 8, &deps);
-        let idx = e.scalar_op(AluKind::Int, &[]);
-        e.store(lay.y_idx.addr_of(o), 4, &[idx]);
-        e.store(lay.y_val.addr_of(o), 8, &[v]);
-        // No flag reset: this kernel runs once per stream, so clearing the
-        // occupancy flags after the last (only) use just killed the
-        // once-touched rows' set-stores unread — the VIA102 dead stores the
-        // PR 7 oracle confirmed. A multi-invocation caller would clear
-        // lazily via the touched list it already has.
-    }
+    spa.compact(&mut e, &lay.y_idx, &lay.y_val, false);
     e.region_end();
     KernelRun::finish_baseline(out, e)
 }

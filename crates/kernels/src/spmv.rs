@@ -26,6 +26,7 @@
 //!   `x`, but `y` updates stay in the scratchpad.
 
 use crate::context::{KernelRun, SimContext};
+use crate::gather::{indices, Drain, Gather};
 use crate::layout::{CsbLayout, CsrLayout, SellLayout, Spc5Layout, VecLayout};
 use crate::readout::read_direct;
 use via_core::{AluOp, Dest, ViaUnit};
@@ -88,9 +89,7 @@ pub fn csr_vec(a: &Csr, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
     let yl = VecLayout::new(e.alloc_mut(), a.rows().max(1));
 
     let mut y = vec![0.0; a.rows()];
-    // One x-gather address buffer for the whole matrix: the gather borrows
-    // the addresses, so nothing forces a fresh allocation per chunk.
-    let mut addrs: Vec<u64> = Vec::with_capacity(vl);
+    let mut xg = Gather::with_capacity(vl);
     e.region("row loop");
     let mut rp = e.load(lay.row_ptr.addr_of(0), 8);
     for (i, yi) in y.iter_mut().enumerate() {
@@ -106,13 +105,7 @@ pub fn csr_vec(a: &Csr, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
             let j = base + k;
             let col_reg = e.load(lay.col_idx.addr_of(j), (4 * len) as u32);
             let val_reg = e.load(lay.data.addr_of(j), (8 * len) as u32);
-            addrs.clear();
-            addrs.extend(
-                cols[k..k + len]
-                    .iter()
-                    .map(|&c| xl.data.addr_of(c as usize)),
-            );
-            let x_reg = e.gather(&addrs, 8, &[col_reg]);
+            let x_reg = xg.load(&mut e, &xl.data, indices(&cols[k..k + len]), &[col_reg]);
             vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
             e.scalar_op(AluKind::Int, &[bound]);
             for (&c, &v) in cols[k..k + len].iter().zip(&vals[k..k + len]) {
@@ -201,15 +194,8 @@ pub fn sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> 
 
     let y = m.spmv(x);
     let c = m.chunk_height();
-    // Gathers cannot forward from pending scattered stores: track the
-    // previous chunk's y-scatter lines and stall the next y-gather behind
-    // the store-buffer drain on overlap (§II-C store-load forwarding).
-    const DRAIN_CYCLES: u32 = 20;
-    let mut prev_scatter: Option<Reg> = None;
-    // Scratch buffers reused across chunks (gathers/scatters borrow them).
-    let mut addrs: Vec<u64> = Vec::with_capacity(c);
-    let mut lines: Vec<u64> = Vec::with_capacity(c);
-    let mut prev_lines: Vec<u64> = Vec::with_capacity(c);
+    let mut xg = Gather::with_capacity(c);
+    let mut yg = Drain::with_capacity(c);
     e.region("chunk loop");
     for k in 0..m.num_chunks() {
         let cp = e.load(lay.chunk_ptr.addr_of(k), 8);
@@ -221,13 +207,12 @@ pub fn sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> 
             let pos = base + w * c;
             let col_reg = e.load(lay.col_idx.addr_of(pos), (4 * c) as u32);
             let val_reg = e.load(lay.data.addr_of(pos), (8 * c) as u32);
-            addrs.clear();
-            addrs.extend(
-                m.col_idx()[pos..pos + c]
-                    .iter()
-                    .map(|&cc| xl.data.addr_of(cc as usize)),
+            let x_reg = xg.load(
+                &mut e,
+                &xl.data,
+                indices(&m.col_idx()[pos..pos + c]),
+                &[col_reg],
             );
-            let x_reg = e.gather(&addrs, 8, &[col_reg]);
             vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
             e.scalar_op(AluKind::Int, &[bound]);
         }
@@ -237,26 +222,10 @@ pub fn sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> 
         let rows_here = c.min(m.rows() - k * c);
         if rows_here > 0 {
             let perm_reg = e.load(lay.perm.addr_of(k * c), (4 * rows_here) as u32);
-            addrs.clear();
-            addrs.extend(
-                (0..rows_here).map(|lane| yl.data.addr_of(m.perm()[k * c + lane] as usize)),
-            );
-            lines.clear();
-            lines.extend(addrs.iter().map(|a| a / 64));
-            let mut deps = [perm_reg, perm_reg];
-            let mut ndeps = 1;
-            if let Some(prev_reg) = prev_scatter {
-                if lines.iter().any(|l| prev_lines.contains(l)) {
-                    let drained = e.delay(DRAIN_CYCLES, &[prev_reg]);
-                    deps[1] = drained;
-                    ndeps = 2;
-                }
-            }
-            let yold = e.gather(&addrs, 8, &deps[..ndeps]);
+            let rows = indices(&m.perm()[k * c..k * c + rows_here]);
+            let yold = yg.gather(&mut e, &yl.data, rows, perm_reg);
             let ynew = e.vec_op(VecOpKind::Add, &[vacc, yold]);
-            e.scatter(&addrs, 8, &[ynew, perm_reg]);
-            prev_scatter = Some(ynew);
-            std::mem::swap(&mut prev_lines, &mut lines);
+            yg.scatter(&mut e, &[ynew, perm_reg]);
         }
     }
     e.region_end();
@@ -341,8 +310,8 @@ pub fn csb_software_vec(m: &Csb, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f
     let y = via_formats::reference::spmv(&m.to_csr(), x);
     let bs = m.block_size();
     let (nbr, nbc) = m.grid();
-    let mut x_addrs: Vec<u64> = Vec::with_capacity(vl);
-    let mut y_addrs: Vec<u64> = Vec::with_capacity(vl);
+    let mut xg = Gather::with_capacity(vl);
+    let mut yg = Gather::with_capacity(vl);
     let mut elem_base = 0usize;
     e.region("block loop");
     for br in 0..nbr {
@@ -364,27 +333,20 @@ pub fn csb_software_vec(m: &Csb, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f
                 // Split merged indices: mask (AND) + shift.
                 let col_v = e.vec_op(VecOpKind::Permute, &[idx_reg]);
                 let row_v = e.vec_op(VecOpKind::Permute, &[idx_reg]);
-                x_addrs.clear();
-                x_addrs.extend(blk.idx[k..k + len].iter().map(|&mi| {
-                    let (_, c) = blk.split(mi);
-                    xl.data.addr_of(bc * bs + c)
-                }));
-                let x_reg = e.gather(&x_addrs, 8, &[col_v]);
+                let idx = &blk.idx[k..k + len];
+                let x_cols = idx.iter().map(|&mi| bc * bs + blk.split(mi).1);
+                let x_reg = xg.load(&mut e, &xl.data, x_cols, &[col_v]);
                 let prod = e.vec_op(VecOpKind::Mul, &[val_reg, x_reg]);
-                y_addrs.clear();
-                y_addrs.extend(blk.idx[k..k + len].iter().map(|&mi| {
-                    let (r, _) = blk.split(mi);
-                    yl.data.addr_of(br * bs + r)
-                }));
+                let y_rows = idx.iter().map(|&mi| br * bs + blk.split(mi).0);
                 let mut deps = [row_v, row_v];
                 let mut ndeps = 1;
                 if let Some(chain) = y_chain {
                     deps[1] = chain;
                     ndeps = 2;
                 }
-                let yold = e.gather(&y_addrs, 8, &deps[..ndeps]);
+                let yold = yg.load(&mut e, &yl.data, y_rows, &deps[..ndeps]);
                 let ynew = e.vec_op(VecOpKind::Add, &[prod, yold]);
-                e.scatter(&y_addrs, 8, &[ynew, row_v]);
+                yg.scatter(&mut e, &[ynew, row_v]);
                 y_chain = Some(ynew);
                 e.scalar_op(AluKind::Int, &[bp]);
                 k += len;
@@ -642,7 +604,7 @@ pub fn via_csr_with(
     let xl = VecLayout::new(e.alloc_mut(), a.cols().max(1));
     let yl = VecLayout::new(e.alloc_mut(), a.rows().max(1));
 
-    let mut addrs: Vec<u64> = Vec::with_capacity(vl);
+    let mut xg = Gather::with_capacity(vl);
     let y = accumulate_rows_via(a.rows(), ctx, &mut e, &mut via, &yl, flush_group, |e, i| {
         let (cols, vals) = a.row(i);
         let base = a.row_ptr()[i];
@@ -654,13 +616,7 @@ pub fn via_csr_with(
             let j = base + k;
             let col_reg = e.load(lay.col_idx.addr_of(j), (4 * len) as u32);
             let val_reg = e.load(lay.data.addr_of(j), (8 * len) as u32);
-            addrs.clear();
-            addrs.extend(
-                cols[k..k + len]
-                    .iter()
-                    .map(|&c| xl.data.addr_of(c as usize)),
-            );
-            let x_reg = e.gather(&addrs, 8, &[col_reg]);
+            let x_reg = xg.load(e, &xl.data, indices(&cols[k..k + len]), &[col_reg]);
             vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
             e.scalar_op(AluKind::Int, &[]);
             for (&c, &v) in cols[k..k + len].iter().zip(&vals[k..k + len]) {
@@ -781,7 +737,7 @@ pub fn via_sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f6
 
     let seg_len = ctx.via.entries();
     let mut y = vec![0.0; m.rows()];
-    let mut gather_addrs: Vec<u64> = Vec::with_capacity(c);
+    let mut xg = Gather::with_capacity(c);
     let mut seg_start = 0usize; // in packed-row space
     while seg_start < m.rows() {
         let seg_rows = seg_len.min(m.rows() - seg_start);
@@ -801,13 +757,12 @@ pub fn via_sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f6
                 let pos = base + w * c;
                 let col_reg = e.load(lay.col_idx.addr_of(pos), (4 * c) as u32);
                 let val_reg = e.load(lay.data.addr_of(pos), (8 * c) as u32);
-                gather_addrs.clear();
-                gather_addrs.extend(
-                    m.col_idx()[pos..pos + c]
-                        .iter()
-                        .map(|&cc| xl.data.addr_of(cc as usize)),
+                let x_reg = xg.load(
+                    &mut e,
+                    &xl.data,
+                    indices(&m.col_idx()[pos..pos + c]),
+                    &[col_reg],
                 );
-                let x_reg = e.gather(&gather_addrs, 8, &[col_reg]);
                 vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
                 e.scalar_op(AluKind::Int, &[bound]);
                 for lane in 0..rows_here {

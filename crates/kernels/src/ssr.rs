@@ -1,9 +1,9 @@
 //! SSR-backend kernels: stream-semantic-register SpMV and SpMM.
 //!
 //! These are the rival-architecture variants for the backend bake-off
-//! (see `docs/BACKENDS.md`). They reuse the baseline kernels' memory
-//! traffic — every byte the baseline moves, the SSR variant moves — and
-//! change only what the SSR hardware actually changes:
+//! (see `docs/BACKENDS.md`). They move every byte the baseline kernels
+//! move, through the baseline's own gather and SPA code, and change only
+//! what the SSR hardware actually changes:
 //!
 //! * per row, the loop's address streams are *configured once*
 //!   ([`via_core::SsrStreams::configure`], a pipelined custom op) instead
@@ -12,13 +12,15 @@
 //!   ([`via_core::SsrStreams::GATHER_OVERHEAD`] cycles/element) because
 //!   [`SimContext::ssr_engine`] shapes the core that way;
 //! * everything the SSR has no answer for — the SpMM sparse-accumulator
-//!   read-modify-write traffic, compaction, sorting — is kept verbatim
-//!   from the baseline. That asymmetry (VIA absorbs output indexing in
-//!   the SSPM, SSR only accelerates input streaming) is the comparison
-//!   the bake-off is designed to surface.
+//!   read-modify-write traffic, compaction, sorting — is the SPA of
+//!   [`crate::spmm::gustavson`]. That asymmetry (VIA absorbs output
+//!   indexing in the SSPM, SSR only accelerates input streaming) is the
+//!   comparison the bake-off is designed to surface.
 
 use crate::context::{KernelRun, SimContext};
+use crate::gather::{indices, Gather};
 use crate::layout::{CsrLayout, VecLayout};
+use crate::spmm::spa_rows;
 use via_core::SsrStreams;
 use via_formats::Csr;
 use via_sim::{AluKind, VecOpKind};
@@ -43,7 +45,7 @@ pub fn spmv_csr(a: &Csr, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
     let yl = VecLayout::new(e.alloc_mut(), a.rows().max(1));
 
     let mut y = vec![0.0; a.rows()];
-    let mut addrs: Vec<u64> = Vec::with_capacity(vl);
+    let mut xg = Gather::with_capacity(vl);
     e.region("row loop");
     let mut rp = e.load(lay.row_ptr.addr_of(0), 8);
     for (i, yi) in y.iter_mut().enumerate() {
@@ -64,13 +66,7 @@ pub fn spmv_csr(a: &Csr, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
             // traffic as the baseline loads, no induction instructions.
             let col_reg = e.load_dep(lay.col_idx.addr_of(j), (4 * len) as u32, &[live]);
             let val_reg = e.load_dep(lay.data.addr_of(j), (8 * len) as u32, &[live]);
-            addrs.clear();
-            addrs.extend(
-                cols[k..k + len]
-                    .iter()
-                    .map(|&c| xl.data.addr_of(c as usize)),
-            );
-            let x_reg = e.gather(&addrs, 8, &[col_reg]);
+            let x_reg = xg.load(&mut e, &xl.data, indices(&cols[k..k + len]), &[col_reg]);
             vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
             for (&c, &v) in cols[k..k + len].iter().zip(&vals[k..k + len]) {
                 acc += v * x[c as usize];
@@ -88,9 +84,9 @@ pub fn spmv_csr(a: &Csr, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
 }
 
 /// SSR Gustavson SpMM: `C = A*B` with streams over `A`'s row and each
-/// `B` row; the dense sparse-accumulator (SPA) workspace traffic is kept
-/// verbatim from [`crate::spmm::gustavson`] — SSR streams inputs, it does
-/// not absorb output read-modify-writes the way VIA's SSPM does.
+/// `B` row into the dense sparse accumulator (SPA) of
+/// [`crate::spmm::gustavson`] — SSR streams inputs, it does not absorb
+/// output read-modify-writes the way VIA's SSPM does.
 ///
 /// # Panics
 ///
@@ -103,76 +99,25 @@ pub fn spmm_gustavson(a: &Csr, b: &Csr, ctx: &SimContext) -> KernelRun<Csr> {
     let lb = CsrLayout::new(e.alloc_mut(), b);
     let out = via_formats::reference::spmm_gustavson(a, b).expect("shapes checked");
     let lc = CsrLayout::new(e.alloc_mut(), &out);
-    let ws = e.alloc_mut().alloc_f64(b.cols().max(1));
-    let flags = e.alloc_mut().alloc_u32(b.cols().max(1));
-
-    let mut out_pos = 0usize;
-    for i in 0..a.rows() {
-        e.region("spa update");
-        let (ac, av) = a.row(i);
+    spa_rows(&mut e, a.rows(), b.cols(), &lc, |e, spa, i| {
         let pa = a.row_ptr()[i];
         let rp = e.load(la.row_ptr.addr_of(i + 1), 8);
         // One stream setup covers A's row; each B row streamed inside gets
         // its own (the bound comes from B's row_ptr).
-        let row_live = ssr.configure(&mut e, &[rp]);
-        let mut last_store: std::collections::HashMap<u32, via_sim::Reg> =
-            std::collections::HashMap::new();
-        let mut touched: Vec<u32> = Vec::new();
-        for (p, (&k, &va)) in ac.iter().zip(av).enumerate() {
+        let row_live = ssr.configure(e, &[rp]);
+        for (p, &k) in a.row(i).0.iter().enumerate() {
             let ka = e.load_dep(la.col_idx.addr_of(pa + p), 4, &[row_live]);
-            let va_reg = e.load_dep(la.data.addr_of(pa + p), 8, &[row_live]);
+            let va = e.load_dep(la.data.addr_of(pa + p), 8, &[row_live]);
             let brp = e.load_dep(lb.row_ptr.addr_of(k as usize + 1), 8, &[ka]);
-            let b_live = ssr.configure(&mut e, &[brp]);
-            let (bc, bv) = b.row(k as usize);
+            let b_live = ssr.configure(e, &[brp]);
             let pb = b.row_ptr()[k as usize];
-            for (q, (&c, &vb)) in bc.iter().zip(bv).enumerate() {
+            for (q, &c) in b.row(k as usize).0.iter().enumerate() {
                 let cb = e.load_dep(lb.col_idx.addr_of(pb + q), 4, &[b_live]);
-                let vb_reg = e.load_dep(lb.data.addr_of(pb + q), 8, &[b_live]);
-                // The SPA path is untouched baseline code: occupancy check,
-                // first-touch bookkeeping, chained load/FMA/store.
-                let flag = e.load_dep(flags.addr_of(c as usize), 4, &[cb]);
-                e.scalar_op(AluKind::Int, &[flag]);
-                if !last_store.contains_key(&c) {
-                    touched.push(c);
-                    let set = e.scalar_op(AluKind::Int, &[flag]);
-                    e.store(flags.addr_of(c as usize), 4, &[set]);
-                }
-                let mut deps = vec![cb];
-                if let Some(&prev) = last_store.get(&c) {
-                    deps.push(prev);
-                }
-                let old = e.load_dep(ws.addr_of(c as usize), 8, &deps);
-                let new = e.scalar_op(AluKind::FpFma, &[va_reg, vb_reg, old]);
-                e.store(ws.addr_of(c as usize), 8, &[new]);
-                last_store.insert(c, new);
-                let _ = vb;
+                let vb = e.load_dep(lb.data.addr_of(pb + q), 8, &[b_live]);
+                spa.update(e, c, cb, va, vb);
             }
-            let _ = va;
         }
-        e.region_end();
-        e.region("compact");
-        touched.sort_unstable();
-        let sort_ops = touched.len() as u32 * (32 - (touched.len() as u32).max(1).leading_zeros());
-        for _ in 0..sort_ops {
-            e.scalar_op(AluKind::Int, &[]);
-        }
-        for &c in &touched {
-            let mut deps = Vec::new();
-            if let Some(&prev) = last_store.get(&c) {
-                deps.push(prev);
-            }
-            let v = e.load_dep(ws.addr_of(c as usize), 8, &deps);
-            let col = e.scalar_op(AluKind::Int, &[]);
-            e.store(lc.col_idx.addr_of(out_pos), 4, &[col]);
-            e.store(lc.data.addr_of(out_pos), 8, &[v]);
-            let zero = e.scalar_op(AluKind::Int, &[]);
-            e.store(flags.addr_of(c as usize), 4, &[zero]);
-            out_pos += 1;
-        }
-        let rp = e.scalar_op(AluKind::Int, &[]);
-        e.store(lc.row_ptr.addr_of(i + 1), 8, &[rp]);
-        e.region_end();
-    }
+    });
     KernelRun::finish_baseline(out, e)
 }
 
