@@ -68,7 +68,7 @@ fn usage() -> ! {
          \x20 --shard <i/n>          own only the 1/n slice of jobs hashed to index i\n\
          \x20 --kernels <a,b,..>     kernel pairs to sweep (default spmv_csb; `all` for all):\n\
          \x20                        spmv_csr spmv_spc5 spmv_sell spmv_csb spma spmm\n\
-         \x20 --threads <N>          worker threads (default: all cores)\n\
+         \x20 --threads <N>          worker threads (default: all cores; at most one per job)\n\
          \x20 --budget-ms <N>        per-job wall-clock budget (default 120000)\n\
          \x20 --max-jobs <N>         stop after N completions this run (kill simulation)\n\
          \x20 --seed <S>             synthetic corpus master seed (not with --corpus)\n\
@@ -81,7 +81,6 @@ fn usage() -> ! {
          tune options (per-matrix auto-tuner over via-gen variant spaces):\n\
          \x20 --quick | --full       corpus scale (default --quick: 8 small matrices)\n\
          \x20 --kernels <a,b,..>     tunable kernels (default all): spmv spmm sptrsv symgs\n\
-         \x20 --no-audit             skip re-simulating pruned variants (audit is on by default)\n\
          \x20 --expect-geomean <X>   exit 1 unless the tuned-over-default geomean is >= X\n\
          \x20 --matrices/--min-rows/--max-rows/--seed/--threads  corpus overrides"
     );
@@ -230,10 +229,9 @@ fn cmd_run(args: &[String]) {
         cfg.threads = t;
     }
     eprintln!(
-        "store {} | {} kernels | {} threads | budget {} ms | shard {} | mode {:?}",
+        "store {} | {} kernels | budget {} ms | shard {} | mode {:?}",
         cli.dir.display(),
         cfg.kernels.len(),
-        cfg.threads,
         cfg.budget_ms,
         cfg.shard,
         cli.mode,
@@ -261,9 +259,14 @@ fn cmd_run(args: &[String]) {
             ""
         }
     );
+    // The campaign starts at most one worker per job, whatever --threads
+    // asked for.
+    let workers = outcome.per_worker.len();
     println!(
-        "workers: {:?} jobs each | {} simulated cycles this run",
-        outcome.per_worker, outcome.simulated_cycles
+        "{workers} worker{}: {:?} jobs each | {} simulated cycles this run",
+        if workers == 1 { "" } else { "s" },
+        outcome.per_worker,
+        outcome.simulated_cycles
     );
     println!(
         "{}",
@@ -369,7 +372,6 @@ fn cmd_tune(args: &[String]) {
             "--dir" => dir = Some(PathBuf::from(need(&mut it, "--dir"))),
             "--quick" => cfg.scale = via_bench::ExperimentScale::quick(),
             "--full" => cfg.scale = via_bench::ExperimentScale::default(),
-            "--no-audit" => cfg.audit = false,
             "--kernels" => {
                 let list = need(&mut it, "--kernels");
                 cfg.kernels = list
@@ -406,11 +408,10 @@ fn cmd_tune(args: &[String]) {
     };
     cfg.scale = cfg.scale.from_args(args);
     eprintln!(
-        "tune: {} matrices x {} kernels | {} threads | audit {}",
+        "tune: {} matrices x {} kernels | {} threads",
         cfg.scale.matrices,
         cfg.kernels.len(),
         cfg.scale.threads,
-        if cfg.audit { "on" } else { "off" },
     );
     let start = std::time::Instant::now();
     let memo = SweepMemo::new();

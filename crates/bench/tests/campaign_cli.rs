@@ -6,8 +6,9 @@
 //! `fig12a_histogram`, `multicore` and `verify_programs` included); and
 //! exit 1 naming the path when an output file cannot be written (before
 //! any work when its directory is missing); exit 2 naming an argument that
-//! is not valid UTF-8; and exit 0, 1 or 2, never a panic, abort or hang,
-//! for deterministically mutated `campaign run` argument vectors.
+//! is not valid UTF-8; exit 0, 1 or 2, never a panic, abort or hang, for
+//! deterministically mutated `campaign run` argument vectors; and a run
+//! summary that names the workers actually started.
 
 use std::ffi::OsStr;
 use std::os::unix::ffi::OsStrExt;
@@ -271,12 +272,9 @@ fn mutated_run_arguments_exit_0_1_or_2() {
         "--max-jobs",
         "4",
         "--quiet",
-    ]
-    .join("\0");
-    // Joined with NUL and split back after the edits, so a mutant can
-    // merge, split or drop arguments and carry invalid UTF-8.
-    cases(200, 0xA76F, |case, rng| {
-        let mutant = mutate(options.as_bytes(), rng);
+    ];
+    // Runs one mutant of the option list; its exit code.
+    let run = |case: String, mutant: Vec<Vec<u8>>| -> Option<i32> {
         let store = scratch.0.join(format!("store{case}"));
         let mut argv = vec![
             OsStr::new("run"),
@@ -285,7 +283,7 @@ fn mutated_run_arguments_exit_0_1_or_2() {
             OsStr::new("--corpus"),
             manifest.as_os_str(),
         ];
-        argv.extend(mutant.split(|&b| b == 0).map(OsStr::from_bytes));
+        argv.extend(mutant.iter().map(|arg| OsStr::from_bytes(arg)));
         let out = capped(&scratch.0, &argv);
         assert!(
             matches!(out.status.code(), Some(0..=2)),
@@ -293,7 +291,60 @@ fn mutated_run_arguments_exit_0_1_or_2() {
             out.status,
             stderr(&out)
         );
+        out.status.code()
+    };
+    // The whole list, joined with NUL and split back after the edits, so
+    // a mutant can merge, split or drop arguments and carry invalid UTF-8.
+    let joined = options.join("\0");
+    cases(200, 0xA76F, |case, rng| {
+        let mutant = mutate(joined.as_bytes(), rng);
+        run(
+            format!("{case}"),
+            mutant.split(|&b| b == 0).map(<[u8]>::to_vec).collect(),
+        );
     });
+    // One option value at a time, every other argument intact: a value
+    // that still parses starts the run, which the whole-list mutants
+    // above almost never do.
+    let mut reached = 0;
+    cases(200, 0x7A1E, |case, rng| {
+        let mut mutant: Vec<Vec<u8>> = options.iter().map(|o| o.as_bytes().to_vec()).collect();
+        let value = [1, 3, 5, 7][case as usize % 4];
+        mutant[value] = mutate(&mutant[value], rng);
+        if matches!(run(format!("v{case}"), mutant), Some(0 | 1)) {
+            reached += 1;
+        }
+    });
+    assert!(
+        reached >= 20,
+        "only {reached} of 200 value mutants reached the run"
+    );
+}
+
+#[test]
+fn the_summary_names_the_workers_actually_started() {
+    // One job: `--threads 64` starts one worker, and no line claims 64.
+    let scratch = Scratch::new("workers");
+    let manifest = scratch.corpus(&[VALID]);
+    let store = scratch.0.join("store");
+    let out = campaign_run(&[
+        "--dir",
+        store.to_str().unwrap(),
+        "--corpus",
+        manifest.to_str().unwrap(),
+        "--kernels",
+        "spmv_csr",
+        "--threads",
+        "64",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        !stdout.contains("64 threads") && !stderr(&out).contains("64 threads"),
+        "{stdout}{}",
+        stderr(&out)
+    );
+    assert!(stdout.contains("1 worker: [1] jobs each"), "{stdout}");
 }
 
 #[test]
