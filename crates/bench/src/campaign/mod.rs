@@ -337,7 +337,6 @@ fn run_meta<T>(run: &via_kernels::KernelRun<T>) -> (u64, u64, u64) {
 fn execute_job(
     source: JobSource,
     kernel: KernelKind,
-    via: ViaConfig,
     fingerprint: u64,
     config_hash: u64,
     backends: bool,
@@ -365,7 +364,7 @@ fn execute_job(
             )],
         });
     }
-    let ctx = SimContext::with_via(via).with_recording();
+    let ctx = SimContext::default().with_recording();
     let pair = kernel
         .pair(&csr, seed, &ctx)
         .map_err(JobFailure::from_format)?;
@@ -430,10 +429,9 @@ pub enum Mode {
 pub struct CampaignConfig {
     /// Durable store directory (`results.jsonl`, `quarantine.jsonl`).
     pub dir: PathBuf,
-    /// Kernel pairs to sweep per matrix.
+    /// Kernel pairs to sweep per matrix (on the default VIA machine,
+    /// `16_2p`).
     pub kernels: Vec<KernelKind>,
-    /// VIA hardware configuration for the sweep.
-    pub via: ViaConfig,
     /// Worker threads.
     pub threads: usize,
     /// Per-job wall-clock budget in milliseconds.
@@ -465,7 +463,6 @@ impl CampaignConfig {
         CampaignConfig {
             dir: dir.into(),
             kernels: vec![KernelKind::SpmvCsb],
-            via: ViaConfig::default(),
             threads: default_threads(),
             budget_ms: 120_000,
             max_jobs: None,
@@ -595,11 +592,12 @@ pub fn run_campaign(
             });
         }
     }
+    let config_name = ViaConfig::default().name();
     write_meta(
         &cfg.dir,
         &StoreMeta {
             shard: cfg.shard,
-            config: cfg.via.name(),
+            config: config_name.clone(),
         },
     )?;
     let old_quarantine = load_quarantine(&cfg.dir)?;
@@ -631,7 +629,6 @@ pub fn run_campaign(
         old_quarantine.iter().map(QuarantineRow::job_key).collect();
 
     let all_jobs = corpus.jobs(&cfg.kernels);
-    let config_name = cfg.via.name();
     let jobs: Vec<Job> = match mode {
         Mode::RetryQuarantined => all_jobs
             .into_iter()
@@ -754,10 +751,9 @@ pub fn run_campaign(
             );
             return Some(Ok(((*c).clone(), false)));
         }
-        let (source, kernel, via, backends) =
-            (job.source.clone(), job.kernel, cfg.via, cfg.backends);
+        let (source, kernel, backends) = (job.source.clone(), job.kernel, cfg.backends);
         let simulated = run_with_budget(budget, &job.source.name(), move || {
-            execute_job(source, kernel, via, fingerprint, timing_hash, backends)
+            execute_job(source, kernel, fingerprint, timing_hash, backends)
         });
         Some(simulated.and_then(|inner| inner).map(|memo| (memo, true)))
     };

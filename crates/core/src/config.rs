@@ -1,7 +1,24 @@
 //! SSPM geometry and the paper's design-space points.
 
-/// VIA hardware configuration: SSPM size and port count, plus the fixed
-/// micro-architectural constants of the FIVU pipeline.
+/// Bytes per SSPM value entry. The paper builds the SRAM from 4-byte
+/// blocks where "each block stores a single value independently of the
+/// data length"; for the f64 kernels evaluated, one value occupies two
+/// blocks, i.e. 8 bytes per entry.
+const ENTRY_BYTES: usize = 8;
+
+/// Fraction of SRAM entries tracked by the CAM index table, as a divisor
+/// (the paper's hardware optimization §IV-A customizes the index table to
+/// a subset of the SRAM: the published 8 KB point pairs with a 2 KB CAM,
+/// i.e. divisor 4).
+const CAM_DIVISOR: usize = 4;
+
+/// Index-table bank size in entries (banks are clock-gated by the
+/// element-count register, §IV-A).
+pub(crate) const CAM_BANK_SIZE: usize = 8;
+
+/// VIA hardware configuration: SSPM size and port count, and the two
+/// integration choices the ablations vary (`port_width`,
+/// `commit_serialized`).
 ///
 /// The paper's design-space exploration (§VI, Table I/II) sweeps
 /// `{4, 8, 16} KB × {2, 4} ports`; configurations are conventionally named
@@ -13,25 +30,6 @@ pub struct ViaConfig {
     pub sspm_kb: usize,
     /// SSPM access ports.
     pub ports: u32,
-    /// Bytes per SSPM value entry. The paper builds the SRAM from 4-byte
-    /// blocks where "each block stores a single value independently of the
-    /// data length"; for the f64 kernels evaluated, one value occupies two
-    /// blocks, i.e. 8 bytes per entry.
-    pub entry_bytes: usize,
-    /// Fraction of SRAM entries tracked by the CAM index table, as a
-    /// divisor (the paper's hardware optimization §IV-A customizes the
-    /// index table to a subset of the SRAM: the published 8 KB point pairs
-    /// with a 2 KB CAM, i.e. divisor 4).
-    pub cam_divisor: usize,
-    /// Index-table bank size in entries (banks are clock-gated by the
-    /// element-count register, §IV-A).
-    pub cam_bank_size: usize,
-    /// FIVU pipeline depth added to every VIA instruction
-    /// (preprocessing 1 + preprocessing 2 + post-processing, §IV-B).
-    pub pipeline_depth: u32,
-    /// Extra cycles per access batch for a CAM search (parallel compare +
-    /// priority encode).
-    pub cam_search_latency: u32,
     /// Lanes served per port per cycle. The SRAM is built from 4-byte
     /// blocks (paper §IV-A), so one 64-bit port cycle moves two blocks —
     /// modeled as each port serving two lanes per cycle.
@@ -65,11 +63,6 @@ impl ViaConfig {
         ViaConfig {
             sspm_kb,
             ports,
-            entry_bytes: 8,
-            cam_divisor: 4,
-            cam_bank_size: 8,
-            pipeline_depth: 3,
-            cam_search_latency: 1,
             port_width: 2,
             commit_serialized: true,
         }
@@ -77,12 +70,12 @@ impl ViaConfig {
 
     /// Number of SSPM value entries.
     pub fn entries(&self) -> usize {
-        self.sspm_kb * 1024 / self.entry_bytes
+        self.sspm_kb * 1024 / ENTRY_BYTES
     }
 
     /// Number of CAM index-table entries.
     pub fn cam_entries(&self) -> usize {
-        (self.entries() / self.cam_divisor).max(1)
+        (self.entries() / CAM_DIVISOR).max(1)
     }
 
     /// CAM storage in KiB (4-byte tracked indices), reported alongside the
@@ -93,7 +86,7 @@ impl ViaConfig {
 
     /// Number of index-table banks.
     pub fn cam_banks(&self) -> usize {
-        self.cam_entries().div_ceil(self.cam_bank_size)
+        self.cam_entries().div_ceil(CAM_BANK_SIZE)
     }
 
     /// The conventional configuration name, e.g. `16_2p`.

@@ -9,6 +9,15 @@
 //! cycles" — modeled here as `ceil(accesses / ports)` occupancy slots.
 
 use crate::config::ViaConfig;
+
+/// FIVU pipeline depth added to every VIA instruction (preprocessing 1 +
+/// preprocessing 2 + post-processing, §IV-B).
+const PIPELINE_DEPTH: u32 = 3;
+
+/// Extra cycles per access batch for a CAM search (parallel compare +
+/// priority encode).
+const CAM_SEARCH_LATENCY: u32 = 1;
+
 /// The class of SSPM traffic a VIA instruction generates (selects search
 /// latency and per-lane access counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,26 +130,15 @@ pub struct FivuCost {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fivu {
     config: ViaConfig,
-    /// ALU latency applied by the fused vector unit (add/mul/FMA class).
-    alu_latency: u32,
 }
 
 impl Fivu {
-    /// Default fused-ALU latency (an FMA-class vector operation).
+    /// Fused-ALU latency (an FMA-class vector operation).
     pub const DEFAULT_ALU_LATENCY: u32 = 5;
 
-    /// A FIVU over the given SSPM geometry with the default ALU latency.
+    /// A FIVU over the given SSPM geometry.
     pub fn new(config: ViaConfig) -> Self {
-        Fivu {
-            config,
-            alu_latency: Self::DEFAULT_ALU_LATENCY,
-        }
-    }
-
-    /// Overrides the fused-ALU latency.
-    pub fn with_alu_latency(mut self, alu_latency: u32) -> Self {
-        self.alu_latency = alu_latency;
-        self
+        Fivu { config }
     }
 
     /// The SSPM configuration.
@@ -164,14 +162,14 @@ impl Fivu {
         let accesses = lanes * class.accesses_per_lane() + class.extra_accesses();
         let batches = accesses.div_ceil(per_cycle).max(1);
         let search = if class.uses_cam() {
-            self.config.cam_search_latency * lanes.div_ceil(per_cycle).max(1)
+            CAM_SEARCH_LATENCY * lanes.div_ceil(per_cycle).max(1)
         } else {
             0
         };
         let occupancy = (batches + search).max(1);
-        let mut latency = self.config.pipeline_depth + occupancy;
+        let mut latency = PIPELINE_DEPTH + occupancy;
         if class.uses_alu() {
-            latency += self.alu_latency;
+            latency += Self::DEFAULT_ALU_LATENCY;
         }
         if class.uses_reduce() {
             latency += Self::REDUCE_LATENCY;
@@ -262,12 +260,5 @@ mod tests {
         let f = Fivu::new(ViaConfig::new(16, 2));
         let cost = f.cost(SspmOpClass::DirectRead, 0);
         assert_eq!(cost.occupancy, 1);
-    }
-
-    #[test]
-    fn custom_alu_latency_applies() {
-        let f = Fivu::new(ViaConfig::new(16, 2)).with_alu_latency(9);
-        let cost = f.cost(SspmOpClass::DirectAluToVrf, 1);
-        assert_eq!(cost.latency, 3 + 1 + 9);
     }
 }

@@ -11,7 +11,7 @@
 //!    driven by the element-count register), in-order insertion logic, and
 //!    the element-count register itself.
 
-use crate::config::ViaConfig;
+use crate::config::{ViaConfig, CAM_BANK_SIZE};
 /// Event counters used by the energy model (one count per hardware event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SspmEvents {
@@ -132,7 +132,7 @@ impl Sspm {
     fn cam_probe(&mut self, idx: u32) -> Option<usize> {
         self.events.cam_searches += 1;
         // Clock gating: only banks holding tracked indices activate.
-        let active_banks = self.cam.len().div_ceil(self.config.cam_bank_size);
+        let active_banks = self.cam.len().div_ceil(CAM_BANK_SIZE);
         self.events.bank_activations += active_banks as u64;
         self.lookup.get(&idx).copied()
     }

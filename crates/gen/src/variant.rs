@@ -2,7 +2,7 @@
 
 use crate::{GenInputs, GenOutput};
 use via_formats::Csb;
-use via_kernels::{spmm, spmv, sptrsv, ssr, symgs, KernelRun, Schedule, SimContext};
+use via_kernels::{spmm, spmv, sptrsv, symgs, KernelRun, Schedule, SimContext};
 use via_sim::fnv1a64;
 
 /// The kernels the generator can emit.
@@ -46,13 +46,6 @@ pub enum SpmvFormat {
     Csb,
     /// Plain CSR with the SSPM as the output accumulator.
     Csr,
-    /// CSR on the SSR rival backend (`via_kernels::ssr::spmv_csr`) —
-    /// stream-configured rows, cheap indirection gathers, no SSPM. Not in
-    /// the tuner's default [`KernelVariant::space`] (the tuner optimizes
-    /// one architecture at a time); the bake-off selects it by name
-    /// (`spmv/ssr`). `flush_group`/`unroll` are fixed to 0/1 — SSR has
-    /// neither knob.
-    Ssr,
 }
 
 fn schedule_name(s: Schedule) -> &'static str {
@@ -210,10 +203,6 @@ impl KernelVariant {
                 flush_group,
                 ..
             } => format!("spmv/csr/fg{flush_group}"),
-            KernelVariant::Spmv {
-                format: SpmvFormat::Ssr,
-                ..
-            } => "spmv/ssr".to_string(),
             KernelVariant::Spmm { col_tile } => format!("spmm/tile{col_tile}"),
             KernelVariant::Sptrsv {
                 schedule,
@@ -247,11 +236,6 @@ impl KernelVariant {
                 "csr" => KernelVariant::Spmv {
                     format: SpmvFormat::Csr,
                     flush_group: numeric(parts.next()?, "fg")?,
-                    unroll: 1,
-                },
-                "ssr" => KernelVariant::Spmv {
-                    format: SpmvFormat::Ssr,
-                    flush_group: 0,
                     unroll: 1,
                 },
                 _ => return None,
@@ -290,10 +274,6 @@ impl KernelVariant {
                 flush_group,
                 ..
             } => spmv::via_csr_with(&inputs.a, &inputs.x, ctx, flush_group).map(GenOutput::Vector),
-            KernelVariant::Spmv {
-                format: SpmvFormat::Ssr,
-                ..
-            } => ssr::spmv_csr(&inputs.a, &inputs.x, ctx).map(GenOutput::Vector),
             KernelVariant::Spmm { col_tile } => {
                 spmm::via_cam_with(&inputs.a, &inputs.b_mat, ctx, col_tile).map(GenOutput::Matrix)
             }
@@ -354,15 +334,6 @@ mod tests {
         }
         assert_eq!(KernelVariant::parse("spmv/csb/fg8"), None);
         assert_eq!(KernelVariant::parse("spmv/csr/fg8/u2"), None);
-        assert_eq!(KernelVariant::parse("spmv/ssr/fg8"), None);
-        let ssr = KernelVariant::parse("spmv/ssr").expect("ssr variant parses");
-        assert_eq!(ssr.name(), "spmv/ssr");
-        assert_eq!(ssr.kernel(), Kernel::Spmv);
-        assert!(!ssr.is_default());
-        assert!(
-            !KernelVariant::space(Kernel::Spmv).contains(&ssr),
-            "the tuner sweeps one architecture at a time"
-        );
         assert_eq!(KernelVariant::parse("sptrsv/zigzag/fg8"), None);
         assert_eq!(KernelVariant::parse("spmm/tilex"), None);
     }
