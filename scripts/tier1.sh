@@ -9,7 +9,8 @@
 # verify every pushed and replayed instruction, so that run doubles as
 # the stream-soundness proof), the golden cycle-count, stall and stream
 # snapshots (the bit-exactness contract for the timing model, and the
-# exact instruction stream of every VIA kernel's SSPM read-out), the
+# exact instruction stream of every VIA kernel's SSPM read-out and of the
+# baseline and SSR kernels that share their idioms), the
 # via-verify static sweep over every shipped kernel's
 # instruction streams and the socket sweep (each JSON report compared
 # byte for byte with the committed VERIFY_programs.json and
