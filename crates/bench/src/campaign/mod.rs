@@ -34,8 +34,9 @@
 //!   memo) that meets the same `(matrix, kernel, config)` under the same
 //!   timing configuration rebuilds its result row from the memo and skips
 //!   the simulator entirely. This is the campaign's only memo: it keeps
-//!   no in-process stream cache, and each job drops its recorded streams
-//!   once their hashes are taken.
+//!   no in-process stream cache, and no job records a stream — each leg's
+//!   stream hash is taken as its instructions are pushed
+//!   ([`via_sim::compile::capture_stream_hashes`]).
 //! * **Work-stealing queue** — workers claim job indices from a shared
 //!   atomic counter (the same contention-free scheme as
 //!   [`parallel_map`](crate::suite::parallel_map)) with per-worker progress
@@ -314,22 +315,13 @@ pub fn run_with_budget<T: Send + 'static>(
     }
 }
 
-/// `(cycles, instructions, stream hash)` of one finished kernel run — the
-/// slice of a [`via_kernels::KernelRun`] the cycle memo records.
-fn run_meta<T>(run: &via_kernels::KernelRun<T>) -> (u64, u64, u64) {
-    (
-        run.stats.cycles,
-        run.stats.instructions,
-        run.compiled.as_ref().map_or(0, |s| s.stream_hash()),
-    )
-}
-
 /// Executes one job end to end: materialize the matrix, run the
-/// baseline/VIA kernel pair under stream recording (the compile phase),
-/// verify functional agreement, and build the job's cycle-memo row (its
-/// result row is [`CycleRow::to_result_row`], exactly as for a memo hit).
-/// Pure function of its inputs — the determinism the resume and shard
-/// contracts lean on.
+/// baseline/VIA kernel pair under stream-hash capture (each leg's stream
+/// is hashed as it is pushed and never recorded), verify functional
+/// agreement, and build the job's cycle-memo row (its result row is
+/// [`CycleRow::to_result_row`], exactly as for a memo hit). Pure function
+/// of its inputs — the determinism the resume and shard contracts lean
+/// on.
 ///
 /// With `backends`, the pair's SSR leg runs as a third leg where one exists
 /// and its cycles land in the rows' optional SSR fields; SpMA has no SSR
@@ -364,7 +356,7 @@ fn execute_job(
             )],
         });
     }
-    let ctx = SimContext::default().with_recording();
+    let ctx = SimContext::default();
     let pair = kernel
         .pair(&csr, seed, &ctx)
         .map_err(JobFailure::from_format)?;
@@ -372,18 +364,21 @@ fn execute_job(
         kind: FailureKind::VerifyMismatch,
         chain: vec![message.to_string()],
     };
+    let capture = via_sim::compile::capture_stream_hashes();
     let base = pair.baseline();
     let via_run = pair.via();
+    let [base_stream, via_stream] = capture.take()[..] else {
+        unreachable!("each leg runs one engine");
+    };
+    drop(capture);
     check(&base.output, &via_run.output).map_err(mismatch)?;
-    let ssr_meta = match backends.then(|| pair.ssr()).flatten() {
+    let ssr = match backends.then(|| pair.ssr()).flatten() {
         Some(ssr_run) => {
             check(&base.output, &ssr_run.output).map_err(mismatch)?;
-            Some(run_meta(&ssr_run))
+            Some(ssr_run.stats)
         }
         None => None,
     };
-    let (base_cycles, base_instructions, base_stream) = run_meta(&base);
-    let (via_cycles, via_instructions, via_stream) = run_meta(&via_run);
     Ok(CycleRow {
         matrix: name,
         fingerprint,
@@ -396,12 +391,12 @@ fn execute_job(
         cols: csr.cols(),
         nnz: csr.nnz(),
         key: pair.key,
-        base_cycles,
-        via_cycles,
-        base_instructions,
-        via_instructions,
-        ssr_cycles: ssr_meta.map(|m| m.0),
-        ssr_instructions: ssr_meta.map(|m| m.1),
+        base_cycles: base.stats.cycles,
+        via_cycles: via_run.stats.cycles,
+        base_instructions: base.stats.instructions,
+        via_instructions: via_run.stats.instructions,
+        ssr_cycles: ssr.as_ref().map(|s| s.cycles),
+        ssr_instructions: ssr.as_ref().map(|s| s.instructions),
     })
 }
 

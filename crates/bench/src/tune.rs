@@ -32,6 +32,7 @@
 
 use std::path::{Path, PathBuf};
 
+use via_core::ViaConfig;
 use via_gen::{GenInputs, GenOutput, Kernel, KernelVariant};
 use via_kernels::{SimContext, TraceOptions};
 use via_sim::analyze::static_bound;
@@ -48,7 +49,7 @@ use crate::suite::{parallel_map, ExperimentScale, Suite};
 #[derive(Debug, Clone)]
 pub struct TuneConfig {
     /// VIA hardware configuration the variants are tuned for.
-    pub via: via_core::ViaConfig,
+    pub via: ViaConfig,
     /// Corpus scale (matrix count, size range, seed, threads).
     pub scale: ExperimentScale,
     /// Kernels to tune (variant spaces come from `via-gen`).
@@ -63,7 +64,7 @@ impl TuneConfig {
     /// [`ExperimentScale::quick`] corpus, every kernel, audit on.
     pub fn quick() -> Self {
         TuneConfig {
-            via: via_core::ViaConfig::default(),
+            via: ViaConfig::default(),
             scale: ExperimentScale::quick(),
             kernels: Kernel::ALL.to_vec(),
             audit: true,
@@ -297,6 +298,22 @@ pub fn matrix_fingerprint(name: &str, seed: u64) -> u64 {
     fnv1a64(format!("{name}|{seed}").bytes())
 }
 
+/// The machine part of every point key: every [`ViaConfig`] field, so
+/// machines that differ in any field never share a memoized point
+/// ([`ViaConfig::name`] names the capacity and ports only).
+fn machine_key(via: ViaConfig) -> String {
+    let ViaConfig {
+        sspm_kb,
+        ports,
+        port_width,
+        commit_serialized,
+    } = via;
+    format!(
+        "{sspm_kb}kb_{ports}p_w{port_width}_c{}",
+        u8::from(commit_serialized)
+    )
+}
+
 fn output_matches(got: &GenOutput, want: &GenOutput) -> bool {
     // Every VIA variant reassociates accumulations (chunked reductions,
     // CSB blocks, CAM merge order), so compare against the sequential
@@ -368,6 +385,7 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
     let acfg = via_sim::AnalyzeConfig::from_machine(&core, &ctx.mem)
         .with_cam_entries(ctx.via.cam_entries() as u64);
     let config_name = cfg.via.name();
+    let machine = machine_key(cfg.via);
 
     let per_matrix = parallel_map(&suite.matrices, cfg.scale.threads, |m| {
         let inputs = GenInputs::from_matrix(&m.name, &m.csr, m.seed);
@@ -382,7 +400,7 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
             let default = space[0];
             assert!(default.is_default(), "space enumerates the default first");
 
-            let dkey = point_key(&default.name(), &config_name, &m.name, m.seed);
+            let dkey = point_key(&default.name(), &machine, &m.name, m.seed);
             let mut default_stream = None;
             let (default_hash, default_cycles) = memo.resolve_point(dkey, None, cfg_hash, || {
                 let run = default.emit(&inputs, &rec);
@@ -433,7 +451,7 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
                     }
                     continue;
                 }
-                let key = point_key(&v.name(), &config_name, &m.name, m.seed);
+                let key = point_key(&v.name(), &machine, &m.name, m.seed);
                 let hash = stream.stream_hash();
                 let (_, cycles) = memo.resolve_point(key, Some(hash), cfg_hash, || {
                     let mut e = ctx.via_engine();
@@ -618,6 +636,41 @@ mod tests {
         );
         assert_eq!(memo.cycle_hits(), hits + resolved, "every point is a hit");
         assert!(memo.streams().is_empty());
+    }
+
+    #[test]
+    fn every_via_field_reaches_the_point_keys() {
+        let base = ViaConfig::default();
+        for other in [
+            ViaConfig {
+                sspm_kb: 32,
+                ..base
+            },
+            ViaConfig { ports: 4, ..base },
+            ViaConfig {
+                port_width: 1,
+                ..base
+            },
+            ViaConfig {
+                commit_serialized: false,
+                ..base
+            },
+        ] {
+            assert_ne!(machine_key(other), machine_key(base), "{other:?}");
+        }
+    }
+
+    #[test]
+    fn a_memo_shared_across_machines_answers_each_machine_alone() {
+        // `port_width` is not in `ViaConfig::name()`; the point keys must
+        // tell the two machines apart anyway.
+        let first = tiny_config(2);
+        let mut second = tiny_config(2);
+        second.via.port_width = 1;
+        let fresh = tune(&second, &SweepMemo::new()).rows;
+        let memo = SweepMemo::new();
+        let _ = tune(&first, &memo);
+        assert_eq!(tune(&second, &memo).rows, fresh);
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //! exit 1 naming the path when an output file cannot be written (before
 //! any work when its directory is missing); exit 2 naming an argument that
 //! is not valid UTF-8; exit 0, 1 or 2, never a panic, abort or hang, for
-//! deterministically mutated `campaign run` argument vectors; and a run
-//! summary that names the workers actually started.
+//! deterministically mutated `campaign run` argument vectors; a run
+//! summary that names the workers actually started; and a campaign of
+//! 384-row SpMM jobs that completes under a 256 MiB address-space cap.
 
 use std::ffi::OsStr;
 use std::os::unix::ffi::OsStrExt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use via_bench::campaign::{load_quarantine, load_results};
+use via_bench::campaign::{load_cycles, load_quarantine, load_results};
 use via_bench::KernelKind;
 use via_rng::{cases, mutate};
 
@@ -79,11 +80,18 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Runs the campaign binary with `args` from `dir`, under a 4 GB
-/// address-space cap and a 60-second timeout (which exits 124).
-fn capped<A: AsRef<OsStr>>(dir: &Path, args: impl IntoIterator<Item = A>) -> Output {
+/// The address-space cap (`ulimit -v`, in KB) of the runs that must
+/// survive a 4 GB machine.
+const CAP_4GB: u32 = 4_000_000;
+
+/// Runs the campaign binary with `args` from `dir`, under an address-space
+/// cap of `cap_kb` KB and a 60-second timeout (which exits 124).
+fn capped<A: AsRef<OsStr>>(dir: &Path, cap_kb: u32, args: impl IntoIterator<Item = A>) -> Output {
     Command::new("sh")
-        .args(["-c", "ulimit -v 4000000; exec timeout 60 \"$0\" \"$@\""])
+        .args([
+            "-c",
+            &format!("ulimit -v {cap_kb}; exec timeout 60 \"$0\" \"$@\""),
+        ])
         .arg(env!("CARGO_BIN_EXE_campaign"))
         .args(args)
         .current_dir(dir)
@@ -122,6 +130,7 @@ fn an_oversized_matrix_is_quarantined_while_the_rest_completes() {
     let store = scratch.0.join("store");
     let out = capped(
         &scratch.0,
+        CAP_4GB,
         [
             "run",
             "--dir",
@@ -184,6 +193,7 @@ fn a_spmm_operand_too_wide_for_memory_is_quarantined_in_milliseconds() {
     let (store_arg, manifest_arg) = (store.to_str().unwrap(), manifest.to_str().unwrap());
     let out = capped(
         &scratch.0,
+        CAP_4GB,
         [
             "run",
             "--dir",
@@ -220,6 +230,38 @@ fn a_spmm_operand_too_wide_for_memory_is_quarantined_in_milliseconds() {
             ("w29.mtx", "too_large", &too_large(1 << 29)[..]),
         ]
     );
+}
+
+#[test]
+fn a_campaign_of_spmm_jobs_fits_in_256_mib() {
+    // A job that held its legs' streams (112 bytes per instruction)
+    // aborts under this cap; jobs hash their streams as they push and
+    // keep none.
+    let scratch = Scratch::new("spmm_256m");
+    let store = scratch.0.join("store");
+    let out = capped(
+        &scratch.0,
+        262_144,
+        [
+            "run",
+            "--dir",
+            store.to_str().unwrap(),
+            "--synthetic",
+            "8",
+            "--min-rows",
+            "384",
+            "--max-rows",
+            "384",
+            "--kernels",
+            "spmm",
+            "--threads",
+            "1",
+            "--quiet",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(load_results(&store).expect("load results").len(), 8);
+    assert_eq!(load_cycles(&store).expect("load cycles").len(), 8);
 }
 
 #[test]
@@ -284,7 +326,7 @@ fn mutated_run_arguments_exit_0_1_or_2() {
             manifest.as_os_str(),
         ];
         argv.extend(mutant.iter().map(|arg| OsStr::from_bytes(arg)));
-        let out = capped(&scratch.0, &argv);
+        let out = capped(&scratch.0, CAP_4GB, &argv);
         assert!(
             matches!(out.status.code(), Some(0..=2)),
             "case {case}: {argv:?} ended with {:?}: {}",

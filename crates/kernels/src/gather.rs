@@ -42,6 +42,19 @@ impl Gather {
         self.gather(e, deps)
     }
 
+    /// Scatters `srcs` to `at[i]` for each index in `idx`.
+    #[inline]
+    pub(crate) fn store(
+        &mut self,
+        e: &mut Engine,
+        at: &Region,
+        idx: impl IntoIterator<Item = usize>,
+        srcs: &[Reg],
+    ) {
+        self.fill(at, idx);
+        self.scatter(e, srcs);
+    }
+
     /// Scatters `srcs` to the addresses of the last gather.
     #[inline]
     pub(crate) fn scatter(&self, e: &mut Engine, srcs: &[Reg]) {

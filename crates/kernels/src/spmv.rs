@@ -738,6 +738,9 @@ pub fn via_sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f6
     let seg_len = ctx.via.entries();
     let mut y = vec![0.0; m.rows()];
     let mut xg = Gather::with_capacity(c);
+    let mut yg = Gather::with_capacity(ctx.vl());
+    let mut idx = Vec::with_capacity(c);
+    let mut sums = Vec::with_capacity(c);
     let mut seg_start = 0usize; // in packed-row space
     while seg_start < m.rows() {
         let seg_rows = seg_len.min(m.rows() - seg_start);
@@ -752,7 +755,8 @@ pub fn via_sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f6
             let mut vacc = e.vec_op(VecOpKind::Add, &[]);
             let base = m.chunk_offset(k);
             let rows_here = c.min(m.rows() - k * c);
-            let mut sums = vec![0.0; rows_here];
+            sums.clear();
+            sums.resize(rows_here, 0.0);
             for w in 0..m.chunk_width(k) {
                 let pos = base + w * c;
                 let col_reg = e.load(lay.col_idx.addr_of(pos), (4 * c) as u32);
@@ -770,9 +774,8 @@ pub fn via_sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f6
                 }
             }
             // Accumulate at packed-row positions in the SSPM.
-            let idx: Vec<u32> = (0..rows_here)
-                .map(|lane| (k * c + lane - seg_start) as u32)
-                .collect();
+            idx.clear();
+            idx.extend((0..rows_here).map(|lane| (k * c + lane - seg_start) as u32));
             via.vldx_alu_d(
                 &mut e,
                 AluOp::Add,
@@ -787,12 +790,11 @@ pub fn via_sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f6
         // y[perm[...]].
         e.region("flush");
         read_direct(&mut e, &mut via, 0, seg_rows, 8, |e, r, reg, vals| {
-            let mut addrs = Vec::with_capacity(vals.len());
-            for (&row, &v) in m.perm()[seg_start + r..].iter().zip(vals) {
+            let rows = &m.perm()[seg_start + r..][..vals.len()];
+            for (&row, &v) in rows.iter().zip(vals) {
                 y[row as usize] = v;
-                addrs.push(yl.data.addr_of(row as usize));
             }
-            e.scatter(&addrs, 8, &[reg]);
+            yg.store(e, &yl.data, indices(rows), &[reg]);
         });
         e.region_end();
         seg_start += seg_rows;

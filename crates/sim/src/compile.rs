@@ -17,6 +17,12 @@
 //!   replaying engine (debug build or report capture), never on how the
 //!   stream was recorded.
 //!
+//! A recording engine hashes each instruction as it is pushed, so the
+//! stream hash costs no second pass over the recording. An engine built
+//! under [`capture_stream_hashes`] hashes the same way without recording
+//! anything: a caller that needs a run's stream hash but never replays the
+//! stream (the campaign's cycle memo) gets it without holding the stream.
+//!
 //! Two memo levels layer on top: a process-wide [`StreamCache`] (keyed by
 //! the caller's FNV-1a content hashes, shared across sweep workers so each
 //! (matrix, kernel) point compiles exactly once per process), and the
@@ -24,6 +30,7 @@
 //! keeps in its JSONL store. [`fnv1a64`],
 //! [`CompiledStream::stream_hash`] and [`config_hash`] define those keys.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -153,6 +160,70 @@ fn hash_inst(h: &mut Fnv, inst: &Inst) {
     }
 }
 
+/// The incremental form of [`CompiledStream::stream_hash`], fed one
+/// instruction at a time as an engine pushes it. Each instruction is
+/// hashed on arrival; region/marker events are kept with their stream
+/// positions and hashed after the last instruction, so the hash never
+/// needs the instructions again.
+#[derive(Debug)]
+pub(crate) struct StreamHasher {
+    fnv: Fnv,
+    len: usize,
+    events: Vec<(usize, StreamEvent)>,
+}
+
+impl StreamHasher {
+    pub(crate) fn new() -> Self {
+        StreamHasher {
+            fnv: Fnv::new(),
+            len: 0,
+            events: Vec::new(),
+        }
+    }
+
+    /// Hashes the next instruction of the stream.
+    #[inline]
+    pub(crate) fn push(&mut self, inst: &Inst) {
+        hash_inst(&mut self.fnv, inst);
+        self.len += 1;
+    }
+
+    /// Notes an event after the instructions pushed so far.
+    pub(crate) fn event(&mut self, event: StreamEvent) {
+        self.events.push((self.len, event));
+    }
+
+    /// The hash of the stream pushed so far, with its events.
+    pub(crate) fn hash(&self) -> u64 {
+        let mut hash = self.fnv.clone();
+        for &(pos, event) in &self.events {
+            hash.write_u64(pos as u64);
+            let (tag, name) = match event {
+                StreamEvent::RegionBegin(n) => (0u8, n),
+                StreamEvent::RegionEnd => (1, ""),
+                StreamEvent::Marker(n) => (2, n),
+            };
+            hash.write_u8(tag);
+            for b in name.bytes() {
+                hash.write_u8(b);
+            }
+        }
+        hash.finish()
+    }
+
+    /// The compiled stream of `insts`, the instructions this hasher was
+    /// fed.
+    pub(crate) fn compile(self, insts: Vec<Inst>) -> CompiledStream {
+        debug_assert_eq!(insts.len(), self.len, "hashed and recorded streams differ");
+        telemetry::record_compiled(insts.len() as u64);
+        CompiledStream {
+            stream_hash: self.hash(),
+            insts,
+            events: self.events,
+        }
+    }
+}
+
 /// Content hash of the timing-relevant machine configuration (core +
 /// memory hierarchy), the second half of the persistent cycle-cache key: a
 /// cached cycle count is only valid for replay under the exact
@@ -192,32 +263,18 @@ pub struct CompiledStream {
 }
 
 impl CompiledStream {
-    /// Wraps a recorded stream and its region/marker events (used by
-    /// [`Engine::take_compiled`](crate::Engine::take_compiled); tests and
-    /// tools wrap hand-built instruction lists the same way).
+    /// Wraps an instruction list and its region/marker events, hashing
+    /// both. Tests and tools wrap hand-built lists this way; a recording
+    /// engine hashes its stream as it pushes instead, and
+    /// [`Engine::take_compiled`](crate::Engine::take_compiled) returns the
+    /// same stream and hash as wrapping its instructions here would.
     pub fn from_recording(insts: Vec<Inst>, events: Vec<(usize, StreamEvent)>) -> Self {
-        telemetry::record_compiled(insts.len() as u64);
-        let mut hash = Fnv::new();
+        let mut hasher = StreamHasher::new();
         for inst in &insts {
-            hash_inst(&mut hash, inst);
+            hasher.push(inst);
         }
-        for (pos, event) in &events {
-            hash.write_u64(*pos as u64);
-            let (tag, name) = match event {
-                StreamEvent::RegionBegin(n) => (0u8, *n),
-                StreamEvent::RegionEnd => (1, ""),
-                StreamEvent::Marker(n) => (2, *n),
-            };
-            hash.write_u8(tag);
-            for b in name.bytes() {
-                hash.write_u8(b);
-            }
-        }
-        CompiledStream {
-            insts,
-            events,
-            stream_hash: hash.finish(),
-        }
+        hasher.events = events;
+        hasher.compile(insts)
     }
 
     /// The pre-decoded instructions, in stream order.
@@ -247,6 +304,66 @@ impl CompiledStream {
     /// half of the persistent (stream-hash, config-hash) cycle-cache key.
     pub fn stream_hash(&self) -> u64 {
         self.stream_hash
+    }
+}
+
+// ---- thread-local stream-hash capture -------------------------------------
+//
+// Kernel functions construct their engines internally, and a kernel's result
+// carries its stream only when the run was recorded. A caller that needs
+// only the hashes of the streams its kernels push (the campaign's cycle
+// memo) enables *capture* on its thread instead: every engine constructed
+// while capture is on hashes its pushes as they arrive, keeping no
+// instruction, and deposits the hash here when it finishes. Thread-local
+// (not global) so concurrently running jobs and tests cannot take each
+// other's hashes.
+
+thread_local! {
+    static CAPTURE: Cell<bool> = const { Cell::new(false) };
+    static SINK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Whether stream-hash capture is on for this thread.
+pub(crate) fn capture_enabled() -> bool {
+    CAPTURE.with(Cell::get)
+}
+
+/// Deposits a finished engine's stream hash into this thread's capture.
+pub(crate) fn submit_hash(hash: u64) {
+    SINK.with(|s| s.borrow_mut().push(hash));
+}
+
+/// Starts capturing stream hashes on this thread and returns the guard
+/// that holds them. Every engine constructed while the guard lives hashes
+/// the instructions pushed into it and, when it finishes, deposits the
+/// hash [`CompiledStream::stream_hash`] would give its stream (an engine
+/// that records keeps the hash in its [`CompiledStream`] instead). The
+/// capture starts empty and ends when the guard is dropped, also when a
+/// panic unwinds through its scope.
+pub fn capture_stream_hashes() -> StreamHashCapture {
+    SINK.with(|s| s.borrow_mut().clear());
+    CAPTURE.with(|c| c.set(true));
+    StreamHashCapture(())
+}
+
+/// RAII guard from [`capture_stream_hashes`]; ends the capture and drops
+/// any hash not taken when dropped.
+#[derive(Debug)]
+#[must_use = "the capture ends when the guard is dropped"]
+pub struct StreamHashCapture(());
+
+impl StreamHashCapture {
+    /// Takes the hashes deposited so far, in the order their engines
+    /// finished.
+    pub fn take(&self) -> Vec<u64> {
+        SINK.with(|s| std::mem::take(&mut *s.borrow_mut()))
+    }
+}
+
+impl Drop for StreamHashCapture {
+    fn drop(&mut self) {
+        CAPTURE.with(|c| c.set(false));
+        SINK.with(|s| s.borrow_mut().clear());
     }
 }
 
@@ -304,7 +421,154 @@ impl StreamCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prog::AluKind;
+    use crate::prog::{AluKind, VecOpKind, MAX_INLINE_ADDRS};
+    use crate::{verify, Engine};
+    use via_rng::StdRng;
+
+    /// A deterministic random stream over every op kind (gathers and
+    /// scatters on both sides of `MAX_INLINE_ADDRS`) with events at
+    /// random positions, the first and the last included. Every source is
+    /// a register defined earlier in the stream.
+    fn random_stream(rng: &mut StdRng, len: usize) -> (Vec<Inst>, Vec<(usize, StreamEvent)>) {
+        let mut insts = Vec::with_capacity(len);
+        let mut next = 0u32;
+        while insts.len() < len {
+            let a = next.saturating_sub(1 + rng.below(4) as u32);
+            let srcs: &[u32] = if next == 0 { &[] } else { &[a] };
+            let addr = rng.below(1 << 14) * 8;
+            let addrs: Vec<u64> = (0..rng.below(2 * MAX_INLINE_ADDRS as u64 + 2))
+                .map(|_| rng.below(1 << 12) * 8)
+                .collect();
+            let inst = match rng.below(10) {
+                0 => Inst::scalar(AluKind::FpFma, srcs, Some(next)),
+                1 => Inst::vec(VecOpKind::Fma, srcs, Some(next)),
+                2 => Inst::load_dep(addr, 8 * (1 + rng.below(4) as u32), srcs, next),
+                3 => Inst::store(addr, 8, srcs),
+                4 => Inst::gather(addrs, 8, srcs, next),
+                5 => Inst::scatter(addrs, 8, srcs),
+                6 => Inst::custom(
+                    1 + rng.below(4) as u32,
+                    1 + rng.below(6) as u32,
+                    rng.below(2) == 0,
+                    srcs,
+                    Some(next),
+                ),
+                7 => Inst::branch(rng.below(2) == 0, rng.below(16) as u32, srcs),
+                8 => Inst::delay(rng.below(8) as u32, srcs, next),
+                _ => Inst::fence(),
+            };
+            if inst.dst == Some(next) {
+                next += 1;
+            }
+            insts.push(inst);
+        }
+        let mut events = Vec::new();
+        for pos in [0, len / 2, len] {
+            for _ in 0..rng.below(3) {
+                let event = match rng.below(3) {
+                    0 => StreamEvent::RegionBegin(["rows", "flush"][rng.below(2) as usize]),
+                    1 => StreamEvent::RegionEnd,
+                    _ => StreamEvent::Marker("mode"),
+                };
+                events.push((pos, event));
+            }
+        }
+        (insts, events)
+    }
+
+    /// Pushes `insts` into `e`, issuing each event at its position.
+    fn drive(e: &mut Engine, insts: &[Inst], events: &[(usize, StreamEvent)]) {
+        let mut events = events.iter().peekable();
+        for i in 0..=insts.len() {
+            while let Some(&(_, event)) = events.next_if(|&&(pos, _)| pos == i) {
+                match event {
+                    StreamEvent::RegionBegin(name) => e.region(name),
+                    StreamEvent::RegionEnd => e.region_end(),
+                    StreamEvent::Marker(name) => e.trace_marker(name),
+                }
+            }
+            if let Some(inst) = insts.get(i) {
+                e.push(inst.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn pushed_recorded_and_wrapped_streams_hash_alike() {
+        let engine = || {
+            Engine::new(
+                CoreConfig::default().with_custom_unit(),
+                MemConfig::default(),
+            )
+        };
+        // Random addresses can trip the verifier; collect its reports
+        // instead of panicking in debug builds.
+        let reports = verify::capture_guard();
+        let mut spilled = 0;
+        let mut sizes = vec![0, 1];
+        sizes.extend((0..30).map(|i| 2 + 7 * i));
+        via_rng::cases(sizes.len() as u64, 0x5EED_4A54, |case, rng| {
+            let len = sizes[case as usize];
+            let (insts, events) = random_stream(rng, len);
+            spilled += insts
+                .iter()
+                .filter(|i| match &i.op {
+                    Op::Gather { addrs, .. } | Op::Scatter { addrs, .. } => {
+                        addrs.len() > MAX_INLINE_ADDRS
+                    }
+                    _ => false,
+                })
+                .count();
+            let wrapped = CompiledStream::from_recording(insts.clone(), events.clone());
+
+            let mut recording = engine();
+            recording.enable_recording();
+            drive(&mut recording, &insts, &events);
+            let recorded = recording.take_compiled().expect("recording was on");
+            recording.finish();
+            assert_eq!(recorded, wrapped, "case {case}: recorded stream");
+
+            let capture = capture_stream_hashes();
+            let mut plain = engine();
+            drive(&mut plain, &insts, &events);
+            assert!(capture.take().is_empty(), "deposited before finishing");
+            plain.finish();
+            assert_eq!(
+                capture.take(),
+                [wrapped.stream_hash()],
+                "case {case}: pushed stream"
+            );
+        });
+        drop(reports);
+        verify::drain_captured();
+        assert!(spilled > 0, "no address list spilled");
+    }
+
+    #[test]
+    fn the_hash_capture_ends_with_its_scope() {
+        let engine = || Engine::new(CoreConfig::default(), MemConfig::default());
+        {
+            let capture = capture_stream_hashes();
+            assert!(capture_enabled());
+            engine().finish();
+            engine().finish();
+            assert_eq!(capture.take().len(), 2);
+        }
+        assert!(!capture_enabled());
+        let unwound = std::panic::catch_unwind(|| {
+            let _capture = capture_stream_hashes();
+            engine().finish();
+            panic!("unwinds through the capture");
+        });
+        assert!(unwound.is_err());
+        assert!(!capture_enabled());
+        // An engine built outside a capture deposits nothing, even when it
+        // finishes inside one; a new capture starts empty.
+        let outside = engine();
+        let capture = capture_stream_hashes();
+        outside.finish();
+        assert!(capture.take().is_empty());
+    }
 
     #[test]
     fn fnv_matches_reference_vectors() {

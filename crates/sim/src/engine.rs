@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use crate::alloc::AddressSpace;
 use crate::calendar::Calendar;
-use crate::compile::{CompiledStream, StreamEvent};
+use crate::compile::{self, CompiledStream, StreamEvent, StreamHasher};
 use crate::config::{CoreConfig, MemConfig};
 use crate::mem::Hierarchy;
 use crate::pipeline::{CustomIssue, Pipeline};
@@ -54,13 +54,6 @@ struct TracePoints {
     issue: u64,
     complete: u64,
     commit: u64,
-}
-
-/// An in-progress stream recording (see [`Engine::enable_recording`]).
-#[derive(Debug, Default)]
-struct Recording {
-    insts: Vec<Inst>,
-    events: Vec<(usize, StreamEvent)>,
 }
 
 /// The streaming out-of-order timing engine.
@@ -94,11 +87,16 @@ pub struct Engine {
     /// Whether the attached verifier should flush its reports to the
     /// thread-local capture sink (instead of panicking in debug builds).
     verify_capture: bool,
-    /// When recording ([`Engine::enable_recording`]), every pushed
-    /// instruction — and every region/marker call, positionally — is also
-    /// appended here, to be harvested as a [`CompiledStream`] by
-    /// [`Engine::take_compiled`].
-    recording: Option<Recording>,
+    /// Hashes every pushed instruction and, positionally, every
+    /// region/marker call: attached while recording
+    /// ([`Engine::enable_recording`]) or when the engine was built under
+    /// [`compile::capture_stream_hashes`]. An engine that does not record
+    /// deposits the hash into the capture when it finishes.
+    hasher: Option<StreamHasher>,
+    /// When recording, every pushed instruction is also appended here, to
+    /// be harvested with the hasher's events and hash as a
+    /// [`CompiledStream`] by [`Engine::take_compiled`].
+    recording: Option<Vec<Inst>>,
     /// Emit-only mode ([`Engine::enable_emit_only`]): pushes skip the
     /// timing model entirely — only the verify step and stream recording
     /// run. Instruction content never depends on timing (kernels read
@@ -131,6 +129,7 @@ impl Engine {
             trace: TraceState::default(),
             verifier,
             verify_capture,
+            hasher: compile::capture_enabled().then(StreamHasher::new),
             recording: None,
             emit_only: false,
             pipe: Pipeline::new(core),
@@ -190,8 +189,11 @@ impl Engine {
         } else {
             self.push_core(&inst)
         };
+        if let Some(hasher) = &mut self.hasher {
+            hasher.push(&inst);
+        }
         if let Some(rec) = &mut self.recording {
-            rec.insts.push(inst);
+            rec.push(inst);
         }
         complete
     }
@@ -489,10 +491,7 @@ impl Engine {
     /// [`Engine::region_end`]. Regions nest; a no-op while tracing is off,
     /// so kernels label phases unconditionally.
     pub fn region(&mut self, name: &'static str) {
-        if let Some(rec) = &mut self.recording {
-            rec.events
-                .push((rec.insts.len(), StreamEvent::RegionBegin(name)));
-        }
+        self.stream_event(StreamEvent::RegionBegin(name));
         if !self.trace.enabled() {
             return;
         }
@@ -508,9 +507,7 @@ impl Engine {
     /// Leaves the innermost open region (no-op at top level or while
     /// tracing is off).
     pub fn region_end(&mut self) {
-        if let Some(rec) = &mut self.recording {
-            rec.events.push((rec.insts.len(), StreamEvent::RegionEnd));
-        }
+        self.stream_event(StreamEvent::RegionEnd);
         if !self.trace.enabled() {
             return;
         }
@@ -530,10 +527,7 @@ impl Engine {
     /// Records an instant marker (e.g. an SSPM mode transition) at the
     /// current commit frontier; a no-op unless event tracing is on.
     pub fn trace_marker(&mut self, name: &'static str) {
-        if let Some(rec) = &mut self.recording {
-            rec.events
-                .push((rec.insts.len(), StreamEvent::Marker(name)));
-        }
+        self.stream_event(StreamEvent::Marker(name));
         let at = self.pipe.last_commit();
         if let Some(ring) = &mut self.trace.events {
             ring.record(TraceEvent::Marker { name, at });
@@ -594,9 +588,10 @@ impl Engine {
     /// Starts recording the pushed instruction stream so it can be
     /// harvested with [`Engine::take_compiled`]. Recording never changes
     /// what is verified: pushes are checked exactly as on an unrecorded
-    /// run.
+    /// run. Call before pushing any instruction.
     pub fn enable_recording(&mut self) {
-        self.recording = Some(Recording::default());
+        self.hasher.get_or_insert_with(StreamHasher::new);
+        self.recording = Some(Vec::new());
     }
 
     /// Whether the engine is recording for [`Engine::take_compiled`].
@@ -630,8 +625,9 @@ impl Engine {
     /// recording off), or `None` if [`Engine::enable_recording`] was never
     /// called. Call before [`Engine::finish`].
     pub fn take_compiled(&mut self) -> Option<CompiledStream> {
-        let rec = self.recording.take()?;
-        Some(CompiledStream::from_recording(rec.insts, rec.events))
+        let insts = self.recording.take()?;
+        let hasher = self.hasher.take().expect("a recording engine hashes");
+        Some(hasher.compile(insts))
     }
 
     /// Replays a compiled stream through the timing model: a tight loop
@@ -673,6 +669,14 @@ impl Engine {
         last
     }
 
+    /// Notes a region/marker call at the current stream position for the
+    /// stream hash (and the recording).
+    fn stream_event(&mut self, event: StreamEvent) {
+        if let Some(hasher) = &mut self.hasher {
+            hasher.event(event);
+        }
+    }
+
     /// Re-issues a recorded region/marker call at its stream position, so
     /// replayed stall attribution and event traces carry the same region
     /// structure as the interpreted run.
@@ -687,6 +691,9 @@ impl Engine {
     /// Finalizes the run: drains the pipeline and returns the statistics.
     pub fn finish(mut self) -> RunStats {
         crate::telemetry::record_instructions(self.stats.instructions);
+        if let (Some(hasher), None) = (&self.hasher, &self.recording) {
+            compile::submit_hash(hasher.hash());
+        }
         if let Some(v) = self.verifier.as_deref_mut() {
             if self.verify_capture {
                 verify::submit_report(v.take_report());
