@@ -142,12 +142,15 @@ fn baseline_and_ssr_runs(ctx: &SimContext) -> Vec<(String, (u64, u64))> {
     let vl = ctx.vl();
     let mut out: Vec<(String, (u64, u64))> = Vec::new();
 
-    // SpMV: the x gathers, and Sell-C-sigma's drained y gather/scatter.
+    // SpMV: the x gathers, Sell-C-sigma's drained y gather/scatter, and
+    // SPC5's broadcast-and-expand block loop.
     let a: Csr = gen::uniform(600, 600, 0.01, 42);
     let x = xvec(a.cols());
     out.push(("spmv::csr_vec".into(), pin(spmv::csr_vec(&a, &x, ctx))));
     let sell = SellCSigma::from_csr(&a, vl, 8 * vl).unwrap();
     out.push(("spmv::sell".into(), pin(spmv::sell(&sell, &x, ctx))));
+    let spc5 = Spc5::from_csr(&a, vl).unwrap();
+    out.push(("spmv::spc5".into(), pin(spmv::spc5(&spc5, &x, ctx))));
     let csb = Csb::from_csr(&a, 64).unwrap();
     out.push((
         "spmv::csb_software_vec".into(),
@@ -207,11 +210,11 @@ fn baseline_and_ssr_runs(ctx: &SimContext) -> Vec<(String, (u64, u64))> {
 #[test]
 fn baseline_and_ssr_streams_are_pinned() {
     let all = baseline_and_ssr_runs(&SimContext::default());
-    assert_eq!(all.len(), 12, "every baseline and SSR run is pinned");
+    assert_eq!(all.len(), 13, "every baseline and SSR run is pinned");
     let pairs: Vec<(u64, u64)> = all.iter().map(|(_, p)| *p).collect();
     let hash = fnv1a64(format!("{pairs:?}").bytes());
     assert_eq!(
-        hash, 0x6C2B_9797_A790_517F,
+        hash, 0x2067_74DB_0BC5_E240,
         "baseline and SSR streams moved; the runs were:\n{all:#?}"
     );
 }
