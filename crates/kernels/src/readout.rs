@@ -1,14 +1,37 @@
-//! Reading a finished SSPM segment out.
+//! Staging dense data into the SSPM, and reading a finished SSPM segment
+//! out.
 //!
 //! VIA instructions execute at commit yet still pipeline back to back
 //! through the FIVU (paper §IV-E), so every VIA kernel reads a finished
 //! scratchpad segment out as a batch of reads issued ahead of the stores
 //! that consume them: `vldxmov.d` in direct mode, `vldxcount` then
 //! `vldxloadidx`/`vldxmov.d` pairs in CAM mode. The batch size bounds the
-//! vector registers the reads hold live.
+//! vector registers the reads hold live. Dense data goes in the other way,
+//! one vector load and one `vldxload.d` per machine vector.
 
 use via_core::ViaUnit;
-use via_sim::{Engine, Reg};
+use via_sim::{Engine, Reg, Region};
+
+/// Direct mode: writes `values`, the elements of `at`, into the SSPM from
+/// index `base` on: per machine vector, a vector load of `at` behind
+/// `deps`, then a `vldxload.d` behind the load.
+pub(crate) fn stage_direct(
+    e: &mut Engine,
+    via: &mut ViaUnit,
+    base: u32,
+    at: Region,
+    values: &[f64],
+    deps: &[Reg],
+) {
+    let vl = e.core_config().vl as usize;
+    let mut idx = Vec::with_capacity(vl);
+    for (r, vals) in (0..).step_by(vl).zip(values.chunks(vl)) {
+        let reg = e.load_dep(at.addr_of(r), (8 * vals.len()) as u32, deps);
+        idx.clear();
+        idx.extend((r..r + vals.len()).map(|p| base + p as u32));
+        via.vldx_load_d(e, &idx, vals, &[reg]);
+    }
+}
 
 /// Direct mode: reads the `len` entries from SSPM index `base` on, one
 /// `vldxmov.d` per machine vector, at most `group` reads ahead of their
@@ -22,14 +45,28 @@ pub(crate) fn read_direct(
     group: usize,
     mut consume: impl FnMut(&mut Engine, usize, Reg, &[f64]),
 ) {
+    let mut idx = Vec::new();
     let read = |e: &mut Engine, r: usize, n: usize| {
-        let idx: Vec<u32> = (r..r + n).map(|p| base + p as u32).collect();
+        idx.clear();
+        idx.extend((r..r + n).map(|p| base + p as u32));
         let (reg, vals) = via.vldx_mov_d(e, &idx, &[]);
         (r, reg, vals)
     };
     batched(e, len, group, read, |e, (r, reg, vals)| {
         consume(e, r, reg, &vals)
     });
+}
+
+/// A [`read_direct`] consumer that copies each vector into `out` and
+/// stores it to `at`, both from the vector's offset on.
+pub(crate) fn copy_and_store(
+    out: &mut [f64],
+    at: Region,
+) -> impl FnMut(&mut Engine, usize, Reg, &[f64]) + '_ {
+    move |e, r, reg, vals| {
+        out[r..r + vals.len()].copy_from_slice(vals);
+        e.store(at.addr_of(r), (8 * vals.len()) as u32, &[reg]);
+    }
 }
 
 /// CAM mode: reads every tracked entry out, `vldxcount` first, then a
@@ -42,9 +79,11 @@ pub(crate) fn read_cam(
     mut consume: impl FnMut(&mut Engine, Reg, &[u32], Reg, &[f64]),
 ) {
     let (_, count) = via.vldx_count(e);
+    let mut positions = Vec::new();
     let read = |e: &mut Engine, r: usize, n: usize| {
         let (idx_reg, idxs) = via.vldx_load_idx(e, r, n);
-        let positions: Vec<u32> = (r..r + n).map(|p| p as u32).collect();
+        positions.clear();
+        positions.extend((r..r + n).map(|p| p as u32));
         let (val_reg, vals) = via.vldx_mov_d(e, &positions, &[]);
         (idx_reg, idxs, val_reg, vals)
     };

@@ -25,11 +25,13 @@
 //!   under non-blocked formats): row sums still need memory gathers for
 //!   `x`, but `y` updates stay in the scratchpad.
 
+use std::ops::Range;
+
 use crate::context::{KernelRun, SimContext};
 use crate::gather::{indices, Drain, Gather};
 use crate::layout::{CsbLayout, CsrLayout, SellLayout, Spc5Layout, VecLayout};
-use crate::readout::read_direct;
-use via_core::{AluOp, Dest, ViaUnit};
+use crate::readout::{copy_and_store, read_direct, stage_direct};
+use via_core::{AluOp, Dest, SsrStreams, ViaUnit};
 use via_formats::{Csb, Csr, SellCSigma, Spc5};
 use via_sim::{AluKind, Engine, Reg, VecOpKind};
 
@@ -82,45 +84,109 @@ pub fn scalar_csr(a: &Csr, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
 /// Panics if `x.len() != a.cols()`.
 pub fn csr_vec(a: &Csr, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
     assert_eq!(x.len(), a.cols(), "x length must equal matrix columns");
-    let vl = ctx.vl();
-    let mut e = ctx.baseline_engine();
-    let lay = CsrLayout::new(e.alloc_mut(), a);
-    let xl = VecLayout::new(e.alloc_mut(), a.cols().max(1));
-    let yl = VecLayout::new(e.alloc_mut(), a.rows().max(1));
+    csr_row_loop(a, x, ctx.baseline_engine(), None)
+}
 
+/// The row loop of [`csr_vec`] and [`crate::ssr::spmv_csr`] on `e`: per
+/// row, the bound from `row_ptr`, the row's chunks, then `y[i] += sum`
+/// through memory. The chunks advance by induction ops behind the bound,
+/// or, given `ssr`, behind one stream configuration per row.
+pub(crate) fn csr_row_loop(
+    a: &Csr,
+    x: &[f64],
+    mut e: Engine,
+    mut ssr: Option<SsrStreams>,
+) -> KernelRun<Vec<f64>> {
+    let mut rows = CsrRows::new(&mut e, a, x);
+    let yl = VecLayout::new(e.alloc_mut(), a.rows().max(1));
     let mut y = vec![0.0; a.rows()];
-    let mut xg = Gather::with_capacity(vl);
     e.region("row loop");
-    let mut rp = e.load(lay.row_ptr.addr_of(0), 8);
+    let mut rp = e.load(rows.lay.row_ptr.addr_of(0), 8);
     for (i, yi) in y.iter_mut().enumerate() {
-        let rp_next = e.load(lay.row_ptr.addr_of(i + 1), 8);
+        let rp_next = e.load(rows.lay.row_ptr.addr_of(i + 1), 8);
         let bound = e.scalar_op(AluKind::Int, &[rp, rp_next]);
-        let (cols, vals) = a.row(i);
-        let base = a.row_ptr()[i];
-        let mut vacc = e.vec_op(VecOpKind::Add, &[]); // zeroed accumulator
-        let mut acc = 0.0;
-        let mut k = 0;
-        while k < cols.len() {
-            let len = vl.min(cols.len() - k);
-            let j = base + k;
-            let col_reg = e.load(lay.col_idx.addr_of(j), (4 * len) as u32);
-            let val_reg = e.load(lay.data.addr_of(j), (8 * len) as u32);
-            let x_reg = xg.load(&mut e, &xl.data, indices(&cols[k..k + len]), &[col_reg]);
-            vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
-            e.scalar_op(AluKind::Int, &[bound]);
-            for (&c, &v) in cols[k..k + len].iter().zip(&vals[k..k + len]) {
-                acc += v * x[c as usize];
-            }
-            k += len;
-        }
+        let advance = match &mut ssr {
+            // One setup for the row's three streams (column indices,
+            // values, x): same traffic as the loads, no induction ops.
+            Some(ssr) => Advance::Streams(ssr.configure(&mut e, &[bound])),
+            None => Advance::Induction(Some(bound)),
+        };
+        let (vacc, sum) = rows.row(&mut e, i, advance);
         let yold = e.load(yl.data.addr_of(i), 8);
-        let sum = e.vec_op(VecOpKind::Reduce, &[vacc, yold]);
-        e.store(yl.data.addr_of(i), 8, &[sum]);
-        *yi = acc;
+        let ynew = e.vec_op(VecOpKind::Reduce, &[vacc, yold]);
+        e.store(yl.data.addr_of(i), 8, &[ynew]);
+        *yi = sum;
         rp = rp_next;
     }
     e.region_end();
     KernelRun::finish_baseline(y, e)
+}
+
+/// How a vectorized CSR row advances from one chunk to the next.
+#[derive(Clone, Copy)]
+enum Advance {
+    /// One scalar induction op per chunk, behind the row bound if given.
+    Induction(Option<Reg>),
+    /// SSR streams: the chunk loads wait on the live stream configuration
+    /// and no induction op is needed.
+    Streams(Reg),
+}
+
+/// A CSR matrix and `x` placed in an engine's memory, with the gather
+/// buffer their vectorized row chunks reuse.
+struct CsrRows<'a> {
+    a: &'a Csr,
+    x: &'a [f64],
+    lay: CsrLayout,
+    xl: VecLayout,
+    xg: Gather,
+    vl: usize,
+}
+
+impl<'a> CsrRows<'a> {
+    /// Places `a`, then `x`.
+    fn new(e: &mut Engine, a: &'a Csr, x: &'a [f64]) -> Self {
+        let vl = e.core_config().vl as usize;
+        CsrRows {
+            a,
+            x,
+            lay: CsrLayout::new(e.alloc_mut(), a),
+            xl: VecLayout::new(e.alloc_mut(), a.cols().max(1)),
+            xg: Gather::with_capacity(vl),
+            vl,
+        }
+    }
+
+    /// Row `i` in chunks of `vl` non-zeros: per chunk, vector loads of the
+    /// column indices and values, an x-gather and an FMA into the row's
+    /// zeroed accumulator. Returns the accumulator and the row's sum.
+    #[inline(always)]
+    fn row(&mut self, e: &mut Engine, i: usize, advance: Advance) -> (Reg, f64) {
+        let (cols, vals) = self.a.row(i);
+        let base = self.a.row_ptr()[i];
+        let live = match &advance {
+            Advance::Streams(live) => std::slice::from_ref(live),
+            Advance::Induction(_) => &[],
+        };
+        let mut vacc = e.vec_op(VecOpKind::Add, &[]); // zeroed accumulator
+        let mut sum = 0.0;
+        for k in (0..cols.len()).step_by(self.vl) {
+            let len = self.vl.min(cols.len() - k);
+            let j = base + k;
+            let col_reg = e.load_dep(self.lay.col_idx.addr_of(j), (4 * len) as u32, live);
+            let val_reg = e.load_dep(self.lay.data.addr_of(j), (8 * len) as u32, live);
+            let xs = indices(&cols[k..k + len]);
+            let x_reg = self.xg.load(e, &self.xl.data, xs, &[col_reg]);
+            vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
+            if let Advance::Induction(bound) = advance {
+                e.scalar_op(AluKind::Int, bound.as_slice());
+            }
+            for (&c, &v) in cols[k..k + len].iter().zip(&vals[k..k + len]) {
+                sum += v * self.x[c as usize];
+            }
+        }
+        (vacc, sum)
+    }
 }
 
 /// SPC5 SpMV baseline: per segment, broadcast `x[col]`, expand the packed
@@ -131,52 +197,98 @@ pub fn csr_vec(a: &Csr, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
 /// Panics if `x.len() != m.cols()`.
 pub fn spc5(m: &Spc5, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
     assert_eq!(x.len(), m.cols(), "x length must equal matrix columns");
+    let (vl, h) = (ctx.vl(), m.block_height());
     let mut e = ctx.baseline_engine();
-    let lay = Spc5Layout::new(e.alloc_mut(), m);
-    let xl = VecLayout::new(e.alloc_mut(), m.cols().max(1));
+    let mut blocks = Spc5Blocks::new(&mut e, m, x);
     let yl = VecLayout::new(e.alloc_mut(), m.rows().max(1));
 
-    let y = m.spmv(x);
-    let h = m.block_height();
-    let mut seg_index = 0usize;
+    let mut y = vec![0.0; m.rows()];
     e.region("block loop");
     for b in 0..m.num_blocks() {
-        let bp = e.load(lay.block_ptr.addr_of(b), 8);
+        blocks.block(&mut e, b);
+        // y[block rows] += acc (vector read-modify-write).
+        for (r, (sums, &vacc)) in blocks.sums.chunks(vl).zip(&blocks.vaccs).enumerate() {
+            let at = yl.data.addr_of(b * h + r * vl);
+            let yold = e.load(at, (8 * sums.len()) as u32);
+            let ynew = e.vec_op(VecOpKind::Add, &[vacc, yold]);
+            e.store(at, (8 * sums.len()) as u32, &[ynew]);
+        }
+        y[b * h..][..blocks.sums.len()].copy_from_slice(&blocks.sums);
+    }
+    e.region_end();
+    KernelRun::finish_baseline(y, e)
+}
+
+/// An SPC5 matrix and `x` placed in an engine's memory, with the block
+/// accumulators and row sums of its block loop.
+struct Spc5Blocks<'a> {
+    m: &'a Spc5,
+    x: &'a [f64],
+    lay: Spc5Layout,
+    xl: VecLayout,
+    vl: usize,
+    /// The next segment record (blocks run in order).
+    next_seg: usize,
+    /// The block's accumulators, one per `vl` rows.
+    vaccs: Vec<Reg>,
+    /// The block's row sums.
+    sums: Vec<f64>,
+}
+
+impl<'a> Spc5Blocks<'a> {
+    /// Places `m`, then `x`.
+    fn new(e: &mut Engine, m: &'a Spc5, x: &'a [f64]) -> Self {
+        Spc5Blocks {
+            m,
+            x,
+            lay: Spc5Layout::new(e.alloc_mut(), m),
+            xl: VecLayout::new(e.alloc_mut(), m.cols().max(1)),
+            vl: e.core_config().vl as usize,
+            next_seg: 0,
+            vaccs: Vec::new(),
+            sums: Vec::new(),
+        }
+    }
+
+    /// Block `b`, the one after the last block run: per segment,
+    /// broadcast `x[col]`, expand the packed values through the row mask
+    /// and FMA into every accumulator of the block.
+    #[inline(always)]
+    fn block(&mut self, e: &mut Engine, b: usize) {
+        let (m, h) = (self.m, self.m.block_height());
+        let bp = e.load(self.lay.block_ptr.addr_of(b), 8);
         let rows_here = h.min(m.rows() - b * h);
-        // Block accumulator(s): ceil(height / vl) vector registers; we model
-        // one register per vl lanes.
-        let nacc = rows_here.div_ceil(ctx.vl());
-        let mut vaccs: Vec<Reg> = (0..nacc).map(|_| e.vec_op(VecOpKind::Add, &[])).collect();
+        self.vaccs.clear();
+        self.vaccs
+            .extend((0..rows_here.div_ceil(self.vl)).map(|_| e.vec_op(VecOpKind::Add, &[])));
+        self.sums.clear();
+        self.sums.resize(rows_here, 0.0);
         for seg in m.block_segments(b) {
-            let seg_reg = e.load(lay.segments.addr_of(seg_index), 8);
-            seg_index += 1;
+            let seg_reg = e.load(self.lay.segments.addr_of(self.next_seg), 8);
+            self.next_seg += 1;
             // Broadcast x[col]: a scalar load dependent on the segment record.
-            let xv = e.load_dep(xl.data.addr_of(seg.col as usize), 8, &[seg_reg]);
+            let xv = e.load_dep(self.xl.data.addr_of(seg.col as usize), 8, &[seg_reg]);
             let vals_reg = e.load(
-                lay.data.addr_of(seg.val_offset),
+                self.lay.data.addr_of(seg.val_offset),
                 (8 * seg.len().max(1)) as u32,
             );
             // vexpand: move the mask to a k-register, then place packed
             // values into their row lanes.
             let kmask = e.scalar_op(AluKind::Int, &[seg_reg]);
             let expanded = e.vec_op(VecOpKind::Permute, &[vals_reg, kmask]);
-            for vacc in vaccs.iter_mut() {
+            for vacc in self.vaccs.iter_mut() {
                 *vacc = e.vec_op(VecOpKind::Fma, &[expanded, xv, *vacc]);
             }
             e.scalar_op(AluKind::Int, &[bp]);
-        }
-        // y[block rows] += acc (vector read-modify-write).
-        let mut r = 0usize;
-        for vacc in vaccs {
-            let len = ctx.vl().min(rows_here - r);
-            let yold = e.load(yl.data.addr_of(b * h + r), (8 * len) as u32);
-            let ynew = e.vec_op(VecOpKind::Add, &[vacc, yold]);
-            e.store(yl.data.addr_of(b * h + r), (8 * len) as u32, &[ynew]);
-            r += len;
+            let mut off = seg.val_offset;
+            for (lane, sum) in self.sums.iter_mut().enumerate() {
+                if seg.mask & (1 << lane) != 0 {
+                    *sum += m.data()[off] * self.x[seg.col as usize];
+                    off += 1;
+                }
+            }
         }
     }
-    e.region_end();
-    KernelRun::finish_baseline(y, e)
 }
 
 /// Sell-C-σ SpMV baseline: chunk-column-major FMAs with x-gathers; padding
@@ -187,49 +299,84 @@ pub fn spc5(m: &Spc5, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
 /// Panics if `x.len() != m.cols()`.
 pub fn sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
     assert_eq!(x.len(), m.cols(), "x length must equal matrix columns");
+    let c = m.chunk_height();
     let mut e = ctx.baseline_engine();
-    let lay = SellLayout::new(e.alloc_mut(), m);
-    let xl = VecLayout::new(e.alloc_mut(), m.cols().max(1));
+    let mut chunks = SellChunks::new(&mut e, m, x);
     let yl = VecLayout::new(e.alloc_mut(), m.rows().max(1));
 
-    let y = m.spmv(x);
-    let c = m.chunk_height();
-    let mut xg = Gather::with_capacity(c);
+    let mut y = vec![0.0; m.rows()];
     let mut yg = Drain::with_capacity(c);
     e.region("chunk loop");
     for k in 0..m.num_chunks() {
-        let cp = e.load(lay.chunk_ptr.addr_of(k), 8);
-        let cw = e.load(lay.chunk_width.addr_of(k), 8);
-        let bound = e.scalar_op(AluKind::Int, &[cp, cw]);
-        let mut vacc = e.vec_op(VecOpKind::Add, &[]);
-        let base = m.chunk_offset(k);
-        for w in 0..m.chunk_width(k) {
-            let pos = base + w * c;
-            let col_reg = e.load(lay.col_idx.addr_of(pos), (4 * c) as u32);
-            let val_reg = e.load(lay.data.addr_of(pos), (8 * c) as u32);
-            let x_reg = xg.load(
-                &mut e,
-                &xl.data,
-                indices(&m.col_idx()[pos..pos + c]),
-                &[col_reg],
-            );
-            vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
-            e.scalar_op(AluKind::Int, &[bound]);
-        }
+        let vacc = chunks.chunk(&mut e, k);
         // y[perm[chunk rows]] += acc: gather/add/scatter through the
         // permutation, with the gather stalled behind the previous
         // chunk's scatter drain when their line sets overlap.
-        let rows_here = c.min(m.rows() - k * c);
-        if rows_here > 0 {
-            let perm_reg = e.load(lay.perm.addr_of(k * c), (4 * rows_here) as u32);
-            let rows = indices(&m.perm()[k * c..k * c + rows_here]);
-            let yold = yg.gather(&mut e, &yl.data, rows, perm_reg);
-            let ynew = e.vec_op(VecOpKind::Add, &[vacc, yold]);
-            yg.scatter(&mut e, &[ynew, perm_reg]);
+        let rows = &m.perm()[k * c..][..chunks.sums.len()];
+        let perm_reg = e.load(chunks.lay.perm.addr_of(k * c), (4 * rows.len()) as u32);
+        let yold = yg.gather(&mut e, &yl.data, indices(rows), perm_reg);
+        let ynew = e.vec_op(VecOpKind::Add, &[vacc, yold]);
+        yg.scatter(&mut e, &[ynew, perm_reg]);
+        for (&row, &sum) in rows.iter().zip(&chunks.sums) {
+            y[row as usize] = sum;
         }
     }
     e.region_end();
     KernelRun::finish_baseline(y, e)
+}
+
+/// A Sell-C-σ matrix and `x` placed in an engine's memory, with the
+/// buffers its chunk loop reuses.
+struct SellChunks<'a> {
+    m: &'a SellCSigma,
+    x: &'a [f64],
+    lay: SellLayout,
+    xl: VecLayout,
+    xg: Gather,
+    /// The chunk's row sums, in packed order.
+    sums: Vec<f64>,
+}
+
+impl<'a> SellChunks<'a> {
+    /// Places `m`, then `x`.
+    fn new(e: &mut Engine, m: &'a SellCSigma, x: &'a [f64]) -> Self {
+        let c = m.chunk_height();
+        SellChunks {
+            m,
+            x,
+            lay: SellLayout::new(e.alloc_mut(), m),
+            xl: VecLayout::new(e.alloc_mut(), m.cols().max(1)),
+            xg: Gather::with_capacity(c),
+            sums: Vec::with_capacity(c),
+        }
+    }
+
+    /// Chunk `k`: per padded column, vector loads of the column indices
+    /// and values, an x-gather and an FMA into the chunk's accumulator,
+    /// padding lanes included. Returns the accumulator.
+    #[inline(always)]
+    fn chunk(&mut self, e: &mut Engine, k: usize) -> Reg {
+        let (m, c) = (self.m, self.m.chunk_height());
+        let cp = e.load(self.lay.chunk_ptr.addr_of(k), 8);
+        let cw = e.load(self.lay.chunk_width.addr_of(k), 8);
+        let bound = e.scalar_op(AluKind::Int, &[cp, cw]);
+        let mut vacc = e.vec_op(VecOpKind::Add, &[]);
+        self.sums.clear();
+        self.sums.resize(c.min(m.rows() - k * c), 0.0);
+        for w in 0..m.chunk_width(k) {
+            let pos = m.chunk_offset(k) + w * c;
+            let cols = &m.col_idx()[pos..pos + c];
+            let col_reg = e.load(self.lay.col_idx.addr_of(pos), (4 * c) as u32);
+            let val_reg = e.load(self.lay.data.addr_of(pos), (8 * c) as u32);
+            let x_reg = self.xg.load(e, &self.xl.data, indices(cols), &[col_reg]);
+            vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
+            e.scalar_op(AluKind::Int, &[bound]);
+            for (lane, sum) in self.sums.iter_mut().enumerate() {
+                *sum += m.data()[pos + lane] * self.x[cols[lane] as usize];
+            }
+        }
+        vacc
+    }
 }
 
 /// Software CSB SpMV baseline, scalar within blocks as in Buluç's
@@ -408,6 +555,7 @@ pub fn via_csb_with(
     let yl = VecLayout::new(e.alloc_mut(), m.rows().max(1));
 
     let mut y = vec![0.0; m.rows()];
+    let zeros = vec![0.0; bs];
     let offset = bs as u32;
     let idx_bits = m.idx_bits();
     let (nbr, nbc) = m.grid();
@@ -415,18 +563,11 @@ pub fn via_csb_with(
     for br in 0..nbr {
         let row_base = br * bs;
         let rows_here = bs.min(m.rows() - row_base);
-        // Preload the y chunk into the SSPM upper half (y += A*x).
+        let y_chunk = yl.data.slice(row_base, rows_here);
+        // Preload the y chunk into the SSPM upper half (y += A*x). y
+        // starts at zero in this kernel; the loads model the y+= traffic.
         e.region("y preload");
-        let mut r = 0usize;
-        while r < rows_here {
-            let len = vl.min(rows_here - r);
-            let yreg = e.load(yl.data.addr_of(row_base + r), (8 * len) as u32);
-            let idx: Vec<u32> = (0..len).map(|l| offset + (r + l) as u32).collect();
-            // y starts at zero in this kernel; the load models the y+=
-            // traffic.
-            via.vldx_load_d(&mut e, &idx, &vec![0.0; len], &[yreg]);
-            r += len;
-        }
+        stage_direct(&mut e, &mut via, offset, y_chunk, &zeros[..rows_here], &[]);
         e.region_end();
         e.region("accumulate");
         for bc in 0..nbc {
@@ -438,14 +579,9 @@ pub fn via_csb_with(
             let cols_here = bs.min(m.cols() - col_base);
             // Load the input-vector chunk for this block (Algorithm 4
             // lines 4-8).
-            let mut c = 0usize;
-            while c < cols_here {
-                let len = vl.min(cols_here - c);
-                let xreg = e.load(xl.data.addr_of(col_base + c), (8 * len) as u32);
-                let idx: Vec<u32> = (0..len).map(|l| (c + l) as u32).collect();
-                via.vldx_load_d(&mut e, &idx, &x[col_base + c..col_base + c + len], &[xreg]);
-                c += len;
-            }
+            let x_chunk = xl.data.slice(col_base, cols_here);
+            let xs = &x[col_base..col_base + cols_here];
+            stage_direct(&mut e, &mut via, 0, x_chunk, xs, &[]);
             // Stream the block elements (Algorithm 4 lines 11-15). With
             // `unroll > 1` the loop body is unrolled: the scalar induction
             // op amortizes over `unroll` chunks.
@@ -481,18 +617,8 @@ pub fn via_csb_with(
         // (bounded by the architectural vector registers) so the
         // commit-serialized VIA reads pipeline; the stores drain after
         // each group.
-        read_direct(
-            &mut e,
-            &mut via,
-            offset,
-            rows_here,
-            flush_group,
-            |e, r, reg, vals| {
-                let at = row_base + r;
-                y[at..at + vals.len()].copy_from_slice(vals);
-                e.store(yl.data.addr_of(at), (8 * vals.len()) as u32, &[reg]);
-            },
-        );
+        let store = copy_and_store(&mut y[row_base..], y_chunk);
+        read_direct(&mut e, &mut via, offset, rows_here, flush_group, store);
         // Reset the y segment's accumulators for the next block row.
         via.vldx_clear_segment(&mut e, bs, rows_here);
         e.region_end();
@@ -501,76 +627,81 @@ pub fn via_csb_with(
     KernelRun::finish_via(y, e, events)
 }
 
-/// Shared implementation of "SSPM as output accumulator": row sums are
-/// produced by `row_body` (format-specific, gathers and all), buffered
-/// `vl` rows at a time, and accumulated into the SSPM with `vldxadd.d`;
-/// finished segments are extracted with `vldxmov.d`.
-fn accumulate_rows_via<F>(
-    rows: usize,
-    ctx: &SimContext,
-    e: &mut Engine,
-    via: &mut ViaUnit,
-    yl: &VecLayout,
-    flush_group: usize,
-    mut row_body: F,
-) -> Vec<f64>
-where
-    F: FnMut(&mut Engine, usize) -> (Reg, f64),
-{
-    let vl = ctx.vl();
-    let seg_len = ctx.via.entries();
-    let mut y = vec![0.0; rows];
-    let mut seg_start = 0usize;
-    while seg_start < rows {
-        let seg_rows = seg_len.min(rows - seg_start);
-        via.vldx_clear(e);
-        e.region("accumulate");
-        let mut buf_idx: Vec<u32> = Vec::with_capacity(vl);
-        let mut buf_val: Vec<f64> = Vec::with_capacity(vl);
-        let mut buf_regs: Vec<Reg> = Vec::with_capacity(vl);
-        for i in seg_start..seg_start + seg_rows {
-            let (sum_reg, sum) = row_body(e, i);
-            // Insert the row sum into the staging vector register.
-            let ins = e.vec_op(VecOpKind::Blend, &[sum_reg]);
-            buf_idx.push((i - seg_start) as u32);
-            buf_val.push(sum);
-            buf_regs.push(ins);
-            if buf_idx.len() == vl {
-                via.vldx_alu_d(
-                    e,
-                    AluOp::Add,
-                    &buf_idx,
-                    &buf_val,
-                    Dest::Sspm { offset: 0 },
-                    &buf_regs,
-                );
-                buf_idx.clear();
-                buf_val.clear();
-                buf_regs.clear();
-            }
+/// The SSPM as an accumulator for the output vector, the segment loop of
+/// [`via_csr`], [`via_spc5`] and [`via_sell`]. The output rows are cut
+/// into segments of whole blocks of `height` rows, as many as the SSPM
+/// holds, so no block straddles two segments.
+struct SspmAccumulator {
+    via: ViaUnit,
+    seg_len: usize,
+    group: usize,
+    /// The current segment's first row.
+    start: usize,
+    /// The index run of one `vldxadd.d`.
+    idx: Vec<u32>,
+}
+
+impl SspmAccumulator {
+    /// Segments of whole blocks of `height` rows, each read out `group`
+    /// reads ahead of the stores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block of `height` rows does not fit the SSPM.
+    fn new(ctx: &SimContext, height: usize, group: usize) -> Self {
+        let entries = ctx.via.entries();
+        assert!(
+            height <= entries,
+            "a block of {height} rows must fit the SSPM ({entries} entries)"
+        );
+        SspmAccumulator {
+            via: ViaUnit::new(ctx.via),
+            seg_len: entries / height * height,
+            group,
+            start: 0,
+            idx: Vec::new(),
         }
-        if !buf_idx.is_empty() {
-            via.vldx_alu_d(
-                e,
-                AluOp::Add,
-                &buf_idx,
-                &buf_val,
-                Dest::Sspm { offset: 0 },
-                &buf_regs,
-            );
-        }
-        e.region_end();
-        // Extract the segment, batching SSPM reads ahead of the stores.
-        e.region("flush");
-        read_direct(e, via, 0, seg_rows, flush_group, |e, r, reg, vals| {
-            let at = seg_start + r;
-            y[at..at + vals.len()].copy_from_slice(vals);
-            e.store(yl.data.addr_of(at), (8 * vals.len()) as u32, &[reg]);
-        });
-        e.region_end();
-        seg_start += seg_rows;
     }
-    y
+
+    /// Per segment of `0..rows`: clears the SSPM, has `accumulate` add the
+    /// segment's rows in with [`SspmAccumulator::add`], then reads the
+    /// segment out to `consume`, with each vector's first row.
+    #[inline(always)]
+    fn run(
+        &mut self,
+        e: &mut Engine,
+        rows: usize,
+        mut accumulate: impl FnMut(&mut Engine, &mut Self, Range<usize>),
+        mut consume: impl FnMut(&mut Engine, usize, Reg, &[f64]),
+    ) {
+        for start in (0..rows).step_by(self.seg_len) {
+            let end = rows.min(start + self.seg_len);
+            self.start = start;
+            self.via.vldx_clear(e);
+            e.region("accumulate");
+            accumulate(e, self, start..end);
+            e.region_end();
+            // Extract the segment, batching SSPM reads ahead of the stores.
+            e.region("flush");
+            let (via, group) = (&mut self.via, self.group);
+            read_direct(e, via, 0, end - start, group, |e, r, reg, vals| {
+                consume(e, start + r, reg, vals)
+            });
+            e.region_end();
+        }
+    }
+
+    /// `vldxadd.d`: adds `sums` to the SSPM entries of the rows from `row`
+    /// on, behind `deps`.
+    #[inline]
+    fn add(&mut self, e: &mut Engine, row: usize, sums: &[f64], deps: &[Reg]) {
+        let at = row - self.start;
+        self.idx.clear();
+        self.idx.extend((at..at + sums.len()).map(|p| p as u32));
+        let dest = Dest::Sspm { offset: 0 };
+        self.via
+            .vldx_alu_d(e, AluOp::Add, &self.idx, sums, dest, deps);
+    }
 }
 
 /// VIA CSR SpMV: gathers for `x` remain, but the SSPM accumulates `y`
@@ -599,36 +730,31 @@ pub fn via_csr_with(
     assert!(flush_group > 0, "flush_group must be positive");
     let vl = ctx.vl();
     let mut e = ctx.via_engine();
-    let mut via = ViaUnit::new(ctx.via);
-    let lay = CsrLayout::new(e.alloc_mut(), a);
-    let xl = VecLayout::new(e.alloc_mut(), a.cols().max(1));
+    let mut out = SspmAccumulator::new(ctx, 1, flush_group);
+    let mut rows = CsrRows::new(&mut e, a, x);
     let yl = VecLayout::new(e.alloc_mut(), a.rows().max(1));
 
-    let mut xg = Gather::with_capacity(vl);
-    let y = accumulate_rows_via(a.rows(), ctx, &mut e, &mut via, &yl, flush_group, |e, i| {
-        let (cols, vals) = a.row(i);
-        let base = a.row_ptr()[i];
-        let mut vacc = e.vec_op(VecOpKind::Add, &[]);
-        let mut acc = 0.0;
-        let mut k = 0usize;
-        while k < cols.len() {
-            let len = vl.min(cols.len() - k);
-            let j = base + k;
-            let col_reg = e.load(lay.col_idx.addr_of(j), (4 * len) as u32);
-            let val_reg = e.load(lay.data.addr_of(j), (8 * len) as u32);
-            let x_reg = xg.load(e, &xl.data, indices(&cols[k..k + len]), &[col_reg]);
-            vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
-            e.scalar_op(AluKind::Int, &[]);
-            for (&c, &v) in cols[k..k + len].iter().zip(&vals[k..k + len]) {
-                acc += v * x[c as usize];
+    let mut y = vec![0.0; a.rows()];
+    let mut sums = Vec::with_capacity(vl);
+    let mut staged = Vec::with_capacity(vl);
+    let accumulate = |e: &mut Engine, out: &mut SspmAccumulator, seg: Range<usize>| {
+        // Each row sum goes into a staging vector register; `vl` of them
+        // accumulate into the SSPM with one `vldxadd.d`.
+        for first in seg.clone().step_by(vl) {
+            sums.clear();
+            staged.clear();
+            for i in first..seg.end.min(first + vl) {
+                let (vacc, sum) = rows.row(e, i, Advance::Induction(None));
+                let sum_reg = e.vec_op(VecOpKind::Reduce, &[vacc]);
+                staged.push(e.vec_op(VecOpKind::Blend, &[sum_reg]));
+                sums.push(sum);
             }
-            k += len;
+            out.add(e, first, &sums, &staged);
         }
-        let sum = e.vec_op(VecOpKind::Reduce, &[vacc]);
-        (sum, acc)
-    });
-    let events = via.events();
-    KernelRun::finish_via(y, e, events)
+    };
+    let store = copy_and_store(&mut y, yl.data);
+    out.run(&mut e, a.rows(), accumulate, store);
+    KernelRun::finish_via(y, e, out.via.events())
 }
 
 /// VIA SPC5 SpMV: segment processing as in [`spc5`], block results
@@ -639,85 +765,25 @@ pub fn via_csr_with(
 /// Panics if `x.len() != m.cols()`.
 pub fn via_spc5(m: &Spc5, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
     assert_eq!(x.len(), m.cols(), "x length must equal matrix columns");
-    let vl = ctx.vl();
+    let (vl, h) = (ctx.vl(), m.block_height());
     let mut e = ctx.via_engine();
-    let mut via = ViaUnit::new(ctx.via);
-    let lay = Spc5Layout::new(e.alloc_mut(), m);
-    let xl = VecLayout::new(e.alloc_mut(), m.cols().max(1));
+    let mut out = SspmAccumulator::new(ctx, h, 8);
+    let mut blocks = Spc5Blocks::new(&mut e, m, x);
     let yl = VecLayout::new(e.alloc_mut(), m.rows().max(1));
 
-    let h = m.block_height();
-    let seg_len = ctx.via.entries();
-    let y_full = m.spmv(x);
     let mut y = vec![0.0; m.rows()];
-    let mut seg_start = 0usize;
-    let mut seg_index = 0usize;
-    while seg_start < m.rows() {
-        let seg_rows = seg_len.min(m.rows() - seg_start);
-        via.vldx_clear(&mut e);
-        e.region("accumulate");
-        let first_block = seg_start / h;
-        let last_block = (seg_start + seg_rows).div_ceil(h).min(m.num_blocks());
-        for b in first_block..last_block {
-            let bp = e.load(lay.block_ptr.addr_of(b), 8);
-            let rows_here = h.min(m.rows() - b * h);
-            let nacc = rows_here.div_ceil(vl);
-            let mut vaccs: Vec<Reg> = (0..nacc).map(|_| e.vec_op(VecOpKind::Add, &[])).collect();
-            let mut sums = vec![0.0; rows_here];
-            for seg in m.block_segments(b) {
-                let seg_reg = e.load(lay.segments.addr_of(seg_index), 8);
-                seg_index += 1;
-                let xv = e.load_dep(xl.data.addr_of(seg.col as usize), 8, &[seg_reg]);
-                let vals_reg = e.load(
-                    lay.data.addr_of(seg.val_offset),
-                    (8 * seg.len().max(1)) as u32,
-                );
-                let kmask = e.scalar_op(AluKind::Int, &[seg_reg]);
-                let expanded = e.vec_op(VecOpKind::Permute, &[vals_reg, kmask]);
-                for vacc in vaccs.iter_mut() {
-                    *vacc = e.vec_op(VecOpKind::Fma, &[expanded, xv, *vacc]);
-                }
-                e.scalar_op(AluKind::Int, &[bp]);
-                let mut off = seg.val_offset;
-                for (lane, sum) in sums.iter_mut().enumerate().take(rows_here) {
-                    if seg.mask & (1 << lane) != 0 {
-                        *sum += m.data()[off] * x[seg.col as usize];
-                        off += 1;
-                    }
-                }
-            }
-            // Accumulate the block's rows into the SSPM.
-            let mut r = 0usize;
-            for vacc in vaccs {
-                let len = vl.min(rows_here - r);
-                let idx: Vec<u32> = (0..len)
-                    .map(|l| (b * h + r + l - seg_start) as u32)
-                    .collect();
-                via.vldx_alu_d(
-                    &mut e,
-                    AluOp::Add,
-                    &idx,
-                    &sums[r..r + len],
-                    Dest::Sspm { offset: 0 },
-                    &[vacc],
-                );
-                r += len;
+    let accumulate = |e: &mut Engine, out: &mut SspmAccumulator, seg: Range<usize>| {
+        for b in seg.start / h..seg.end.div_ceil(h) {
+            blocks.block(e, b);
+            for (r, (sums, &vacc)) in blocks.sums.chunks(vl).zip(&blocks.vaccs).enumerate() {
+                out.add(e, b * h + r * vl, sums, &[vacc]);
             }
         }
-        e.region_end();
-        // Extract, batching SSPM reads ahead of the stores.
-        e.region("flush");
-        read_direct(&mut e, &mut via, 0, seg_rows, 8, |e, r, reg, vals| {
-            let at = seg_start + r;
-            y[at..at + vals.len()].copy_from_slice(vals);
-            e.store(yl.data.addr_of(at), (8 * vals.len()) as u32, &[reg]);
-        });
-        e.region_end();
-        seg_start += seg_rows;
-    }
-    debug_assert!(via_formats::vec_approx_eq(&y, &y_full, 1e-9));
-    let events = via.events();
-    KernelRun::finish_via(y, e, events)
+    };
+    let store = copy_and_store(&mut y, yl.data);
+    out.run(&mut e, m.rows(), accumulate, store);
+    debug_assert!(via_formats::vec_approx_eq(&y, &m.spmv(x), 1e-9));
+    KernelRun::finish_via(y, e, out.via.events())
 }
 
 /// VIA Sell-C-σ SpMV: chunk FMAs as in [`sell`], accumulation into the SSPM
@@ -725,82 +791,35 @@ pub fn via_spc5(m: &Spc5, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != m.cols()`.
+/// Panics if `x.len() != m.cols()`, or if a chunk has more rows than the
+/// SSPM has entries.
 pub fn via_sell(m: &SellCSigma, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
     assert_eq!(x.len(), m.cols(), "x length must equal matrix columns");
     let c = m.chunk_height();
     let mut e = ctx.via_engine();
-    let mut via = ViaUnit::new(ctx.via);
-    let lay = SellLayout::new(e.alloc_mut(), m);
-    let xl = VecLayout::new(e.alloc_mut(), m.cols().max(1));
+    let mut out = SspmAccumulator::new(ctx, c, 8);
+    let mut chunks = SellChunks::new(&mut e, m, x);
     let yl = VecLayout::new(e.alloc_mut(), m.rows().max(1));
 
-    let seg_len = ctx.via.entries();
     let mut y = vec![0.0; m.rows()];
-    let mut xg = Gather::with_capacity(c);
     let mut yg = Gather::with_capacity(ctx.vl());
-    let mut idx = Vec::with_capacity(c);
-    let mut sums = Vec::with_capacity(c);
-    let mut seg_start = 0usize; // in packed-row space
-    while seg_start < m.rows() {
-        let seg_rows = seg_len.min(m.rows() - seg_start);
-        via.vldx_clear(&mut e);
-        e.region("accumulate");
-        let first_chunk = seg_start / c;
-        let last_chunk = (seg_start + seg_rows).div_ceil(c).min(m.num_chunks());
-        for k in first_chunk..last_chunk {
-            let cp = e.load(lay.chunk_ptr.addr_of(k), 8);
-            let cw = e.load(lay.chunk_width.addr_of(k), 8);
-            let bound = e.scalar_op(AluKind::Int, &[cp, cw]);
-            let mut vacc = e.vec_op(VecOpKind::Add, &[]);
-            let base = m.chunk_offset(k);
-            let rows_here = c.min(m.rows() - k * c);
-            sums.clear();
-            sums.resize(rows_here, 0.0);
-            for w in 0..m.chunk_width(k) {
-                let pos = base + w * c;
-                let col_reg = e.load(lay.col_idx.addr_of(pos), (4 * c) as u32);
-                let val_reg = e.load(lay.data.addr_of(pos), (8 * c) as u32);
-                let x_reg = xg.load(
-                    &mut e,
-                    &xl.data,
-                    indices(&m.col_idx()[pos..pos + c]),
-                    &[col_reg],
-                );
-                vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
-                e.scalar_op(AluKind::Int, &[bound]);
-                for lane in 0..rows_here {
-                    sums[lane] += m.data()[pos + lane] * x[m.col_idx()[pos + lane] as usize];
-                }
-            }
-            // Accumulate at packed-row positions in the SSPM.
-            idx.clear();
-            idx.extend((0..rows_here).map(|lane| (k * c + lane - seg_start) as u32));
-            via.vldx_alu_d(
-                &mut e,
-                AluOp::Add,
-                &idx,
-                &sums,
-                Dest::Sspm { offset: 0 },
-                &[vacc],
-            );
+    let accumulate = |e: &mut Engine, out: &mut SspmAccumulator, seg: Range<usize>| {
+        for k in seg.start / c..seg.end.div_ceil(c) {
+            let vacc = chunks.chunk(e, k);
+            out.add(e, k * c, &chunks.sums, &[vacc]);
         }
-        e.region_end();
-        // Extract: batched SSPM reads of packed rows, then scatters to
-        // y[perm[...]].
-        e.region("flush");
-        read_direct(&mut e, &mut via, 0, seg_rows, 8, |e, r, reg, vals| {
-            let rows = &m.perm()[seg_start + r..][..vals.len()];
-            for (&row, &v) in rows.iter().zip(vals) {
-                y[row as usize] = v;
-            }
-            yg.store(e, &yl.data, indices(rows), &[reg]);
-        });
-        e.region_end();
-        seg_start += seg_rows;
-    }
-    let events = via.events();
-    KernelRun::finish_via(y, e, events)
+    };
+    // The SSPM holds packed rows; each vector read out scatters to
+    // y[perm[...]].
+    let scatter = |e: &mut Engine, p: usize, reg: Reg, vals: &[f64]| {
+        let rows = &m.perm()[p..][..vals.len()];
+        for (&row, &v) in rows.iter().zip(vals) {
+            y[row as usize] = v;
+        }
+        yg.store(e, &yl.data, indices(rows), &[reg]);
+    };
+    out.run(&mut e, m.rows(), accumulate, scatter);
+    KernelRun::finish_via(y, e, out.via.events())
 }
 
 #[cfg(test)]
@@ -924,6 +943,12 @@ mod tests {
         }
     }
 
+    /// 600 rows in blocks of 3 under a 512-entry SSPM: no segment of 512
+    /// rows ends on a block boundary.
+    fn straddling_matrix() -> Csr {
+        gen::uniform(600, 600, 0.01, 42)
+    }
+
     #[test]
     fn via_spc5_matches_reference() {
         let a = test_matrix();
@@ -937,6 +962,16 @@ mod tests {
                 1e-9
             ));
         }
+        let a = straddling_matrix();
+        let x = xvec(a.cols());
+        let m = Spc5::from_csr(&a, 3).unwrap();
+        let run = via_spc5(&m, &x, &small_ctx());
+        assert_eq!(run.output, spc5(&m, &x, &ctx()).output);
+        assert!(via_formats::vec_approx_eq(
+            &run.output,
+            &reference::spmv(&a, &x),
+            1e-9
+        ));
     }
 
     #[test]
@@ -952,6 +987,16 @@ mod tests {
                 1e-9
             ));
         }
+        let a = straddling_matrix();
+        let x = xvec(a.cols());
+        let m = SellCSigma::from_csr(&a, 3, 12).unwrap();
+        let run = via_sell(&m, &x, &small_ctx());
+        assert_eq!(run.output, sell(&m, &x, &ctx()).output);
+        assert!(via_formats::vec_approx_eq(
+            &run.output,
+            &reference::spmv(&a, &x),
+            1e-9
+        ));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::context::{KernelRun, SimContext};
 use crate::gather::{indices, Gather};
 use crate::layout::{CsrLayout, VecLayout};
-use crate::readout::read_direct;
+use crate::readout::{copy_and_store, read_direct, stage_direct};
 use via_core::{AluOp, Dest, ViaUnit};
 use via_formats::{Csr, LevelSchedule};
 use via_sim::{AluKind, Engine, Reg, VecOpKind};
@@ -324,18 +324,11 @@ impl<'a> ViaSolve<'a> {
             let seg_end = (seg_start + seg_len).min(n);
             let seg_rows = seg_end - seg_start;
             via.vldx_clear(e);
+            let x_seg = xl.data.slice(seg_start, seg_rows);
             if stage {
                 e.region("stage");
-                let mut r = 0usize;
-                while r < seg_rows {
-                    let len = vl.min(seg_rows - r);
-                    let at = seg_start + r;
-                    let ld =
-                        e.load_dep(xl.data.addr_of(at), (8 * len) as u32, self.guard.as_slice());
-                    let idx: Vec<u32> = (0..len).map(|l| (r + l) as u32).collect();
-                    via.vldx_load_d(e, &idx, &x[at..at + len], &[ld]);
-                    r += len;
-                }
+                let xs = &x[seg_start..seg_end];
+                stage_direct(e, via, 0, x_seg, xs, self.guard.as_slice());
                 e.region_end();
             }
             e.region(region);
@@ -433,10 +426,9 @@ impl<'a> ViaSolve<'a> {
             // of the stores.
             e.region("flush");
             let mut flush_tokens: Vec<Reg> = Vec::new();
+            let mut store = copy_and_store(&mut x[seg_start..], x_seg);
             read_direct(e, via, 0, seg_rows, self.flush_group, |e, r, reg, vals| {
-                let at = seg_start + r;
-                x[at..at + vals.len()].copy_from_slice(vals);
-                e.store(xl.data.addr_of(at), (8 * vals.len()) as u32, &[reg]);
+                store(e, r, reg, vals);
                 flush_tokens.push(reg);
             });
             self.guard = fold_tokens(e, self.guard, &flush_tokens);

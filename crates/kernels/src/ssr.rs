@@ -18,12 +18,11 @@
 //!   comparison the bake-off is designed to surface.
 
 use crate::context::{KernelRun, SimContext};
-use crate::gather::{indices, Gather};
-use crate::layout::{CsrLayout, VecLayout};
+use crate::layout::CsrLayout;
 use crate::spmm::spa_rows;
+use crate::spmv::csr_row_loop;
 use via_core::SsrStreams;
 use via_formats::Csr;
-use via_sim::{AluKind, VecOpKind};
 
 /// SSR CSR SpMV: `y = y + A*x` with three streams per row (column
 /// indices, matrix values, and the `x` indirection stream).
@@ -37,50 +36,7 @@ use via_sim::{AluKind, VecOpKind};
 /// Panics if `x.len() != a.cols()`.
 pub fn spmv_csr(a: &Csr, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
     assert_eq!(x.len(), a.cols(), "x length must equal matrix columns");
-    let vl = ctx.vl();
-    let mut e = ctx.ssr_engine();
-    let mut ssr = SsrStreams::default();
-    let lay = CsrLayout::new(e.alloc_mut(), a);
-    let xl = VecLayout::new(e.alloc_mut(), a.cols().max(1));
-    let yl = VecLayout::new(e.alloc_mut(), a.rows().max(1));
-
-    let mut y = vec![0.0; a.rows()];
-    let mut xg = Gather::with_capacity(vl);
-    e.region("row loop");
-    let mut rp = e.load(lay.row_ptr.addr_of(0), 8);
-    for (i, yi) in y.iter_mut().enumerate() {
-        let rp_next = e.load(lay.row_ptr.addr_of(i + 1), 8);
-        let bound = e.scalar_op(AluKind::Int, &[rp, rp_next]);
-        // One setup for the row's three streams; every streamed access
-        // below depends on the configuration being live.
-        let live = ssr.configure(&mut e, &[bound]);
-        let (cols, vals) = a.row(i);
-        let base = a.row_ptr()[i];
-        let mut vacc = e.vec_op(VecOpKind::Add, &[]); // zeroed accumulator
-        let mut acc = 0.0;
-        let mut k = 0;
-        while k < cols.len() {
-            let len = vl.min(cols.len() - k);
-            let j = base + k;
-            // The streams fetch indices and values in hardware: same
-            // traffic as the baseline loads, no induction instructions.
-            let col_reg = e.load_dep(lay.col_idx.addr_of(j), (4 * len) as u32, &[live]);
-            let val_reg = e.load_dep(lay.data.addr_of(j), (8 * len) as u32, &[live]);
-            let x_reg = xg.load(&mut e, &xl.data, indices(&cols[k..k + len]), &[col_reg]);
-            vacc = e.vec_op(VecOpKind::Fma, &[val_reg, x_reg, vacc]);
-            for (&c, &v) in cols[k..k + len].iter().zip(&vals[k..k + len]) {
-                acc += v * x[c as usize];
-            }
-            k += len;
-        }
-        let yold = e.load(yl.data.addr_of(i), 8);
-        let sum = e.vec_op(VecOpKind::Reduce, &[vacc, yold]);
-        e.store(yl.data.addr_of(i), 8, &[sum]);
-        *yi = acc;
-        rp = rp_next;
-    }
-    e.region_end();
-    KernelRun::finish_baseline(y, e)
+    csr_row_loop(a, x, ctx.ssr_engine(), Some(SsrStreams::default()))
 }
 
 /// SSR Gustavson SpMM: `C = A*B` with streams over `A`'s row and each

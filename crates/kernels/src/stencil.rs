@@ -17,7 +17,7 @@
 //! as in [`via_formats::reference::convolve2d`].
 
 use crate::context::{KernelRun, SimContext};
-use crate::readout::read_direct;
+use crate::readout::{read_direct, stage_direct};
 use via_core::ViaUnit;
 use via_sim::{AluKind, VecOpKind};
 
@@ -185,21 +185,10 @@ pub fn via(
         let in_lo = y0.saturating_sub(2);
         let in_hi = (y0 + rows_here).min(height - 1);
         for iy in in_lo..=in_hi {
-            let mut x = 0usize;
-            while x < width {
-                let len = vl.min(width - x);
-                let reg = e.load(il.addr_of(iy * width + x), (8 * len) as u32);
-                let idx: Vec<u32> = (0..len)
-                    .map(|l| ((iy - in_lo) * width + x + l) as u32)
-                    .collect();
-                via.vldx_load_d(
-                    &mut e,
-                    &idx,
-                    &image[iy * width + x..iy * width + x + len],
-                    &[reg],
-                );
-                x += len;
-            }
+            let row = iy * width;
+            let base = ((iy - in_lo) * width) as u32;
+            let pixels = &image[row..row + width];
+            stage_direct(&mut e, &mut via, base, il.slice(row, width), pixels, &[]);
         }
         // Convolve: one fused `vldxblkmult.d` per tap per VL pixels. The
         // merged index packs (output position << idx_bits) | input
