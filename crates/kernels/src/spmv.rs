@@ -762,7 +762,8 @@ pub fn via_csr_with(
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != m.cols()`.
+/// Panics if `x.len() != m.cols()`, or if a block has more rows than the
+/// SSPM has entries.
 pub fn via_spc5(m: &Spc5, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
     assert_eq!(x.len(), m.cols(), "x length must equal matrix columns");
     let (vl, h) = (ctx.vl(), m.block_height());
