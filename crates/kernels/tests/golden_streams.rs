@@ -9,9 +9,9 @@
 //! a segment is read out more than once), and the tunable flush groups run
 //! at 1 and 3 as well as 8, so a batch boundary that moves shows up. The
 //! second pin covers the baseline and SSR kernels (x gathers, the
-//! Sell-C-σ and AVX-512CD store-buffer drain, Gustavson's sparse
-//! accumulator, the scalar SpTRSV and SymGS sweeps) under the default
-//! machine. Every run is recorded, and one FNV-1a over the `{:?}` of every
+//! Sell-C-σ and AVX-512CD store-buffer drain, software CSB, Gustavson's
+//! sparse accumulator, the scalar and vector stencils, the scalar SpTRSV
+//! and SymGS sweeps) under the default machine. Every run is recorded, and one FNV-1a over the `{:?}` of every
 //! run's `(stream_hash, cycles)` is pinned per test: a changed
 //! instruction, order, register, region or cycle count anywhere moves it.
 //!
@@ -153,6 +153,10 @@ fn baseline_and_ssr_runs(ctx: &SimContext) -> Vec<(String, (u64, u64))> {
     out.push(("spmv::spc5".into(), pin(spmv::spc5(&spc5, &x, ctx))));
     let csb = Csb::from_csr(&a, 64).unwrap();
     out.push((
+        "spmv::csb_software".into(),
+        pin(spmv::csb_software(&csb, &x, ctx)),
+    ));
+    out.push((
         "spmv::csb_software_vec".into(),
         pin(spmv::csb_software_vec(&csb, &x, ctx)),
     ));
@@ -189,6 +193,21 @@ fn baseline_and_ssr_runs(ctx: &SimContext) -> Vec<(String, (u64, u64))> {
         pin(histogram::vector_cd(&skewed, 700, ctx)),
     ));
 
+    // The scalar and vector stencils on the read-out pin's image.
+    let image: Vec<f64> = gen::dense_vector(40 * 30, 5)
+        .into_iter()
+        .map(f64::abs)
+        .collect();
+    let filter = stencil::gaussian4();
+    out.push((
+        "stencil::scalar".into(),
+        pin(stencil::scalar(&image, 40, 30, &filter, ctx)),
+    ));
+    out.push((
+        "stencil::vector".into(),
+        pin(stencil::vector(&image, 40, 30, &filter, ctx)),
+    ));
+
     // The scalar SpTRSV and SymGS sweeps under both schedules.
     let l = gen::lower_triangular(600, 0.01, 42);
     let b = gen::dense_vector(600, 43);
@@ -210,11 +229,11 @@ fn baseline_and_ssr_runs(ctx: &SimContext) -> Vec<(String, (u64, u64))> {
 #[test]
 fn baseline_and_ssr_streams_are_pinned() {
     let all = baseline_and_ssr_runs(&SimContext::default());
-    assert_eq!(all.len(), 13, "every baseline and SSR run is pinned");
+    assert_eq!(all.len(), 16, "every baseline and SSR run is pinned");
     let pairs: Vec<(u64, u64)> = all.iter().map(|(_, p)| *p).collect();
     let hash = fnv1a64(format!("{pairs:?}").bytes());
     assert_eq!(
-        hash, 0x2067_74DB_0BC5_E240,
+        hash, 0x1F0D_A9C4_2641_D6C9,
         "baseline and SSR streams moved; the runs were:\n{all:#?}"
     );
 }
