@@ -21,14 +21,18 @@
 //! in-segment products come from `vldxmult.d`, while *memory* doubles as
 //! the old-value snapshot for free — the segment flush only publishes new
 //! values after the whole segment is relaxed, so old-side reads just load
-//! `x` from DRAM regardless of schedule. Its forward sweep is
-//! [`crate::sptrsv::via_sspm`]'s, staging each segment's `x` first.
+//! `x` from DRAM regardless of schedule.
+//!
+//! Each kernel's forward sweep is the matching [`crate::sptrsv`] kernel's
+//! substitution: [`scalar`] adds the snapshot and the forward sweep's
+//! store elision, [`via_sspm`] stages each segment's `x` first.
+//!
+//! [`LevelSchedule::from_lower`]: via_formats::LevelSchedule::from_lower
+//! [`LevelSchedule::from_upper`]: via_formats::LevelSchedule::from_upper
 
 use crate::context::{KernelRun, SimContext};
-use crate::layout::{CsrLayout, VecLayout};
-use crate::sptrsv::{fold_tokens, row_groups, Schedule, ViaSolve, DIV_EXTRA_CYCLES};
-use via_formats::{Csr, LevelSchedule};
-use via_sim::{AluKind, Engine, Reg};
+use crate::sptrsv::{ScalarSolve, Schedule, ViaSolve};
+use via_formats::Csr;
 
 fn check_inputs(a: &Csr, b: &[f64], x0: &[f64]) {
     assert_eq!(a.rows(), a.cols(), "A must be square");
@@ -63,193 +67,10 @@ pub fn scalar_with(
     schedule: Schedule,
 ) -> KernelRun<Vec<f64>> {
     check_inputs(a, b, x0);
-    let n = a.rows();
-    let mut e = ctx.baseline_engine();
-    let lay = CsrLayout::new(e.alloc_mut(), a);
-    let bl = VecLayout::new(e.alloc_mut(), n.max(1));
-    let xl = VecLayout::new(e.alloc_mut(), n.max(1));
-    // Old-value snapshot, used by the level schedule only.
-    let sl = VecLayout::new(e.alloc_mut(), n.max(1));
-
-    let mut x = x0.to_vec();
-    let fwd_sched = (schedule == Schedule::Levels).then(|| LevelSchedule::from_lower(a));
-    let bwd_sched = (schedule == Schedule::Levels).then(|| LevelSchedule::from_upper(a));
-    let mut guard: Option<Reg> = None;
-    scalar_sweep(
-        &mut e,
-        a,
-        b,
-        &lay,
-        &bl,
-        &xl,
-        &sl,
-        &mut x,
-        schedule,
-        fwd_sched.as_ref(),
-        false,
-        &mut guard,
-        ctx.vl(),
-    );
-    scalar_sweep(
-        &mut e,
-        a,
-        b,
-        &lay,
-        &bl,
-        &xl,
-        &sl,
-        &mut x,
-        schedule,
-        bwd_sched.as_ref(),
-        true,
-        &mut guard,
-        ctx.vl(),
-    );
-    KernelRun::finish_baseline(x, e)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scalar_sweep(
-    e: &mut Engine,
-    a: &Csr,
-    b: &[f64],
-    lay: &CsrLayout,
-    bl: &VecLayout,
-    xl: &VecLayout,
-    sl: &VecLayout,
-    x: &mut [f64],
-    schedule: Schedule,
-    levels: Option<&LevelSchedule>,
-    backward: bool,
-    guard: &mut Option<Reg>,
-    vl: usize,
-) {
-    let n = a.rows();
-    // Functional old-side values: what x held when the sweep began. Under
-    // either schedule an old-side read must see the pre-sweep value, which
-    // the live array no longer guarantees once rows are reordered.
-    let x_old: Vec<f64> = x.to_vec();
-    // Forward store elision: a forward x[i] update is only ever read
-    // through memory by rows j > i whose row carries an entry in column i
-    // (forward new-side reads, backward old-side reads, and the backward
-    // snapshot's copied chunks all reduce to that same set). Rows without
-    // such a reader keep their update in a register and skip the store —
-    // the backward sweep rewrites x[i] before anyone could observe it.
-    let read_later: Option<Vec<bool>> = (!backward).then(|| {
-        let mut read = vec![false; n];
-        for i in 0..n {
-            for &c in a.row(i).0 {
-                if (c as usize) < i {
-                    read[c as usize] = true;
-                }
-            }
-        }
-        read
-    });
-    // Level mode: snapshot x so old-side reads are order-independent. Only
-    // chunks that contain at least one old-side-read element are copied —
-    // the rest would be overwritten by the next sweep's snapshot unread.
-    let snap_bar = if schedule == Schedule::Levels {
-        let mut old_read = vec![false; n];
-        for i in 0..n {
-            for &c in a.row(i).0 {
-                let c = c as usize;
-                if if backward { c < i } else { c > i } {
-                    old_read[c] = true;
-                }
-            }
-        }
-        e.region(if backward {
-            "snapshot (backward)"
-        } else {
-            "snapshot (forward)"
-        });
-        let mut tokens: Vec<Reg> = Vec::new();
-        let mut r = 0usize;
-        while r < n {
-            let len = vl.min(n - r);
-            if old_read[r..r + len].iter().any(|&b| b) {
-                let gdeps: &[Reg] = match guard {
-                    Some(g) => std::slice::from_ref(g),
-                    None => &[],
-                };
-                let ld = e.load_dep(xl.data.addr_of(r), (8 * len) as u32, gdeps);
-                e.store(sl.data.addr_of(r), (8 * len) as u32, &[ld]);
-                tokens.push(ld);
-            }
-            r += len;
-        }
-        e.region_end();
-        fold_tokens(e, *guard, &tokens)
-    } else {
-        None
-    };
-    e.region(if backward {
-        "backward sweep"
-    } else {
-        "forward sweep"
-    });
-    for group in row_groups(schedule, levels, 0, n, backward) {
-        let mut tokens: Vec<Reg> = Vec::with_capacity(group.len());
-        for i in group {
-            let (cols, vals) = a.row(i);
-            let base = a.row_ptr()[i];
-            let rp = e.load(lay.row_ptr.addr_of(i), 8);
-            let rp_next = e.load(lay.row_ptr.addr_of(i + 1), 8);
-            let bound = e.scalar_op(AluKind::Int, &[rp, rp_next]);
-            let mut acc_reg = e.load(bl.data.addr_of(i), 8);
-            let mut acc = b[i];
-            let mut diag = 0.0;
-            let mut diag_reg = acc_reg;
-            for (k, (&c, &v)) in cols.iter().zip(vals).enumerate() {
-                let j = base + k;
-                let col_reg = e.load(lay.col_idx.addr_of(j), 4);
-                let val_reg = e.load(lay.data.addr_of(j), 8);
-                let c = c as usize;
-                if c == i {
-                    diag = v;
-                    diag_reg = val_reg;
-                } else {
-                    let new_side = if backward { c > i } else { c < i };
-                    let x_reg = if new_side || schedule == Schedule::RowSerial {
-                        // New-side read (or any indexed read under the
-                        // conservative row-serial ordering): behind the
-                        // schedule's barrier.
-                        let mut deps = [col_reg, col_reg];
-                        let mut nd = 1;
-                        if let Some(g) = *guard {
-                            deps[1] = g;
-                            nd = 2;
-                        }
-                        e.load_dep(xl.data.addr_of(c), 8, &deps[..nd])
-                    } else {
-                        // Old-side read under the level schedule: from the
-                        // snapshot, behind the copy barrier only.
-                        let mut deps = [col_reg, col_reg];
-                        let mut nd = 1;
-                        if let Some(sb) = snap_bar {
-                            deps[1] = sb;
-                            nd = 2;
-                        }
-                        e.load_dep(sl.data.addr_of(c), 8, &deps[..nd])
-                    };
-                    acc_reg = e.scalar_op(AluKind::FpFma, &[val_reg, x_reg, acc_reg]);
-                    acc -= v * if new_side { x[c] } else { x_old[c] };
-                }
-                e.scalar_op(AluKind::Int, &[bound]);
-            }
-            assert!(diag != 0.0, "A has a zero/missing diagonal at row {i}");
-            let q = e.scalar_op(AluKind::FpMul, &[acc_reg, diag_reg]);
-            let q = e.delay(DIV_EXTRA_CYCLES, &[q]);
-            x[i] = acc / diag;
-            if read_later.as_ref().is_none_or(|r| r[i]) {
-                e.store(xl.data.addr_of(i), 8, &[q]);
-            }
-            tokens.push(q);
-        }
-        *guard = fold_tokens(e, *guard, &tokens);
-    }
-    e.region_end();
+    let mut solve = ScalarSolve::new(a, b, x0.to_vec(), ctx, schedule);
+    solve.sweep(false, "forward sweep", true);
+    solve.sweep(true, "backward sweep", true);
+    solve.finish()
 }
 
 /// One VIA symmetric Gauss–Seidel sweep in row-serial order with the
