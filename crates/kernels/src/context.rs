@@ -223,30 +223,25 @@ impl<T> KernelRun<T> {
     /// Finishes a baseline engine, harvesting the stall report, Chrome
     /// trace, and compiled stream (whichever switches were enabled)
     /// alongside the run statistics.
-    pub fn finish_baseline(output: T, mut e: Engine) -> Self {
-        let stall = e.stall_report();
-        let chrome = e.chrome_trace();
-        let compiled = e.take_compiled();
-        KernelRun {
-            output,
-            stats: e.finish(),
-            sspm_events: None,
-            stall,
-            chrome,
-            compiled,
-        }
+    pub fn finish_baseline(output: T, e: Engine) -> Self {
+        Self::finish(output, e, None)
     }
 
     /// Finishes a VIA engine: stall report, Chrome trace, and compiled
     /// stream (if enabled), run statistics, and the SSPM event counters.
-    pub fn finish_via(output: T, mut e: Engine, events: SspmEvents) -> Self {
+    pub fn finish_via(output: T, e: Engine, events: SspmEvents) -> Self {
+        Self::finish(output, e, Some(events))
+    }
+
+    /// Finishes `e` with the SSPM event counters of a VIA engine.
+    fn finish(output: T, mut e: Engine, sspm_events: Option<SspmEvents>) -> Self {
         let stall = e.stall_report();
         let chrome = e.chrome_trace();
         let compiled = e.take_compiled();
         KernelRun {
             output,
             stats: e.finish(),
-            sspm_events: Some(events),
+            sspm_events,
             stall,
             chrome,
             compiled,

@@ -19,7 +19,7 @@
 
 use crate::context::{KernelRun, SimContext};
 use crate::layout::{CsrLayout, VecLayout};
-use crate::readout::read_cam;
+use crate::readout::{insert_cam, read_cam};
 use via_core::{AluOp, Dest, ViaUnit};
 use via_formats::{Coo, Csr};
 use via_sim::AluKind;
@@ -138,9 +138,9 @@ pub fn via_cam(a: &Csr, b: &Csr, ctx: &SimContext) -> KernelRun<Csr> {
         let rpa = e.load(la.row_ptr.addr_of(i + 1), 8);
         let rpb = e.load(lb.row_ptr.addr_of(i + 1), 8);
         e.scalar_op(AluKind::Int, &[rpa, rpb]);
-        let (ac, av) = a.row(i);
+        let ac = a.row(i).0;
         let (bc, bv) = b.row(i);
-        let (pa, pb) = (a.row_ptr()[i], b.row_ptr()[i]);
+        let pb = b.row_ptr()[i];
 
         // Segment the row pair so the CAM never overflows: each segment
         // covers a column range small enough that |A seg| + |B seg| fits.
@@ -174,19 +174,7 @@ pub fn via_cam(a: &Csr, b: &Csr, ctx: &SimContext) -> KernelRun<Csr> {
 
             // Insert A's segment (vldxload.c), chunked by VL.
             e.region("cam insert");
-            let mut k = seg_a;
-            while k < end_a {
-                let len = vl.min(end_a - k);
-                let col_reg = e.load(la.col_idx.addr_of(pa + k), (4 * len) as u32);
-                let val_reg = e.load(la.data.addr_of(pa + k), (8 * len) as u32);
-                via.vldx_load_c(
-                    &mut e,
-                    &ac[k..k + len],
-                    &av[k..k + len],
-                    &[col_reg, val_reg],
-                );
-                k += len;
-            }
+            insert_cam(&mut e, &mut via, a, &la, i, seg_a..end_a);
             e.region_end();
             // Merge B's segment (vldxadd.c → SSPM).
             e.region("cam merge");

@@ -25,7 +25,7 @@
 
 use crate::context::{KernelRun, SimContext};
 use crate::layout::CsrLayout;
-use crate::readout::read_direct;
+use crate::readout::{insert_cam, read_direct};
 use std::collections::HashMap;
 use via_core::ViaUnit;
 use via_formats::{Coo, Csc, Csr};
@@ -143,13 +143,7 @@ pub fn inner_product(a: &Csr, b: &Csc, ctx: &SimContext) -> KernelRun<Csr> {
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn gustavson(a: &Csr, b: &Csr, ctx: &SimContext) -> KernelRun<Csr> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let mut e = ctx.baseline_engine();
-    let la = CsrLayout::new(e.alloc_mut(), a);
-    let lb = CsrLayout::new(e.alloc_mut(), b);
-    let out = via_formats::reference::spmm_gustavson(a, b).expect("shapes checked");
-    let lc = CsrLayout::new(e.alloc_mut(), &out);
-    spa_rows(&mut e, a.rows(), b.cols(), &lc, |e, spa, i| {
+    spa_rows(ctx.baseline_engine(), a, b, |e, spa, (la, lb), i| {
         let pa = a.row_ptr()[i];
         e.load(la.row_ptr.addr_of(i + 1), 8);
         for (p, &k) in a.row(i).0.iter().enumerate() {
@@ -164,31 +158,40 @@ pub fn gustavson(a: &Csr, b: &Csr, ctx: &SimContext) -> KernelRun<Csr> {
                 spa.update(e, c, cb, va, vb);
             }
         }
-    });
-    KernelRun::finish_baseline(out, e)
+    })
 }
 
-/// Gustavson's row loop over one SPA for `cols` output columns:
-/// `update_row` feeds row `i`'s products into the SPA, then the row is
-/// compacted into `lc` and its row pointer stored.
+/// Gustavson SpMM `C = A*B` on `e`: places `A`, `B` and `C` (the
+/// reference product), then runs the row loop over one SPA: `update_row`
+/// feeds row `i`'s products into the SPA, given the placements of `A` and
+/// `B`, then the row is compacted into `C` and its row pointer stored.
+///
+/// # Panics
+///
+/// Panics if `a.cols() != b.rows()`.
 pub(crate) fn spa_rows(
-    e: &mut Engine,
-    rows: usize,
-    cols: usize,
-    lc: &CsrLayout,
-    mut update_row: impl FnMut(&mut Engine, &mut Spa, usize),
-) {
-    let mut spa = Spa::new(e, cols);
-    for i in 0..rows {
+    mut e: Engine,
+    a: &Csr,
+    b: &Csr,
+    mut update_row: impl FnMut(&mut Engine, &mut Spa, (&CsrLayout, &CsrLayout), usize),
+) -> KernelRun<Csr> {
+    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    let la = CsrLayout::new(e.alloc_mut(), a);
+    let lb = CsrLayout::new(e.alloc_mut(), b);
+    let out = via_formats::reference::spmm_gustavson(a, b).expect("shapes checked");
+    let lc = CsrLayout::new(e.alloc_mut(), &out);
+    let mut spa = Spa::new(&mut e, b.cols());
+    for i in 0..a.rows() {
         e.region("spa update");
-        update_row(e, &mut spa, i);
+        update_row(&mut e, &mut spa, (&la, &lb), i);
         e.region_end();
         e.region("compact");
-        spa.compact(e, &lc.col_idx, &lc.data, true);
+        spa.compact(&mut e, &lc.col_idx, &lc.data, true);
         let rp = e.scalar_op(AluKind::Int, &[]);
         e.store(lc.row_ptr.addr_of(i + 1), 8, &[rp]);
         e.region_end();
     }
+    KernelRun::finish_baseline(out, e)
 }
 
 /// A dense sparse accumulator (SPA): a value workspace and an occupancy
@@ -325,8 +328,7 @@ pub fn via_cam_with(a: &Csr, b: &Csc, ctx: &SimContext, col_tile: usize) -> Kern
     let mut out_pos = 0usize;
     let mut coo = Coo::new(a.rows(), b.cols());
     for i in 0..a.rows() {
-        let (ac, av) = a.row(i);
-        let pa = a.row_ptr()[i];
+        let ac = a.row(i).0;
         e.load(la.row_ptr.addr_of(i + 1), 8);
         if ac.is_empty() {
             e.scalar_op(AluKind::Int, &[]);
@@ -347,19 +349,7 @@ pub fn via_cam_with(a: &Csr, b: &Csc, ctx: &SimContext, col_tile: usize) -> Kern
                     via.vldx_clear_segment(&mut e, 0, acc_base);
                 }
                 e.region("cam insert");
-                let mut k = seg;
-                while k < seg_end {
-                    let len = vl.min(seg_end - k);
-                    let col_reg = e.load(la.col_idx.addr_of(pa + k), (4 * len) as u32);
-                    let val_reg = e.load(la.data.addr_of(pa + k), (8 * len) as u32);
-                    via.vldx_load_c(
-                        &mut e,
-                        &ac[k..k + len],
-                        &av[k..k + len],
-                        &[col_reg, val_reg],
-                    );
-                    k += len;
-                }
+                insert_cam(&mut e, &mut via, a, &la, i, seg..seg_end);
                 e.region_end();
                 let k_lo = ac[seg];
                 let k_hi = ac[seg_end - 1];

@@ -18,7 +18,6 @@
 //!   comparison the bake-off is designed to surface.
 
 use crate::context::{KernelRun, SimContext};
-use crate::layout::CsrLayout;
 use crate::spmm::spa_rows;
 use crate::spmv::csr_row_loop;
 use via_core::SsrStreams;
@@ -48,14 +47,8 @@ pub fn spmv_csr(a: &Csr, x: &[f64], ctx: &SimContext) -> KernelRun<Vec<f64>> {
 ///
 /// Panics if `a.cols() != b.rows()`.
 pub fn spmm_gustavson(a: &Csr, b: &Csr, ctx: &SimContext) -> KernelRun<Csr> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let mut e = ctx.ssr_engine();
     let mut ssr = SsrStreams::default();
-    let la = CsrLayout::new(e.alloc_mut(), a);
-    let lb = CsrLayout::new(e.alloc_mut(), b);
-    let out = via_formats::reference::spmm_gustavson(a, b).expect("shapes checked");
-    let lc = CsrLayout::new(e.alloc_mut(), &out);
-    spa_rows(&mut e, a.rows(), b.cols(), &lc, |e, spa, i| {
+    spa_rows(ctx.ssr_engine(), a, b, |e, spa, (la, lb), i| {
         let pa = a.row_ptr()[i];
         let rp = e.load(la.row_ptr.addr_of(i + 1), 8);
         // One stream setup covers A's row; each B row streamed inside gets
@@ -73,8 +66,7 @@ pub fn spmm_gustavson(a: &Csr, b: &Csr, ctx: &SimContext) -> KernelRun<Csr> {
                 spa.update(e, c, cb, va, vb);
             }
         }
-    });
-    KernelRun::finish_baseline(out, e)
+    })
 }
 
 #[cfg(test)]

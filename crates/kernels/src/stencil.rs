@@ -19,7 +19,7 @@
 use crate::context::{KernelRun, SimContext};
 use crate::readout::{read_direct, stage_direct};
 use via_core::ViaUnit;
-use via_sim::{AluKind, VecOpKind};
+use via_sim::{AluKind, Engine, Reg, Region, VecOpKind};
 
 /// The 4×4 Gaussian filter used by the paper's evaluation (binomial
 /// weights, normalized).
@@ -34,6 +34,38 @@ pub fn gaussian4() -> Vec<f64> {
     f
 }
 
+/// What every stencil leg places and precomputes: the image and output
+/// regions, the reference output, and the 16 filter coefficients loaded
+/// once into registers.
+struct Operands {
+    il: Region,
+    ol: Region,
+    out: Vec<f64>,
+    coeffs: Vec<Reg>,
+}
+
+impl Operands {
+    /// Places the image, the filter and the output, in that order, and
+    /// loads the coefficients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image.len() != width * height` or `filter.len() != 16`.
+    fn new(e: &mut Engine, image: &[f64], width: usize, height: usize, filter: &[f64]) -> Self {
+        assert_eq!(image.len(), width * height, "image dimensions mismatch");
+        assert_eq!(filter.len(), 16, "filter must be 4x4");
+        let il = e.alloc_mut().alloc_f64(image.len().max(1));
+        let fl = e.alloc_mut().alloc_f64(16);
+        let ol = e.alloc_mut().alloc_f64(image.len().max(1));
+        Operands {
+            il,
+            ol,
+            out: via_formats::reference::convolve2d(image, width, height, filter, 4),
+            coeffs: (0..16).map(|t| e.load(fl.addr_of(t), 8)).collect(),
+        }
+    }
+}
+
 /// Scalar 4×4 convolution baseline.
 ///
 /// # Panics
@@ -46,16 +78,8 @@ pub fn scalar(
     filter: &[f64],
     ctx: &SimContext,
 ) -> KernelRun<Vec<f64>> {
-    assert_eq!(image.len(), width * height, "image dimensions mismatch");
-    assert_eq!(filter.len(), 16, "filter must be 4x4");
     let mut e = ctx.baseline_engine();
-    let il = e.alloc_mut().alloc_f64(image.len().max(1));
-    let fl = e.alloc_mut().alloc_f64(16);
-    let ol = e.alloc_mut().alloc_f64(image.len().max(1));
-
-    let out = via_formats::reference::convolve2d(image, width, height, filter, 4);
-    // Filter coefficients loaded once into registers.
-    let coeffs: Vec<via_sim::Reg> = (0..16).map(|t| e.load(fl.addr_of(t), 8)).collect();
+    let ops = Operands::new(&mut e, image, width, height, filter);
     e.region("pixel loop");
     for y in 0..height {
         for x in 0..width {
@@ -67,16 +91,16 @@ pub fn scalar(
                     if iy < 0 || iy >= height as isize || ix < 0 || ix >= width as isize {
                         continue;
                     }
-                    let pix = e.load(il.addr_of(iy as usize * width + ix as usize), 8);
-                    acc = e.scalar_op(AluKind::FpFma, &[pix, coeffs[fy * 4 + fx], acc]);
+                    let pix = e.load(ops.il.addr_of(iy as usize * width + ix as usize), 8);
+                    acc = e.scalar_op(AluKind::FpFma, &[pix, ops.coeffs[fy * 4 + fx], acc]);
                 }
             }
-            e.store(ol.addr_of(y * width + x), 8, &[acc]);
+            e.store(ops.ol.addr_of(y * width + x), 8, &[acc]);
             e.scalar_op(AluKind::Int, &[]);
         }
     }
     e.region_end();
-    KernelRun::finish_baseline(out, e)
+    KernelRun::finish_baseline(ops.out, e)
 }
 
 /// Vectorized 4×4 convolution baseline (`VL` output pixels per step).
@@ -91,16 +115,9 @@ pub fn vector(
     filter: &[f64],
     ctx: &SimContext,
 ) -> KernelRun<Vec<f64>> {
-    assert_eq!(image.len(), width * height, "image dimensions mismatch");
-    assert_eq!(filter.len(), 16, "filter must be 4x4");
     let vl = ctx.vl();
     let mut e = ctx.baseline_engine();
-    let il = e.alloc_mut().alloc_f64(image.len().max(1));
-    let fl = e.alloc_mut().alloc_f64(16);
-    let ol = e.alloc_mut().alloc_f64(image.len().max(1));
-
-    let out = via_formats::reference::convolve2d(image, width, height, filter, 4);
-    let coeffs: Vec<via_sim::Reg> = (0..16).map(|t| e.load(fl.addr_of(t), 8)).collect();
+    let ops = Operands::new(&mut e, image, width, height, filter);
     e.region("pixel loop");
     for y in 0..height {
         let mut x = 0usize;
@@ -118,19 +135,19 @@ pub fn vector(
                     // (clamped to the row; borders handled by masking).
                     let lo = ix0.max(0) as usize;
                     let pix = e.load(
-                        il.addr_of(iy as usize * width + lo.min(width - 1)),
+                        ops.il.addr_of(iy as usize * width + lo.min(width - 1)),
                         (8 * len) as u32,
                     );
-                    acc = e.vec_op(VecOpKind::Fma, &[pix, coeffs[fy * 4 + fx], acc]);
+                    acc = e.vec_op(VecOpKind::Fma, &[pix, ops.coeffs[fy * 4 + fx], acc]);
                 }
             }
-            e.store(ol.addr_of(y * width + x), (8 * len) as u32, &[acc]);
+            e.store(ops.ol.addr_of(y * width + x), (8 * len) as u32, &[acc]);
             e.scalar_op(AluKind::Int, &[]);
             x += len;
         }
     }
     e.region_end();
-    KernelRun::finish_baseline(out, e)
+    KernelRun::finish_baseline(ops.out, e)
 }
 
 /// VIA stencil (paper Algorithm 6): image segments staged in the SSPM,
@@ -152,8 +169,6 @@ pub fn via(
     filter: &[f64],
     ctx: &SimContext,
 ) -> KernelRun<Vec<f64>> {
-    assert_eq!(image.len(), width * height, "image dimensions mismatch");
-    assert_eq!(filter.len(), 16, "filter must be 4x4");
     let vl = ctx.vl();
     let entries = ctx.via.entries();
     let half = entries / 2;
@@ -168,12 +183,7 @@ pub fn via(
     let seg_rows = max_rows - 3;
     let mut e = ctx.via_engine();
     let mut via = ViaUnit::new(ctx.via);
-    let il = e.alloc_mut().alloc_f64(image.len().max(1));
-    let fl = e.alloc_mut().alloc_f64(16);
-    let ol = e.alloc_mut().alloc_f64(image.len().max(1));
-
-    let out = via_formats::reference::convolve2d(image, width, height, filter, 4);
-    let coeffs: Vec<via_sim::Reg> = (0..16).map(|t| e.load(fl.addr_of(t), 8)).collect();
+    let ops = Operands::new(&mut e, image, width, height, filter);
     let out_base = half as u32;
 
     let mut y0 = 0usize;
@@ -188,7 +198,14 @@ pub fn via(
             let row = iy * width;
             let base = ((iy - in_lo) * width) as u32;
             let pixels = &image[row..row + width];
-            stage_direct(&mut e, &mut via, base, il.slice(row, width), pixels, &[]);
+            stage_direct(
+                &mut e,
+                &mut via,
+                base,
+                ops.il.slice(row, width),
+                pixels,
+                &[],
+            );
         }
         // Convolve: one fused `vldxblkmult.d` per tap per VL pixels. The
         // merged index packs (output position << idx_bits) | input
@@ -235,7 +252,7 @@ pub fn via(
                             &vec![coeff; idx.len()],
                             idx_bits,
                             out_base,
-                            &[coeffs[fy * 4 + fx]],
+                            &[ops.coeffs[fy * 4 + fx]],
                         );
                     }
                 }
@@ -252,20 +269,20 @@ pub fn via(
                 let at = (y0 + dy) * width + x;
                 for (l, &v) in vals.iter().enumerate() {
                     debug_assert!(
-                        (v - out[at + l]).abs() < 1e-9,
+                        (v - ops.out[at + l]).abs() < 1e-9,
                         "SSPM convolution mismatch at ({}, {})",
                         y0 + dy,
                         x + l
                     );
                 }
-                e.store(ol.addr_of(at), (8 * vals.len()) as u32, &[reg]);
+                e.store(ops.ol.addr_of(at), (8 * vals.len()) as u32, &[reg]);
             });
         }
         e.region_end();
         y0 += rows_here;
     }
     let events = via.events();
-    KernelRun::finish_via(out, e, events)
+    KernelRun::finish_via(ops.out, e, events)
 }
 
 #[cfg(test)]
