@@ -235,10 +235,10 @@ mod tests {
         // clear must precede the CAM insert (via-verify VIA009).
         v.vldx_clear(&mut e);
         v.vldx_load_c(&mut e, &[5], &[2.0], &[]);
-        v.vldx_mov_d(&mut e, &[0], &[]);
-        v.vldx_mov_c(&mut e, &[5], &[]);
+        v.vldx_mov_d(&mut e, &[0], &[], &mut [0.0]);
+        v.vldx_mov_c(&mut e, &[5], &[], &mut [0.0]);
         v.vldx_count(&mut e);
-        v.vldx_load_idx(&mut e, 0, 1);
+        v.vldx_load_idx(&mut e, 0, &mut [0]);
         v.vldx_clear_segment(&mut e, 0, 8);
         v.vldx_alu_d(&mut e, AluOp::Add, &[0], &[1.0], Dest::Vrf, &[]);
         v.vldx_alu_c(&mut e, AluOp::Mult, &[5], &[1.0], Dest::Vrf, &[]);

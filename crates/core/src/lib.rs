@@ -42,8 +42,9 @@
 //! // Store x = [10, 20] at SSPM entries 0 and 1, then read them back.
 //! via.vldx_clear(&mut engine);
 //! via.vldx_load_d(&mut engine, &[0, 1], &[10.0, 20.0], &[]);
-//! let (_, values) = via.vldx_mov_d(&mut engine, &[1, 0], &[]);
-//! assert_eq!(values, vec![20.0, 10.0]);
+//! let mut values = [0.0; 2];
+//! via.vldx_mov_d(&mut engine, &[1, 0], &[], &mut values);
+//! assert_eq!(values, [20.0, 10.0]);
 //! let stats = engine.finish();
 //! assert_eq!(stats.custom_ops, 3);
 //! ```

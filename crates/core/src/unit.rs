@@ -229,43 +229,51 @@ impl ViaUnit {
     }
 
     /// `vldxmov.d`: reads the SSPM at `idx` in direct-mapped mode into the
-    /// VRF; unwritten entries read zero. Returns the destination register
-    /// and the packed values.
+    /// VRF; unwritten entries read zero. Writes the packed values to
+    /// `values` and returns the destination register.
     ///
     /// # Panics
     ///
-    /// Panics if any index exceeds the SRAM.
+    /// Panics if `idx.len() != values.len()` or any index exceeds the SRAM.
     pub fn vldx_mov_d(
         &mut self,
         engine: &mut Engine,
         idx: &[u32],
         deps: &[Reg],
-    ) -> (Reg, Vec<f64>) {
-        let values = idx
-            .iter()
-            .map(|&i| self.sspm.read_direct(i as usize))
-            .collect();
-        let dst = self.push_op(
+        values: &mut [f64],
+    ) -> Reg {
+        assert_eq!(idx.len(), values.len(), "idx/values lane mismatch");
+        for (v, &i) in values.iter_mut().zip(idx) {
+            *v = self.sspm.read_direct(i as usize);
+        }
+        self.push_op(
             engine,
             SspmOpClass::DirectRead,
             idx.len() as u32,
             None,
             deps,
-        );
-        (dst, values)
+        )
     }
 
     /// `vldxmov.c`: CAM-searches each index; hits return the stored value,
-    /// misses return zero (paper §IV-A reading in CAM mode).
+    /// misses return zero (paper §IV-A reading in CAM mode). Writes the
+    /// packed values to `values` and returns the destination register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx.len() != values.len()`.
     pub fn vldx_mov_c(
         &mut self,
         engine: &mut Engine,
         idx: &[u32],
         deps: &[Reg],
-    ) -> (Reg, Vec<f64>) {
-        let values = idx.iter().map(|&i| self.sspm.read_cam(i)).collect();
-        let dst = self.push_op(engine, SspmOpClass::CamRead, idx.len() as u32, None, deps);
-        (dst, values)
+        values: &mut [f64],
+    ) -> Reg {
+        assert_eq!(idx.len(), values.len(), "idx/values lane mismatch");
+        for (v, &i) in values.iter_mut().zip(idx) {
+            *v = self.sspm.read_cam(i);
+        }
+        self.push_op(engine, SspmOpClass::CamRead, idx.len() as u32, None, deps)
     }
 
     /// `vldxcount`: reads the element-count register into a scalar register
@@ -276,27 +284,29 @@ impl ViaUnit {
         (dst, count)
     }
 
-    /// `vldxloadidx`: loads `lanes` consecutive tracked indices starting at
-    /// insertion position `offset` from the index table into the VRF.
+    /// `vldxloadidx`: loads `indices.len()` consecutive tracked indices
+    /// starting at insertion position `offset` from the index table into
+    /// the VRF. Writes them to `indices` and returns the destination
+    /// register.
     ///
     /// # Panics
     ///
-    /// Panics if `offset + lanes` exceeds the element count.
+    /// Panics if `offset + indices.len()` exceeds the element count.
     pub fn vldx_load_idx(
         &mut self,
         engine: &mut Engine,
         offset: usize,
-        lanes: usize,
-    ) -> (Reg, Vec<u32>) {
+        indices: &mut [u32],
+    ) -> Reg {
+        let lanes = indices.len();
         assert!(
             offset + lanes <= self.sspm.count(),
             "vldxloadidx beyond element count"
         );
-        let indices = (offset..offset + lanes)
-            .map(|p| self.sspm.tracked_index(p))
-            .collect();
-        let dst = self.push_op(engine, SspmOpClass::IndexRead, lanes as u32, None, &[]);
-        (dst, indices)
+        for (p, i) in (offset..).zip(indices.iter_mut()) {
+            *i = self.sspm.tracked_index(p);
+        }
+        self.push_op(engine, SspmOpClass::IndexRead, lanes as u32, None, &[])
     }
 
     /// `vldx{add,sub,mult}.d`: direct-mapped ALU instruction.
@@ -525,16 +535,18 @@ mod tests {
     fn load_then_mov_direct_round_trips() {
         let (mut e, mut v) = setup();
         v.vldx_load_d(&mut e, &[3, 1, 2], &[30.0, 10.0, 20.0], &[]);
-        let (_, vals) = v.vldx_mov_d(&mut e, &[1, 2, 3], &[]);
-        assert_eq!(vals, vec![10.0, 20.0, 30.0]);
+        let mut vals = [0.0; 3];
+        v.vldx_mov_d(&mut e, &[1, 2, 3], &[], &mut vals);
+        assert_eq!(vals, [10.0, 20.0, 30.0]);
     }
 
     #[test]
     fn mov_d_of_invalid_entries_is_zero() {
         let (mut e, mut v) = setup();
         v.vldx_load_d(&mut e, &[0], &[5.0], &[]);
-        let (_, vals) = v.vldx_mov_d(&mut e, &[0, 1], &[]);
-        assert_eq!(vals, vec![5.0, 0.0]);
+        let mut vals = [0.0; 2];
+        v.vldx_mov_d(&mut e, &[0, 1], &[], &mut vals);
+        assert_eq!(vals, [5.0, 0.0]);
     }
 
     #[test]
@@ -542,8 +554,9 @@ mod tests {
         let (mut e, mut v) = setup();
         v.vldx_load_d(&mut e, &[0], &[5.0], &[]);
         v.vldx_clear(&mut e);
-        let (_, vals) = v.vldx_mov_d(&mut e, &[0], &[]);
-        assert_eq!(vals, vec![0.0]);
+        let mut vals = [1.0];
+        v.vldx_mov_d(&mut e, &[0], &[], &mut vals);
+        assert_eq!(vals, [0.0]);
     }
 
     #[test]
@@ -573,8 +586,9 @@ mod tests {
     fn cam_load_and_mov_match_indices() {
         let (mut e, mut v) = setup();
         v.vldx_load_c(&mut e, &[100, 200], &[1.0, 2.0], &[]);
-        let (_, vals) = v.vldx_mov_c(&mut e, &[200, 300, 100], &[]);
-        assert_eq!(vals, vec![2.0, 0.0, 1.0]);
+        let mut vals = [0.0; 3];
+        v.vldx_mov_c(&mut e, &[200, 300, 100], &[], &mut vals);
+        assert_eq!(vals, [2.0, 0.0, 1.0]);
         assert_eq!(v.count(), 2);
     }
 
@@ -606,8 +620,9 @@ mod tests {
             Dest::Sspm { offset: 8 },
             &[],
         );
-        let (_, vals) = v.vldx_mov_d(&mut e, &[8, 9], &[]);
-        assert_eq!(vals, vec![2.5, 3.5]);
+        let mut vals = [0.0; 2];
+        v.vldx_mov_d(&mut e, &[8, 9], &[], &mut vals);
+        assert_eq!(vals, [2.5, 3.5]);
     }
 
     #[test]
@@ -642,8 +657,9 @@ mod tests {
             &[],
         );
         assert_eq!(v.count(), 3);
-        let (_, vals) = v.vldx_mov_c(&mut e, &[1, 3, 9], &[]);
-        assert_eq!(vals, vec![1.0, 33.0, 90.0]);
+        let mut vals = [0.0; 3];
+        v.vldx_mov_c(&mut e, &[1, 3, 9], &[], &mut vals);
+        assert_eq!(vals, [1.0, 33.0, 90.0]);
     }
 
     #[test]
@@ -652,10 +668,12 @@ mod tests {
         v.vldx_load_c(&mut e, &[5, 1, 9], &[0.5, 0.1, 0.9], &[]);
         let (_, n) = v.vldx_count(&mut e);
         assert_eq!(n, 3);
-        let (_, idx) = v.vldx_load_idx(&mut e, 0, 3);
-        assert_eq!(idx, vec![5, 1, 9]); // insertion order
-        let (_, tail) = v.vldx_load_idx(&mut e, 1, 2);
-        assert_eq!(tail, vec![1, 9]);
+        let mut idx = [0; 3];
+        v.vldx_load_idx(&mut e, 0, &mut idx);
+        assert_eq!(idx, [5, 1, 9]); // insertion order
+        let mut tail = [0; 2];
+        v.vldx_load_idx(&mut e, 1, &mut tail);
+        assert_eq!(tail, [1, 9]);
     }
 
     #[test]
@@ -666,9 +684,10 @@ mod tests {
         v.vldx_load_d(&mut e, &[0, 1], &[2.0, 4.0], &[]);
         // Block entries: (r0,c0)=3 → merged 0b00; (r1,c1)=5 → merged 0b11.
         v.vldx_blk_mult_d(&mut e, &[0b00, 0b11], &[3.0, 5.0], 1, 2, &[]);
-        let (_, out) = v.vldx_mov_d(&mut e, &[2, 3], &[]);
+        let mut out = [0.0; 2];
+        v.vldx_mov_d(&mut e, &[2, 3], &[], &mut out);
         // y[0] += x[0]*3 = 6; y[1] += x[1]*5 = 20.
-        assert_eq!(out, vec![6.0, 20.0]);
+        assert_eq!(out, [6.0, 20.0]);
     }
 
     #[test]
@@ -677,8 +696,9 @@ mod tests {
         v.vldx_load_d(&mut e, &[0], &[1.0], &[]);
         v.vldx_blk_mult_d(&mut e, &[0], &[2.0], 1, 4, &[]);
         v.vldx_blk_mult_d(&mut e, &[0], &[3.0], 1, 4, &[]);
-        let (_, out) = v.vldx_mov_d(&mut e, &[4], &[]);
-        assert_eq!(out, vec![5.0]);
+        let mut out = [0.0];
+        v.vldx_mov_d(&mut e, &[4], &[], &mut out);
+        assert_eq!(out, [5.0]);
     }
 
     #[test]
@@ -699,9 +719,10 @@ mod tests {
         let acc = v.config().cam_entries() as u32 + 1;
         v.vldx_dot_acc_c(&mut e, &[3, 9], &[10.0, 10.0], acc, &[]);
         v.vldx_dot_acc_c(&mut e, &[4], &[2.0], acc, &[]);
-        let (_, out) = v.vldx_mov_d(&mut e, &[acc], &[]);
+        let mut out = [0.0];
+        v.vldx_mov_d(&mut e, &[acc], &[], &mut out);
         // 2*10 + 5*2 = 30.
-        assert_eq!(out, vec![30.0]);
+        assert_eq!(out, [30.0]);
     }
 
     #[test]
@@ -709,7 +730,7 @@ mod tests {
         let (mut e, mut v) = setup();
         v.vldx_clear(&mut e);
         v.vldx_load_d(&mut e, &[0], &[1.0], &[]);
-        v.vldx_mov_d(&mut e, &[0], &[]);
+        v.vldx_mov_d(&mut e, &[0], &[], &mut [0.0]);
         v.vldx_count(&mut e);
         let stats = e.finish();
         assert_eq!(stats.custom_ops, 4);

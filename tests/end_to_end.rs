@@ -158,8 +158,9 @@ fn umbrella_crate_reexports_work_together() {
     );
     let mut unit = via::core::ViaUnit::new(via::core::ViaConfig::default());
     unit.vldx_load_d(&mut engine, &[0, 1], &[1.0, 2.0], &[]);
-    let (_, vals) = unit.vldx_mov_d(&mut engine, &[0, 1], &[]);
-    assert_eq!(vals, vec![1.0, 2.0]);
+    let mut vals = [0.0; 2];
+    unit.vldx_mov_d(&mut engine, &[0, 1], &[], &mut vals);
+    assert_eq!(vals, [1.0, 2.0]);
     let stats = engine.finish();
     let energy = via::energy::EnergyModel::default().energy(
         &stats,
