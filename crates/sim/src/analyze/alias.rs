@@ -9,8 +9,8 @@
 //! * overlap is **byte-exact** — a gather element `[a, a + elem_bytes)`
 //!   must intersect a scatter element's written interval, so every report
 //!   is a must-alias, not a shared-cache-line coincidence;
-//! * the window is configurable and wide (default 65 536 scatters),
-//!   bounded only to keep the pass linear on adversarial streams.
+//! * the window is wide (`WINDOW`, 65 536 scatters), bounded only to
+//!   keep the pass linear on adversarial streams.
 //!
 //! The ordering-evidence predicate is the same one VIA008 trusts: a
 //! conflict is suppressed when any gather source register was (re)defined
@@ -33,6 +33,10 @@ use crate::prog::{Inst, Op, Reg};
 /// Max remembered scatter candidates per cache line. Overflow drops the
 /// oldest candidate on that line (a completeness, never a soundness, cap).
 const LINE_CANDIDATES: usize = 8;
+
+/// How many past scatters stay must-alias candidates (the static
+/// sharpening of the dynamic check's 32-entry window).
+const WINDOW: usize = 1 << 16;
 
 /// Line size used for candidate *indexing* only (the conflict test itself
 /// is byte-exact). Matches the dynamic verifier's VIA008 granularity.
@@ -82,10 +86,9 @@ fn overlap_witness(a: u64, a_bytes: u32, b: u64, b_bytes: u32) -> Option<u64> {
     (lo < hi).then_some(lo)
 }
 
-/// Runs the whole-stream must-alias pass. `window` bounds how many past
+/// Runs the whole-stream must-alias pass. `WINDOW` bounds how many past
 /// scatters stay candidates (see the module docs).
-pub fn must_alias_conflicts(insts: &[Inst], window: usize) -> AliasAnalysis {
-    let window = window.max(1);
+pub fn must_alias_conflicts(insts: &[Inst]) -> AliasAnalysis {
     let mut out = AliasAnalysis::default();
     // All retained scatters, oldest first; ids below `oldest_live` are
     // evicted lazily from the per-line index.
@@ -146,7 +149,7 @@ pub fn must_alias_conflicts(insts: &[Inst], window: usize) -> AliasAnalysis {
                 }
             }
             Op::Scatter { addrs, elem_bytes } if !addrs.is_empty() => {
-                if pending.len() >= window {
+                if pending.len() >= WINDOW {
                     pending.remove(0);
                     oldest_live += 1;
                     out.dropped_candidates += 1;

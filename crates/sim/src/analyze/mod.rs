@@ -61,9 +61,6 @@ pub struct AnalyzeConfig {
     /// CAM index-table capacity in entries, when the stream targets a VIA
     /// configuration (`None` disables the VIA104 occupancy check).
     pub cam_entries: Option<u64>,
-    /// How many past scatters stay must-alias candidates (the static
-    /// sharpening of the dynamic check's 32-entry window).
-    pub alias_window: usize,
     /// Cap on retained finding sites / diagnostics per code (counts are
     /// always exact; only the exemplar lists are truncated).
     pub max_exemplars: usize,
@@ -82,7 +79,6 @@ impl AnalyzeConfig {
             core: core.clone(),
             mem: mem.clone(),
             cam_entries: None,
-            alias_window: 1 << 16,
             max_exemplars: 16,
         }
     }
@@ -218,7 +214,7 @@ pub fn analyze(stream: &CompiledStream, cfg: &AnalyzeConfig) -> AnalysisReport {
     let insts = stream.insts();
     let dead_writes = liveness::dead_register_writes(insts);
     let stores = liveness::dead_stores(insts);
-    let aliases = alias::must_alias_conflicts(insts, cfg.alias_window);
+    let aliases = alias::must_alias_conflicts(insts);
     let (cam, cam_overflow_at) = cam_occupancy(insts, stream.events(), cfg);
     let bound = bound::static_bound(insts, cfg);
 
